@@ -8,7 +8,6 @@ iteration on the equivalent integral operator.
 
 from .bmetric import (
     AdmissibilityVerdict,
-    BMetricSpace,
     ContractionVerdict,
     FamilyVerdict,
     GeraghtyVerdict,
@@ -58,14 +57,13 @@ from .green import (
 from .solver import (
     Certificate,
     Hypothesis,
+    Operator,
     ProblemSpec,
     SolveReport,
-    apply_operator,
     build_certificate,
     default_sample_suite,
     operator_matrix,
     picard_solve,
-    residual_report,
 )
 from .special import PhiMap, gamma, phi_catalog
 
@@ -83,15 +81,15 @@ __all__ = [
     "green", "green_values", "green_branch", "green_max_bound", "seam_gap",
     "KernelPropertyReport", "check_kernel_properties",
     # metric machinery
-    "distance", "BMetricSpace", "PsiFunction", "ThetaFunction", "TauRelation",
+    "distance", "PsiFunction", "ThetaFunction", "TauRelation",
     "default_psi", "default_theta", "default_tau", "FamilyVerdict",
     "psi_family_check", "theta_family_check", "ContractionVerdict",
     "contraction_certificate", "GeraghtyVerdict", "geraghty_inequality_check",
     "AdmissibilityVerdict", "admissibility_check",
     # solver
-    "ProblemSpec", "Certificate", "Hypothesis", "SolveReport",
-    "operator_matrix", "apply_operator", "build_certificate",
-    "picard_solve", "residual_report", "default_sample_suite",
+    "ProblemSpec", "Certificate", "Hypothesis", "SolveReport", "Operator",
+    "operator_matrix", "build_certificate", "picard_solve",
+    "default_sample_suite",
     # errors
     "FracBvpError", "DomainError", "ConfigurationError",
     "GridMismatchError", "NumericError",

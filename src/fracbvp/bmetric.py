@@ -5,7 +5,9 @@ the squared sup distance d(x, y) = sup (x - y)^2, which satisfies the
 relaxed triangle inequality d(x, z) <= r * (d(x, y) + d(y, z)) with
 r = 2.  Certificates for the two fixed-point routes are plain verdict
 objects: mathematical failures are data, only structural misuse (grid
-mismatch, bad arguments) raises.
+mismatch, bad arguments) raises.  The sampled checks take each pair's
+images under the operator, computed by the caller, so one batch of
+images can serve several checks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .errors import ConfigurationError, GridMismatchError
 
 __all__ = [
     "distance",
-    "BMetricSpace",
     "PsiFunction",
     "ThetaFunction",
     "TauRelation",
@@ -47,20 +48,6 @@ def distance(x: GridFunction, y: GridFunction) -> float:
         raise GridMismatchError("grid functions live on different grids")
     diff = x.values - y.values
     return float(np.max(diff * diff))
-
-
-@dataclass(frozen=True)
-class BMetricSpace:
-    """Distance plus its relaxation constant (r = 2 for the solver)."""
-
-    r: float = 2.0
-
-    def __post_init__(self):
-        if not self.r >= 1.0:
-            raise ConfigurationError(f"relaxation constant must be >= 1, got {self.r!r}")
-
-    def distance(self, x: GridFunction, y: GridFunction) -> float:
-        return distance(x, y)
 
 
 @dataclass(frozen=True)
@@ -209,14 +196,15 @@ class GeraghtyVerdict:
     r: float
 
 
-def geraghty_inequality_check(apply_op: Callable[[GridFunction], GridFunction],
+def geraghty_inequality_check(pairs: Sequence[tuple[GridFunction, GridFunction]],
+                              images: Sequence[tuple[GridFunction, GridFunction]],
                               psi: PsiFunction,
                               theta: ThetaFunction,
                               tau: TauRelation,
-                              pairs: Sequence[tuple[GridFunction, GridFunction]],
                               r: float = 2.0) -> GeraghtyVerdict:
     """Check the shrink inequality on every admissible sampled pair.
 
+    ``images[k]`` is (A u, A v) for ``pairs[k]`` = (u, v).
     Pairs whose sign relation fails at some node are skipped (their
     indicator is zero, so the inequality is vacuous).  The worst margin
     reported is min over checked pairs of rhs - lhs.
@@ -225,13 +213,13 @@ def geraghty_inequality_check(apply_op: Callable[[GridFunction], GridFunction],
     checked = 0
     skipped = 0
     passed = True
-    for u, v in pairs:
+    for (u, v), (au, av) in zip(pairs, images, strict=True):
         if not _admissible(tau, u, v):
             skipped += 1
             continue
         checked += 1
         d_uv = distance(u, v)
-        lhs = float(psi(r**3 * distance(apply_op(u), apply_op(v))))
+        lhs = float(psi(r**3 * distance(au, av)))
         gauge = float(psi(d_uv))
         rhs = float(theta(gauge)) * gauge
         margin = rhs - lhs
@@ -254,24 +242,23 @@ class AdmissibilityVerdict:
     worst_value: float
 
 
-def admissibility_check(apply_op: Callable[[GridFunction], GridFunction],
+def admissibility_check(pairs: Sequence[tuple[GridFunction, GridFunction]],
+                        images: Sequence[tuple[GridFunction, GridFunction]],
                         tau: TauRelation,
-                        pairs: Sequence[tuple[GridFunction, GridFunction]],
                         atol: float = 1e-12) -> AdmissibilityVerdict:
     """For each sampled pair with tau >= 0 at every node, require
     tau(Au, Av) >= -atol at every node (the tolerance absorbs rounding
-    in quantities that are zero or positive in exact arithmetic)."""
+    in quantities that are zero or positive in exact arithmetic).
+    ``images[k]`` is (A u, A v) for ``pairs[k]`` = (u, v)."""
     checked = 0
     skipped = 0
     worst = np.inf
     passed = True
-    for u, v in pairs:
+    for (u, v), (au, av) in zip(pairs, images, strict=True):
         if not _admissible(tau, u, v):
             skipped += 1
             continue
         checked += 1
-        au = apply_op(u)
-        av = apply_op(v)
         low = float(np.min(np.asarray(tau(au.values, av.values), dtype=float)))
         worst = min(worst, low)
         if low < -atol:

@@ -34,13 +34,12 @@ from .config import Config, Problem, build_problem, load_config
 from .errors import FracBvpError
 from .green import beta_bound, check_kernel_properties, green_values
 from .solver import (
-    DEFAULT_SAMPLE_SEED,
-    SEED_ENV_VAR,
     Certificate,
+    Operator,
     SolveReport,
     build_certificate,
-    operator_matrix,
     picard_solve,
+    resolve_seed,
 )
 
 __all__ = ["main", "entrypoint", "REFERENCE_CONSTANTS", "REFERENCE_TOLERANCE",
@@ -74,39 +73,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _resolve_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SAMPLE_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise FracBvpError(f"environment variable {SEED_ENV_VAR} must be an integer") from None
-
-
 def bundled_config_path(name: str) -> Path:
     """Filesystem path of a bundled configuration file."""
     return Path(resources.files("fracbvp").joinpath("configs", f"{name}.cfg"))
 
 
 def _apply_overrides(config: Config, args) -> Config:
-    updates = {}
-    if getattr(args, "grid", None) is not None:
-        updates["grid_size"] = args.grid
-    if getattr(args, "tol", None) is not None:
-        updates["tol"] = args.tol
-    if getattr(args, "max_iter", None) is not None:
-        updates["max_iter"] = args.max_iter
-    if not updates:
-        return config
-    merged = dataclasses.replace(config, **updates)
-    if merged.grid_size < 64 or merged.grid_size % 2:
-        raise FracBvpError(f"--grid must be even and at least 64, got {merged.grid_size}")
-    if not merged.tol > 0.0:
-        raise FracBvpError(f"--tol must be positive, got {merged.tol}")
-    if merged.max_iter < 1:
-        raise FracBvpError(f"--max-iter must be at least 1, got {merged.max_iter}")
-    return merged
+    """The config with --grid/--tol/--max-iter applied; Config validates them."""
+    updates = {key: value for key, value in (("grid_size", args.grid), ("tol", args.tol),
+                                             ("max_iter", args.max_iter))
+               if value is not None}
+    return dataclasses.replace(config, **updates) if updates else config
 
 
 def _provenance_lines(problem: Problem, command: str, seed: int) -> list[str]:
@@ -171,7 +148,7 @@ def _cmd_check(args) -> int:
     problem = build_problem(config)
     if config.mode == "solve-only":
         raise FracBvpError("key 'mode': must be uniqueness or positive-existence for check")
-    seed = _resolve_seed()
+    seed = resolve_seed()
     grid = problem.grid()
     cert = build_certificate(problem.spec, problem.kernel, config.mode,
                              grid=grid, seed=seed)
@@ -230,17 +207,17 @@ def _solve_report_text(problem: Problem, report: SolveReport,
 def _cmd_solve(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     problem = build_problem(config)
-    seed = _resolve_seed()
+    seed = resolve_seed()
     grid = problem.grid()
-    matrix = operator_matrix(problem.kernel, grid)
+    operator = Operator(problem.spec, problem.kernel, grid)
     cert = None
     if config.mode != "solve-only":
         cert = build_certificate(problem.spec, problem.kernel, config.mode,
-                                 grid=grid, seed=seed, matrix=matrix)
+                                 grid=grid, seed=seed, operator=operator)
     u0 = GridFunction.constant(grid, 0.0)
     report = picard_solve(problem.spec, problem.kernel, u0,
                           tol=config.tol, max_iter=config.max_iter,
-                          certificate=cert, matrix=matrix)
+                          certificate=cert, operator=operator)
     out = Path(args.output)
     _atomic_write(out, _solve_csv(problem, report, seed))
     sidecar = out.with_name(out.stem + ".report.txt")
@@ -271,7 +248,7 @@ def _cmd_green(args) -> int:
     problem = build_problem(config)
     if args.resolution < 2:
         raise FracBvpError(f"--resolution must be at least 2, got {args.resolution}")
-    seed = _resolve_seed()
+    seed = resolve_seed()
     kernel = problem.kernel
     pts = np.linspace(0.0, 1.0, args.resolution)
     gmat = green_values(kernel, pts[:, None], pts[None, :])

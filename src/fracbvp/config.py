@@ -21,7 +21,7 @@ Builtin nonlinearities:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -68,6 +68,17 @@ class Config:
     max_iter: int
     mode: str
     items: tuple[tuple[str, str], ...]
+
+    def __post_init__(self):
+        # runs for parsed configs and for dataclasses.replace overrides alike
+        if self.grid_size < 64:
+            raise ConfigurationError(f"key 'grid_size': must be at least 64, got {self.grid_size}")
+        if self.grid_size % 2:
+            raise ConfigurationError(f"key 'grid_size': must be even, got {self.grid_size}")
+        if not self.tol > 0.0:
+            raise ConfigurationError(f"key 'tol': must be positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ConfigurationError(f"key 'max_iter': must be at least 1, got {self.max_iter}")
 
     def echo(self) -> tuple[tuple[str, str], ...]:
         return self.items
@@ -148,16 +159,8 @@ def parse_config(text: str, base_dir: Path | None = None) -> Config:
         raise ConfigurationError("key 'g.expr': required when g = custom-expression")
 
     grid_size = _int(values.get("grid_size", str(DEFAULT_PANELS)), "grid_size")
-    if grid_size < 64:
-        raise ConfigurationError(f"key 'grid_size': must be at least 64, got {grid_size}")
-    if grid_size % 2:
-        raise ConfigurationError(f"key 'grid_size': must be even, got {grid_size}")
     tol = _float(values.get("tol", "1e-16"), "tol")
-    if not tol > 0.0:
-        raise ConfigurationError(f"key 'tol': must be positive, got {tol}")
     max_iter = _int(values.get("max_iter", "100"), "max_iter")
-    if max_iter < 1:
-        raise ConfigurationError(f"key 'max_iter': must be at least 1, got {max_iter}")
     mode = values.get("mode", "solve-only")
     if mode not in MODES:
         raise ConfigurationError(f"key 'mode': expected one of {MODES}, got {mode!r}")
@@ -238,10 +241,9 @@ class Problem:
     params: BvpParams
     kernel: GreenKernel
     spec: ProblemSpec
-    grid_size: int
 
     def grid(self, panels: int | None = None):
-        return build_grid(self.params.phi, panels if panels is not None else self.grid_size)
+        return build_grid(self.params.phi, panels if panels is not None else self.config.grid_size)
 
 
 def build_problem(config: Config) -> Problem:
@@ -271,5 +273,4 @@ def build_problem(config: Config) -> Problem:
         domain = config.f_domain
 
     spec = ProblemSpec(params=params, f=f, g=g, f_domain=domain)
-    return Problem(config=config, params=params, kernel=kernel, spec=spec,
-                   grid_size=config.grid_size)
+    return Problem(config=config, params=params, kernel=kernel, spec=spec)

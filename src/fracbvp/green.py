@@ -1,12 +1,20 @@
 """Green's function of the three-point fractional boundary value problem.
 
 For order ``alpha`` in (2, 3], boundary data u(0) = u'(0) = 0 and
-u'(1) = beta * u(eta), the kernel G(t, s) is piecewise-defined over
-four (t, s) regions and scaled by 1 / (mu * Gamma(alpha)), where
+u'(1) = beta * u(eta), the kernel is the single positive-part formula
+
+    G(t, s) = [head(t) * (full(s) - eta_part(s))
+               - mu * (phi(t) - phi(s))_+**(alpha-1)] / (mu * Gamma(alpha))
+
+with head(t) = (phi(t) - phi(0))**(alpha-1), full(s) = (alpha-1) *
+phi'(1) * (phi(1) - phi(s))**(alpha-2), eta_part(s) = beta *
+(phi(eta) - phi(s))_+**(alpha-1) and
 
     mu = (alpha-1) * phi'(1) * S1**(alpha-2) - beta * Se**(alpha-1),
 
-with S1 = phi(1) - phi(0) and Se = phi(eta) - phi(0).  mu must be
+S1 = phi(1) - phi(0), Se = phi(eta) - phi(0).  Dropping the positive
+parts that vanish in each (t, s) region gives the paper's four
+branches, kept in ``green_branch`` for comparison.  mu must be
 nonzero for the kernel to exist; whenever
 
     beta < (alpha-1) * phi'(1) * S1**(alpha-2) / Se**(alpha-1)
@@ -14,11 +22,6 @@ nonzero for the kernel to exist; whenever
 the kernel is positive on the open square and dominated by
 
     (alpha-1) * phi'(1) * (phi(1) - phi(s))**(alpha-2) / (mu * Gamma(alpha)).
-
-Branch dispatch at boundary points follows the fixed order
-s <= min(eta, t), then t <= s <= eta, then eta <= s <= t, then the
-remainder; adjacent branches agree at the seams so the choice is
-observationally irrelevant but keeps evaluation deterministic.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ def beta_bound(alpha: float, eta: float, phi: PhiMap) -> float:
 
 @dataclass(frozen=True)
 class GreenKernel:
-    """Precomputed kernel constants plus the branch-dispatching evaluator."""
+    """Precomputed constants of the kernel formula for one problem."""
 
     params: BvpParams
     mu: float
@@ -110,7 +113,7 @@ class GreenKernel:
 
     @property
     def scale(self) -> float:
-        """mu * Gamma(alpha), the common denominator of every branch."""
+        """mu * Gamma(alpha), the denominator of the kernel formula."""
         return self.mu * self.gamma_alpha
 
 
@@ -129,7 +132,9 @@ def build_kernel(params: BvpParams) -> GreenKernel:
 
 
 def _branch_pieces(kernel: GreenKernel, t, s):
-    """Shared factors of the four kernel branches at broadcastable t, s."""
+    """Factors of the kernel formula at broadcastable t, s.  phi is
+    evaluated on t and s before broadcasting: only the memory term
+    mu * (phi(t) - phi(s))_+**(alpha-1) takes the broadcast shape."""
     p = kernel.params
     phi = p.phi
     phi_t = np.asarray(phi(t), dtype=float)
@@ -166,21 +171,16 @@ def green_branch(kernel: GreenKernel, t, s, branch: int):
 
 
 def green_values(kernel: GreenKernel, t, s):
-    """Vectorized kernel evaluation with broadcast t, s in [0, 1]."""
+    """Kernel values at broadcast t, s in [0, 1], by the single formula.
+
+    Outside its own region each positive part is 0, so the formula
+    reproduces all four of the paper's branches.
+    """
     if kernel.mu == 0.0:
         raise ConfigurationError("kernel requires mu != 0")
-    p = kernel.params
-    t_arr, s_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
-    head, full, eta_part, memory = _branch_pieces(kernel, t_arr, s_arr)
-    b1 = head * (full - eta_part) - memory
-    b2 = head * (full - eta_part)
-    b3 = head * full - memory
-    b4 = head * full
-    m1 = s_arr <= np.minimum(p.eta, t_arr)
-    m2 = ~m1 & (t_arr <= s_arr) & (s_arr <= p.eta)
-    m3 = ~m1 & ~m2 & (p.eta <= s_arr) & (s_arr <= t_arr)
-    raw = np.select([m1, m2, m3], [b1, b2, b3], default=b4)
-    return raw / kernel.scale
+    head, full, eta_part, memory = _branch_pieces(
+        kernel, np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    return (head * (full - eta_part) - memory) / kernel.scale
 
 
 def green(kernel: GreenKernel, t: float, s: float) -> float:

@@ -5,9 +5,10 @@ u = A u for
 
     A u (t) = integral_0^1 G(t, s) phi'(s) f(s, u(s)) ds,
 
-so the solver never differentiates: it assembles the discrete operator
-once (a dense matrix pairing kernel rows with quadrature weights) and
-iterates u <- A u.
+so the solver never differentiates: an ``Operator`` assembles the
+discrete operator once (a dense matrix pairing kernel rows with
+quadrature weights) and serves every use of A: the Picard iteration
+u <- A u, the sampled existence checks and the boundary residuals.
 
 Two certificates are available.  The uniqueness certificate needs a
 Lipschitz envelope g for f and checks
@@ -60,12 +61,12 @@ __all__ = [
     "Hypothesis",
     "Certificate",
     "SolveReport",
+    "Operator",
     "operator_matrix",
-    "apply_operator",
     "build_certificate",
     "picard_solve",
-    "residual_report",
     "default_sample_suite",
+    "resolve_seed",
     "SEED_ENV_VAR",
     "DEFAULT_SAMPLE_SEED",
 ]
@@ -99,49 +100,116 @@ class ProblemSpec:
                 f"f_domain must be 'real' or 'nonnegative', got {self.f_domain!r}")
 
 
+def resolve_seed(seed: int | None = None) -> int:
+    """The given seed, else the FRACBVP_SEED environment variable, else
+    the fixed default."""
+    if seed is not None:
+        return seed
+    raw = os.environ.get(SEED_ENV_VAR)
+    if raw is None:
+        return DEFAULT_SAMPLE_SEED
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigurationError(
+            f"environment variable {SEED_ENV_VAR} must be an integer") from None
+
+
 def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> np.ndarray:
-    """Dense matrix M with (A u)(nodes) = M @ f(nodes, u(nodes))."""
+    """Dense matrix M with (A u)(nodes) = M @ f(nodes, u(nodes)).
+
+    The grid must come from the kernel's phi map: phi at the grid nodes
+    has to reproduce the grid's y nodes.
+    """
     if kernel.mu == 0.0:
         raise ConfigurationError("integral operator requires mu != 0")
-    if grid.phi.kind != kernel.params.phi.kind:
+    gap = np.max(np.abs(kernel.params.phi(grid.nodes) - grid.y_nodes))
+    if not gap <= 1e-9 * kernel.shifted_one:
         raise ConfigurationError(
-            f"grid was built for phi kind {grid.phi.kind!r}, "
-            f"kernel uses {kernel.params.phi.kind!r}")
+            f"grid was built for a different phi map than the kernel's (node gap {gap:.3g})")
     gmat = green_values(kernel, grid.nodes[:, None], grid.nodes[None, :])
     return gmat * grid.weights[None, :]
 
 
-def _operator_values(spec: ProblemSpec, matrix: np.ndarray,
-                     grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
-    fv = np.asarray(spec.f(grid.nodes, values), dtype=float)
-    if fv.shape != grid.nodes.shape:
-        fv = np.broadcast_to(fv, grid.nodes.shape)
-    if not np.all(np.isfinite(fv)):
-        raise NumericError("f returned non-finite values")
-    return matrix @ fv
+# one-sided 5-point first-derivative stencil, order h^4
+_EDGE_STENCIL = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+_EDGE_SPACING = 1e-3
 
 
-def apply_operator(spec: ProblemSpec, kernel: GreenKernel, u: GridFunction,
-                   matrix: np.ndarray | None = None) -> GridFunction:
-    """One application of the integral operator on the grid of u."""
-    grid = u.grid
-    m = operator_matrix(kernel, grid) if matrix is None else matrix
-    out = _operator_values(spec, m, grid, u.values)
-    if not np.all(np.isfinite(out)):
-        raise NumericError("operator produced non-finite values")
-    return GridFunction(grid=grid, values=out)
+class Operator:
+    """The discrete integral operator A of one problem on one grid; its
+    ``matrix`` is assembled once, by ``operator_matrix``."""
+
+    def __init__(self, spec: ProblemSpec, kernel: GreenKernel, grid: QuadratureGrid):
+        self.spec = spec
+        self.kernel = kernel
+        self.grid = grid
+        self.matrix = operator_matrix(kernel, grid)
+
+    def check(self, spec: ProblemSpec, kernel: GreenKernel, grid: QuadratureGrid) -> "Operator":
+        """This operator, if built for spec, kernel and grid; else ConfigurationError."""
+        if spec is not self.spec or kernel is not self.kernel or not grid.same_as(self.grid):
+            raise ConfigurationError(
+                "operator was built for a different problem, kernel or grid")
+        return self
+
+    def _forcing(self, values: np.ndarray) -> np.ndarray:
+        nodes = self.grid.nodes
+        fv = np.asarray(self.spec.f(nodes, values), dtype=float)
+        return fv if fv.shape == nodes.shape else np.broadcast_to(fv, nodes.shape)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """(A u) at the nodes from the nodal values of u; NumericError
+        when f(u) or the image is not finite."""
+        fv = self._forcing(values)
+        if not np.all(np.isfinite(fv)):
+            raise NumericError("f returned non-finite values")
+        out = self.matrix @ fv
+        if not np.all(np.isfinite(out)):
+            raise NumericError("operator produced non-finite values")
+        return out
+
+    def apply_many(self, functions: Sequence[GridFunction]) -> list[GridFunction]:
+        """A applied to each grid function by one matrix product."""
+        forcing = np.column_stack([self._forcing(u.values) for u in functions])
+        if not np.all(np.isfinite(forcing)):
+            raise NumericError("f returned non-finite values")
+        # GridFunction raises NumericError on a non-finite image
+        return [GridFunction(self.grid, image) for image in (self.matrix @ forcing).T]
+
+    def at(self, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """(A u)(ts) for off-grid ts, reusing the grid quadrature."""
+        rows = green_values(self.kernel, ts[:, None], self.grid.nodes[None, :])
+        return rows @ (self.grid.weights * self._forcing(values))
+
+    def residuals(self, u: GridFunction) -> tuple[float, tuple[float, float, float]]:
+        """sup |A u - u| and the residuals of u(0) = u'(0) = 0 and
+        u'(1) = beta * u(eta); never raises on non-finite values.
+
+        The derivatives come from stencils with spacing 1e-3 on operator
+        output, which behaves like the (alpha-1) power of the shifted
+        coordinate near 0: |u'(0)| carries an O(h^(alpha-2)) stencil
+        error, sharp for orders well above 2, degrading as alpha -> 2.
+        """
+        residual = float(np.max(np.abs(self.matrix @ self._forcing(u.values) - u.values)))
+        h = _EDGE_SPACING
+        v_left = self.at(u.values, h * np.arange(5, dtype=float))
+        v_right = self.at(u.values, 1.0 - h * np.arange(5, dtype=float))
+        du0 = float(np.dot(_EDGE_STENCIL, v_left)) / h
+        du1 = -float(np.dot(_EDGE_STENCIL, v_right)) / h
+        p = self.kernel.params
+        return residual, (abs(float(u(0.0))), abs(du0),
+                          abs(du1 - p.beta * float(u(p.eta))))
 
 
 def default_sample_suite(grid: QuadratureGrid, n_pairs: int = 50,
                          seed: int | None = None, scale: float = 2.0):
     """Reproducible suite of nonnegative grid-function pairs.
 
-    The seed comes from the FRACBVP_SEED environment variable when not
-    given explicitly, falling back to a fixed constant.
+    The seed comes from ``resolve_seed``: the FRACBVP_SEED environment
+    variable when not given explicitly, falling back to a fixed constant.
     """
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SAMPLE_SEED))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(resolve_seed(seed))
     pairs = []
     for _ in range(n_pairs):
         u = GridFunction(grid, rng.uniform(0.0, scale, grid.size))
@@ -240,12 +308,13 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel,
                       families: tuple[PsiFunction, ThetaFunction, TauRelation] | None = None,
                       samples: Sequence[tuple[GridFunction, GridFunction]] | None = None,
                       seed: int | None = None,
-                      matrix: np.ndarray | None = None) -> Certificate:
+                      operator: Operator | None = None) -> Certificate:
     """Evaluate the hypotheses of the requested fixed-point route.
 
     Precondition violations (missing envelope, wrong f domain, missing
-    grid for sampling) raise ConfigurationError; mathematical failures
-    are recorded in the verdict.
+    grid for sampling, an operator built for another problem or grid)
+    raise ConfigurationError; mathematical failures are recorded in the
+    verdict.  Only the positive-existence route applies the operator.
     """
     if mode not in ("uniqueness", "positive-existence"):
         raise ConfigurationError(f"unknown certificate mode {mode!r}")
@@ -253,8 +322,7 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel,
         grid = samples[0][0].grid
     if grid is None:
         raise ConfigurationError("build_certificate needs a grid (or explicit samples)")
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SAMPLE_SEED))
+    seed = resolve_seed(seed)
 
     p = kernel.params
     bound = beta_bound(p.alpha, p.eta, p.phi)
@@ -287,7 +355,8 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel,
         # the threshold inequality is exactly lam < 1/2 rewritten; a
         # disagreement can only happen within rounding of the knife edge
         consistent = (bound_ok == (lam < 0.5)) or abs(g_sup - threshold) <= 1e-12 * threshold
-        assert consistent, "threshold and contraction factor disagree beyond rounding"
+        if not consistent:
+            raise NumericError("threshold and contraction factor disagree beyond rounding")
         required_ok = all(h.ok for h in hyps if h.required and h.ok is not None)
         verdict = VERDICT_UNIQUE if (required_ok and bound_ok and contraction.passed) else VERDICT_NONE
     else:
@@ -297,24 +366,23 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel,
         psi, theta, tau = families if families is not None else (
             default_psi(), default_theta(), default_tau())
         pairs = samples if samples is not None else default_sample_suite(grid, seed=seed)
-        m = operator_matrix(kernel, grid) if matrix is None else matrix
-
-        def apply_op(u: GridFunction) -> GridFunction:
-            return apply_operator(spec, kernel, u, matrix=m)
+        op = Operator(spec, kernel, grid) if operator is None else operator.check(spec, kernel, grid)
+        zero = GridFunction.constant(grid, 0.0)
+        # every sampled function and the witness are mapped once, together
+        w, *mapped = op.apply_many([zero] + [x for pair in pairs for x in pair])
+        images = list(zip(mapped[0::2], mapped[1::2]))
 
         hyps.append(Hypothesis("mu_positive", kernel.mu > 0.0, f"mu = {kernel.mu:.6g}"))
         f_ok = _f_nonneg_sampled(spec, seed)
         hyps.append(Hypothesis("f_nonnegative_sampled", f_ok,
                                "sampled hypothesis (400 points of [0,1] x R+)"))
-        geraghty = geraghty_inequality_check(apply_op, psi, theta, tau, pairs)
+        geraghty = geraghty_inequality_check(pairs, images, psi, theta, tau)
         hyps.append(Hypothesis("geraghty_inequality_sampled", geraghty.passed,
                                f"sampled hypothesis ({geraghty.checked} pairs), "
                                f"worst margin {geraghty.worst_margin:.3g}"))
-        admissibility = admissibility_check(apply_op, tau, pairs)
+        admissibility = admissibility_check(pairs, images, tau)
         hyps.append(Hypothesis("admissibility_sampled", admissibility.passed,
                                f"sampled hypothesis ({admissibility.checked} pairs)"))
-        zero = GridFunction.constant(grid, 0.0)
-        w = apply_op(zero)
         witness_ok = bool(np.min(np.asarray(tau(zero.values, w.values), dtype=float)) >= 0.0)
         hyps.append(Hypothesis("witness_zero_start", witness_ok,
                                "tau(u0, A u0) >= 0 for u0 = 0"))
@@ -368,94 +436,56 @@ class SolveReport:
     solution_min: float
 
 
-# one-sided 5-point first-derivative stencil, order h^4
-_EDGE_STENCIL = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_EDGE_SPACING = 1e-3
-
-
-def _operator_values_at(spec: ProblemSpec, kernel: GreenKernel,
-                        grid: QuadratureGrid, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """(A u)(ts) for off-grid ts, reusing the grid quadrature."""
-    fv = np.asarray(spec.f(grid.nodes, values), dtype=float)
-    if fv.shape != grid.nodes.shape:
-        fv = np.broadcast_to(fv, grid.nodes.shape)
-    rows = green_values(kernel, ts[:, None], grid.nodes[None, :])
-    return rows @ (grid.weights * fv)
-
-
-def _boundary_residuals(spec: ProblemSpec, kernel: GreenKernel,
-                        u: GridFunction) -> tuple[float, float, float]:
-    """Residuals of u(0) = u'(0) = 0 and u'(1) = beta * u(eta).
-
-    The value residuals come from u itself; the derivative stencils are
-    applied to operator output (smooth away from 0 by construction) on
-    an auxiliary uniform mesh with spacing 1e-3.  Operator output
-    behaves like the (alpha-1) power of the shifted coordinate near 0,
-    so the measured |u'(0)| carries an O(h^(alpha-2)) stencil error: it
-    is sharp for orders well above 2 and degrades as alpha approaches 2.
-    """
-    grid = u.grid
-    h = _EDGE_SPACING
-    t_left = h * np.arange(5, dtype=float)
-    t_right = 1.0 - h * np.arange(5, dtype=float)
-    v_left = _operator_values_at(spec, kernel, grid, u.values, t_left)
-    v_right = _operator_values_at(spec, kernel, grid, u.values, t_right)
-    du0 = float(np.dot(_EDGE_STENCIL, v_left)) / h
-    du1 = -float(np.dot(_EDGE_STENCIL, v_right)) / h
-    u_at_0 = float(u(0.0))
-    u_at_eta = float(u(kernel.params.eta))
-    return (abs(u_at_0), abs(du0), abs(du1 - kernel.params.beta * u_at_eta))
-
-
-def residual_report(spec: ProblemSpec, kernel: GreenKernel, u: GridFunction,
-                    matrix: np.ndarray | None = None) -> tuple[float, tuple[float, float, float]]:
-    """Fixed-point residual sup |A u - u| and the boundary residuals."""
-    grid = u.grid
-    m = operator_matrix(kernel, grid) if matrix is None else matrix
-    au = _operator_values(spec, m, grid, u.values)
-    residual = float(np.max(np.abs(au - u.values)))
-    return residual, _boundary_residuals(spec, kernel, u)
-
-
 def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
                  tol: float = 1e-16, max_iter: int = 100,
                  certificate: Certificate | None = None,
-                 matrix: np.ndarray | None = None) -> SolveReport:
+                 operator: Operator | None = None) -> SolveReport:
     """Iterate u <- A u from u0 until the squared sup step drops below tol.
 
-    Non-convergence within ``max_iter`` is reported, not raised;
-    non-finite iterates raise NumericError.  Runs without a passing
-    certificate are labeled best-effort.
+    Non-convergence within ``max_iter`` is reported, not raised.  A
+    first step whose image or squared step distance is not finite raises
+    NumericError; at a later step the same overflow means the iteration
+    diverged, and the run ends at the last iterate whose step was finite,
+    reported as not converged.  Runs without a passing certificate are
+    labeled best-effort.
     """
     if not tol > 0.0:
         raise ConfigurationError(f"tol must be positive, got {tol!r}")
     if max_iter < 1:
         raise ConfigurationError(f"max_iter must be at least 1, got {max_iter!r}")
     grid = u0.grid
-    m = operator_matrix(kernel, grid) if matrix is None else matrix
-
+    op = Operator(spec, kernel, grid) if operator is None else operator.check(spec, kernel, grid)
     values = u0.values
     ratios: list[float] = []
     prev_step = None
     step = math.inf
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        nxt = _operator_values(spec, m, grid, values)
-        if not np.all(np.isfinite(nxt)):
-            raise NumericError("Picard iterate became non-finite")
-        diff = nxt - values
-        step = float(np.max(diff * diff))
-        if prev_step is not None and prev_step > 0.0:
-            ratios.append(step / prev_step)
-        prev_step = step
-        values = nxt
-        if step < tol:
-            converged = True
-            break
-
-    solution = GridFunction(grid=grid, values=values)
-    residual, boundary = residual_report(spec, kernel, solution, matrix=m)
+    # a diverging iteration overflows on its way out; that ends the run
+    # below, so numpy's overflow warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while iterations < max_iter:
+            try:
+                nxt = op.apply(values)
+                diff = nxt - values
+                next_step = float(np.max(diff * diff))
+                if not math.isfinite(next_step):
+                    raise NumericError("Picard step distance overflowed")
+            except NumericError:
+                if iterations == 0:
+                    raise
+                break
+            iterations += 1
+            step = next_step
+            if prev_step is not None and prev_step > 0.0:
+                ratios.append(step / prev_step)
+            prev_step = step
+            values = nxt
+            if step < tol:
+                converged = True
+                break
+        solution = GridFunction(grid=grid, values=values)
+        residual, boundary = op.residuals(solution)
     if certificate is not None and certificate.passed:
         label = f"certified:{certificate.verdict}"
     else:

@@ -70,13 +70,13 @@ def grid256_42(problem42):
 
 
 @pytest.fixture(scope="session")
-def matrix256_41(kernel41, grid256_41):
-    return fb.operator_matrix(kernel41, grid256_41)
+def operator256_41(problem41, grid256_41):
+    return fb.Operator(problem41.spec, problem41.kernel, grid256_41)
 
 
 @pytest.fixture(scope="session")
-def matrix256_42(kernel42, grid256_42):
-    return fb.operator_matrix(kernel42, grid256_42)
+def operator256_42(problem42, grid256_42):
+    return fb.Operator(problem42.spec, problem42.kernel, grid256_42)
 
 
 @pytest.fixture(scope="session")

@@ -42,13 +42,13 @@ def solve42(problem42):
     reports = {}
     for panels in (512, 1024):
         grid = problem42.grid(panels)
-        matrix = fb.operator_matrix(problem42.kernel, grid)
+        operator = fb.Operator(problem42.spec, problem42.kernel, grid)
         cert = fb.build_certificate(problem42.spec, problem42.kernel, "uniqueness",
-                                    grid=grid, matrix=matrix)
+                                    grid=grid, operator=operator)
         t0 = time.perf_counter()
         reports[panels] = fb.picard_solve(
             problem42.spec, problem42.kernel, fb.GridFunction.constant(grid, 0.0),
-            tol=1e-16, max_iter=200, certificate=cert, matrix=matrix)
+            tol=1e-16, max_iter=200, certificate=cert, operator=operator)
         reports[f"time{panels}"] = time.perf_counter() - t0
         reports[f"cert{panels}"] = cert
     return reports
@@ -135,9 +135,9 @@ def test_criterion_5_certified_solve(problem42, solve42):
 def test_criterion_6_zero_fixed_point_with_certificate(problem41):
     with criterion(6, "linear example fixed point and certificate"):
         grid = problem41.grid(1024)
-        matrix = fb.operator_matrix(problem41.kernel, grid)
+        operator = fb.Operator(problem41.spec, problem41.kernel, grid)
         cert = fb.build_certificate(problem41.spec, problem41.kernel,
-                                    "positive-existence", grid=grid, matrix=matrix)
+                                    "positive-existence", grid=grid, operator=operator)
         assert cert.verdict == "exists-positive"
         assert cert.geraghty is not None
         assert cert.geraghty.passed and cert.geraghty.checked == 50
@@ -145,7 +145,7 @@ def test_criterion_6_zero_fixed_point_with_certificate(problem41):
         report = fb.picard_solve(problem41.spec, problem41.kernel,
                                  fb.GridFunction.constant(grid, 1.0),
                                  tol=1e-16, max_iter=100, certificate=cert,
-                                 matrix=matrix)
+                                 operator=operator)
         assert report.converged
         assert report.solution.sup_norm() <= 1e-8
 

@@ -57,15 +57,6 @@ def test_relaxed_triangle_on_random_triples(grid):
         assert d_ac <= r * (fb.distance(a, b) + fb.distance(b, c)) + 1e-12
 
 
-def test_bmetric_space_wrapper(grid):
-    space = fb.BMetricSpace(r=2.0)
-    x = fb.GridFunction.constant(grid, 2.0)
-    y = fb.GridFunction.constant(grid, 0.0)
-    assert space.distance(x, y) == 4.0
-    with pytest.raises(ConfigurationError):
-        fb.BMetricSpace(r=0.5)
-
-
 def test_default_families_pass_membership():
     psi = fb.default_psi()
     theta = fb.default_theta()
@@ -110,7 +101,8 @@ def test_contraction_certificate_cases():
 def test_geraghty_equal_pairs_hold(grid):
     psi, theta, tau = fb.default_psi(), fb.default_theta(), fb.default_tau()
     u = fb.GridFunction.constant(grid, 1.0)
-    verdict = fb.geraghty_inequality_check(lambda x: x, psi, theta, tau, [(u, u)] * 5)
+    pairs = [(u, u)] * 5
+    verdict = fb.geraghty_inequality_check(pairs, pairs, psi, theta, tau)
     assert verdict.passed
     assert verdict.worst_margin == 0.0
 
@@ -119,7 +111,8 @@ def test_geraghty_fails_for_tripling(grid):
     psi, theta, tau = fb.default_psi(), fb.default_theta(), fb.default_tau()
     pairs = fb.default_sample_suite(grid, n_pairs=20, seed=11)
     triple = lambda u: fb.GridFunction(grid, 3.0 * u.values)
-    verdict = fb.geraghty_inequality_check(triple, psi, theta, tau, pairs)
+    images = [(triple(u), triple(v)) for u, v in pairs]
+    verdict = fb.geraghty_inequality_check(pairs, images, psi, theta, tau)
     assert not verdict.passed
     assert verdict.worst_margin < 0.0
 
@@ -128,7 +121,7 @@ def test_geraghty_skips_inadmissible_pairs(grid):
     psi, theta, tau = fb.default_psi(), fb.default_theta(), fb.default_tau()
     pos = fb.GridFunction.constant(grid, 1.0)
     neg = fb.GridFunction.constant(grid, -1.0)
-    verdict = fb.geraghty_inequality_check(lambda x: x, psi, theta, tau, [(pos, neg)])
+    verdict = fb.geraghty_inequality_check([(pos, neg)], [(pos, neg)], psi, theta, tau)
     assert verdict.skipped == 1 and verdict.checked == 0
     assert verdict.passed
 
@@ -136,7 +129,7 @@ def test_geraghty_skips_inadmissible_pairs(grid):
 def test_admissibility_identity_on_nonnegative(grid):
     tau = fb.default_tau()
     pairs = fb.default_sample_suite(grid, n_pairs=10, seed=2)
-    verdict = fb.admissibility_check(lambda u: u, tau, pairs)
+    verdict = fb.admissibility_check(pairs, pairs, tau)
     assert verdict.passed
 
 
@@ -148,5 +141,5 @@ def test_admissibility_fails_for_shift_through_zero(grid):
               fb.GridFunction(grid, rng.uniform(0.0, 20.0, grid.size)))
              for _ in range(10)]
     shift = lambda u: fb.GridFunction(grid, u.values - 10.0)
-    verdict = fb.admissibility_check(shift, tau, pairs)
+    verdict = fb.admissibility_check(pairs, [(shift(u), shift(v)) for u, v in pairs], tau)
     assert not verdict.passed

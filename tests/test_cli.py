@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -120,14 +121,20 @@ def test_solve_mu_zero_exits_1(tmp_path, capsys):
     assert "mu != 0" in err
 
 
-def test_solve_nonconvergence_exits_3_with_partial_output(tmp_path, capsys):
+@pytest.mark.parametrize("expr,max_iter", [
+    pytest.param("200*u + 1", 10, id="iteration-cap"),
+    pytest.param("1e6*u + 1", 2000, id="overflow"),  # diverges until the iterates overflow
+])
+def test_solve_nonconvergence_exits_3_with_partial_output(expr, max_iter, tmp_path, capsys):
     cfg = tmp_path / "div.cfg"
     cfg.write_text("alpha = 2.5\nbeta = 4\neta = 0.3333333333333333\nphi = sqrt_half\n"
-                   "f = custom-expression\nf.expr = 200*u + 1\nmode = solve-only\n"
-                   "grid_size = 128\nmax_iter = 10\n")
+                   f"f = custom-expression\nf.expr = {expr}\nmode = solve-only\n"
+                   f"grid_size = 128\nmax_iter = {max_iter}\n")
     out = tmp_path / "div.csv"
-    code = main(["solve", str(cfg), "-o", str(out)])
-    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["solve", str(cfg), "-o", str(out)])
+    assert capsys.readouterr().err == ""
     assert code == 3
     assert out.exists()
     report = (tmp_path / "div.report.txt").read_text()
@@ -237,6 +244,11 @@ def test_seed_env_var_accepted(tmp_path, capsys, monkeypatch):
     assert "seed: 777" in out
     monkeypatch.setenv("FRACBVP_SEED", "not-a-number")
     assert main(["check", E41, "--grid", "256"]) == 1
+
+
+def test_bad_grid_override_exits_1_naming_the_setting(capsys):
+    assert main(["check", E42, "--grid", "63"]) == 1
+    assert "'grid_size'" in capsys.readouterr().err
 
 
 def test_usage_error_exits_1(capsys):

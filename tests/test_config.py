@@ -1,5 +1,6 @@
 """Configuration parsing, the expression grammar, and problem building."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -43,6 +44,15 @@ def test_parse_defaults():
 def test_parse_diagnostics_name_the_key(line, fragment):
     with pytest.raises(ConfigurationError, match=fragment):
         parse_config(BASE + line + "\n")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("grid_size", 32), ("grid_size", 129), ("tol", 0.0), ("max_iter", 0),
+])
+def test_overrides_validated_like_parsed_values(key, value):
+    cfg = parse_config(BASE)
+    with pytest.raises(ConfigurationError, match=f"'{key}'"):
+        dataclasses.replace(cfg, **{key: value})
 
 
 def test_parse_missing_required():

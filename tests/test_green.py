@@ -1,4 +1,5 @@
-"""Kernel constants, branch evaluation, and the sampled property checks."""
+"""Kernel constants, the kernel formula against the paper's branches, and
+the sampled property checks."""
 
 import numpy as np
 import pytest
@@ -145,3 +146,28 @@ def test_branch_dispatch_matches_branches(kernel42):
     for t, s, branch in cases:
         assert fb.green(kernel42, t, s) == pytest.approx(
             float(fb.green_branch(kernel42, t, s, branch)), abs=1e-15)
+
+
+def four_region_dispatch(kernel, t, s):
+    """The paper's piecewise kernel: one raw branch per (t, s) region, in
+    the fixed order s <= min(eta, t), then t <= s <= eta, then
+    eta <= s <= t, then the remainder."""
+    eta = kernel.params.eta
+    t_arr, s_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    b1, b2, b3, b4 = (fb.green_branch(kernel, t_arr, s_arr, k) for k in (1, 2, 3, 4))
+    m1 = s_arr <= np.minimum(eta, t_arr)
+    m2 = ~m1 & (t_arr <= s_arr) & (s_arr <= eta)
+    m3 = ~m1 & ~m2 & (eta <= s_arr) & (s_arr <= t_arr)
+    return np.select([m1, m2, m3], [b1, b2, b3], default=b4)
+
+
+@pytest.mark.parametrize("which", ["kernel41", "kernel42", "classical_kernel"])
+def test_single_formula_equals_branch_dispatch(which, request):
+    kernel = request.getfixturevalue(which)
+    interior = np.arange(1, 201) / 201.0
+    # a uniform grid through both seams, t = s and s = eta
+    uniform = np.arange(301) / 300.0
+    assert kernel.params.eta in uniform
+    for pts in (interior, uniform):
+        assert np.array_equal(fb.green_values(kernel, pts[:, None], pts[None, :]),
+                              four_region_dispatch(kernel, pts[:, None], pts[None, :]))

@@ -1,14 +1,16 @@
 """Integral operator, certificates, Picard iteration, residuals."""
 
 import math
-import os
+import warnings
 
 import numpy as np
 import pytest
 
 import fracbvp as fb
+from fracbvp import solver
 from fracbvp.errors import ConfigurationError, NumericError
-from fracbvp.solver import VERDICT_EXISTS, VERDICT_NONE, VERDICT_UNIQUE
+from fracbvp.solver import (DEFAULT_SAMPLE_SEED, VERDICT_EXISTS, VERDICT_NONE, VERDICT_UNIQUE,
+                            resolve_seed)
 
 
 def test_problem_spec_domain_validation(kernel42):
@@ -16,28 +18,28 @@ def test_problem_spec_domain_validation(kernel42):
         fb.ProblemSpec(params=kernel42.params, f=lambda t, u: u, f_domain="positive")
 
 
-def test_apply_operator_zero_f(kernel42, grid256_42, matrix256_42):
+def test_apply_operator_zero_f(kernel42, grid256_42):
     spec = fb.ProblemSpec(params=kernel42.params,
                           f=lambda t, u: np.zeros_like(np.asarray(u, dtype=float)))
     u = fb.GridFunction.sample(grid256_42, lambda s: np.sin(5 * s))
-    out = fb.apply_operator(spec, kernel42, u, matrix=matrix256_42)
-    assert np.all(out.values == 0.0)
+    out = fb.Operator(spec, kernel42, grid256_42).apply(u.values)
+    assert np.all(out == 0.0)
 
 
-def test_apply_operator_zero_is_fixed_point_of_linear_f(problem41, grid256_41, matrix256_41):
+def test_apply_operator_zero_is_fixed_point_of_linear_f(grid256_41, operator256_41):
     # the builtin linear nonlinearity vanishes at zero state
     zero = fb.GridFunction.constant(grid256_41, 0.0)
-    out = fb.apply_operator(problem41.spec, problem41.kernel, zero, matrix=matrix256_41)
-    assert np.all(out.values == 0.0)
+    out = operator256_41.apply(zero.values)
+    assert np.all(out == 0.0)
 
 
 def test_apply_operator_classical_closed_form(classical_kernel):
     grid = fb.build_grid(classical_kernel.params.phi, 512)
     spec = fb.ProblemSpec(params=classical_kernel.params,
                           f=lambda t, u: np.ones_like(np.asarray(u, dtype=float)))
-    out = fb.apply_operator(spec, classical_kernel, fb.GridFunction.constant(grid, 0.0))
+    out = fb.Operator(spec, classical_kernel, grid).apply(np.zeros(grid.size))
     closed = grid.nodes**2 / 4.0 - grid.nodes**3 / 6.0
-    assert np.max(np.abs(out.values - closed)) <= 1e-10
+    assert np.max(np.abs(out - closed)) <= 1e-10
 
 
 def test_picard_fixed_point_matches_dense_quadrature_oracle(classical_kernel):
@@ -68,20 +70,22 @@ def test_apply_operator_mu_zero(phi_identity):
     grid = fb.build_grid(phi_identity, 64)
     spec = fb.ProblemSpec(params=kernel.params, f=lambda t, u: u)
     with pytest.raises(ConfigurationError):
-        fb.apply_operator(spec, kernel, fb.GridFunction.constant(grid, 1.0))
+        fb.Operator(spec, kernel, grid)
 
 
-def test_apply_operator_nonfinite_f(kernel42, grid256_42, matrix256_42):
+def test_apply_operator_nonfinite_f(kernel42, grid256_42):
     spec = fb.ProblemSpec(params=kernel42.params,
                           f=lambda t, u: np.where(np.asarray(t) > 0.5, np.nan, 0.0))
+    op = fb.Operator(spec, kernel42, grid256_42)
     with pytest.raises(NumericError):
-        fb.apply_operator(spec, kernel42, fb.GridFunction.constant(grid256_42, 0.0),
-                          matrix=matrix256_42)
+        op.apply(np.zeros(grid256_42.size))
+    with pytest.raises(NumericError):
+        op.apply_many([fb.GridFunction.constant(grid256_42, 0.0)])
 
 
-def test_certificate_unique_solution(problem42, grid256_42, matrix256_42):
+def test_certificate_unique_solution(problem42, grid256_42, operator256_42):
     cert = fb.build_certificate(problem42.spec, problem42.kernel, "uniqueness",
-                                grid=grid256_42, matrix=matrix256_42)
+                                grid=grid256_42, operator=operator256_42)
     assert cert.verdict == VERDICT_UNIQUE
     assert cert.g_sup == pytest.approx(0.895984, abs=1e-4)
     assert cert.uniqueness_threshold == pytest.approx(1.95333, abs=1e-4)
@@ -100,12 +104,11 @@ def test_certificate_unique_solution(problem42, grid256_42, matrix256_42):
     assert cert.contraction is not None and cert.contraction.passed
 
 
-def test_certificate_scaled_envelope_fails(problem42, grid256_42, matrix256_42):
+def test_certificate_scaled_envelope_fails(problem42, grid256_42):
     base_g = problem42.spec.g
     spec = fb.ProblemSpec(params=problem42.params, f=problem42.spec.f,
                           g=lambda t: 10.0 * base_g(t), f_domain="real")
-    cert = fb.build_certificate(spec, problem42.kernel, "uniqueness",
-                                grid=grid256_42, matrix=matrix256_42)
+    cert = fb.build_certificate(spec, problem42.kernel, "uniqueness", grid=grid256_42)
     assert cert.verdict == VERDICT_NONE
     failing = {h.name for h in cert.hypotheses if h.ok is False}
     assert "g_sup_below_threshold" in failing
@@ -118,9 +121,9 @@ def test_certificate_requires_envelope(problem41, grid256_41):
         fb.build_certificate(spec, problem41.kernel, "uniqueness", grid=grid256_41)
 
 
-def test_certificate_exists_positive(problem41, grid256_41, matrix256_41):
+def test_certificate_exists_positive(problem41, grid256_41, operator256_41):
     cert = fb.build_certificate(problem41.spec, problem41.kernel, "positive-existence",
-                                grid=grid256_41, matrix=matrix256_41)
+                                grid=grid256_41, operator=operator256_41)
     assert cert.verdict == VERDICT_EXISTS
     assert cert.geraghty is not None and cert.geraghty.passed
     assert cert.admissibility is not None and cert.admissibility.passed
@@ -135,11 +138,11 @@ def test_certificate_existence_requires_nonneg_domain(problem42, grid256_42):
                              grid=grid256_42)
 
 
-def test_certificate_existence_user_tau_unchecked(problem41, grid256_41, matrix256_41):
+def test_certificate_existence_user_tau_unchecked(problem41, grid256_41, operator256_41):
     families = (fb.default_psi(), fb.default_theta(),
                 fb.TauRelation(name="min", fn=lambda x, y: np.minimum(x, y)))
     cert = fb.build_certificate(problem41.spec, problem41.kernel, "positive-existence",
-                                grid=grid256_41, families=families, matrix=matrix256_41)
+                                grid=grid256_41, families=families, operator=operator256_41)
     closure = [h for h in cert.hypotheses if h.name == "sequential_closure"][0]
     assert "unchecked hypothesis" in closure.note
 
@@ -149,11 +152,11 @@ def test_certificate_unknown_mode(problem42, grid256_42):
         fb.build_certificate(problem42.spec, problem42.kernel, "fastest", grid=grid256_42)
 
 
-def test_picard_zero_f_converges_immediately(kernel42, grid256_42, matrix256_42):
+def test_picard_zero_f_converges_immediately(kernel42, grid256_42):
     spec = fb.ProblemSpec(params=kernel42.params,
                           f=lambda t, u: np.zeros_like(np.asarray(u, dtype=float)))
     report = fb.picard_solve(spec, kernel42, fb.GridFunction.constant(grid256_42, 1.0),
-                             tol=1e-16, max_iter=10, matrix=matrix256_42)
+                             tol=1e-16, max_iter=10)
     assert report.converged
     assert report.iterations <= 2
     assert report.solution.sup_norm() == 0.0
@@ -161,25 +164,25 @@ def test_picard_zero_f_converges_immediately(kernel42, grid256_42, matrix256_42)
     assert report.label == "best-effort"
 
 
-def test_picard_example41_reaches_zero(problem41, grid256_41, matrix256_41):
+def test_picard_example41_reaches_zero(problem41, grid256_41, operator256_41):
     cert = fb.build_certificate(problem41.spec, problem41.kernel, "positive-existence",
-                                grid=grid256_41, matrix=matrix256_41)
+                                grid=grid256_41, operator=operator256_41)
     report = fb.picard_solve(problem41.spec, problem41.kernel,
                              fb.GridFunction.constant(grid256_41, 1.0),
                              tol=1e-16, max_iter=100, certificate=cert,
-                             matrix=matrix256_41)
+                             operator=operator256_41)
     assert report.converged
     assert report.solution.sup_norm() <= 1e-8
     assert report.label == "certified:exists-positive"
 
 
-def test_picard_example42_certified(problem42, grid256_42, matrix256_42):
+def test_picard_example42_certified(problem42, grid256_42, operator256_42):
     cert = fb.build_certificate(problem42.spec, problem42.kernel, "uniqueness",
-                                grid=grid256_42, matrix=matrix256_42)
+                                grid=grid256_42, operator=operator256_42)
     report = fb.picard_solve(problem42.spec, problem42.kernel,
                              fb.GridFunction.constant(grid256_42, 0.0),
                              tol=1e-16, max_iter=100, certificate=cert,
-                             matrix=matrix256_42)
+                             operator=operator256_42)
     assert report.converged
     assert report.final_step_distance < 1e-16
     assert report.fixed_point_residual <= 1e-6
@@ -191,11 +194,11 @@ def test_picard_example42_certified(problem42, grid256_42, matrix256_42):
     assert all(r <= 1.0 + 1e-12 for r in report.observed_ratios)
 
 
-def test_picard_nonconvergence_reported(kernel42, grid256_42, matrix256_42):
+def test_picard_nonconvergence_reported(kernel42, grid256_42):
     spec = fb.ProblemSpec(params=kernel42.params,
                           f=lambda t, u: 200.0 * np.asarray(u, dtype=float) + 1.0)
     report = fb.picard_solve(spec, kernel42, fb.GridFunction.constant(grid256_42, 0.0),
-                             tol=1e-16, max_iter=15, matrix=matrix256_42)
+                             tol=1e-16, max_iter=15)
     assert not report.converged
     assert report.iterations == 15
     assert report.observed_ratios[-1] > 1.0
@@ -210,51 +213,48 @@ def test_picard_bad_arguments(kernel42, grid256_42):
         fb.picard_solve(spec, kernel42, u0, max_iter=0)
 
 
-def test_residual_report_zero_case(kernel42, grid256_42, matrix256_42):
+def test_residual_report_zero_case(kernel42, grid256_42):
     spec = fb.ProblemSpec(params=kernel42.params,
                           f=lambda t, u: np.zeros_like(np.asarray(u, dtype=float)))
     zero = fb.GridFunction.constant(grid256_42, 0.0)
-    resid, (b0, b1, b2) = fb.residual_report(spec, kernel42, zero, matrix=matrix256_42)
+    resid, (b0, b1, b2) = fb.Operator(spec, kernel42, grid256_42).residuals(zero)
     assert resid == 0.0 and b0 == 0.0 and b1 == 0.0 and b2 == 0.0
 
 
-def test_residual_report_converged_solution(problem42, grid256_42, matrix256_42):
+def test_residual_report_converged_solution(problem42, grid256_42, operator256_42):
     tol = 1e-12
     report = fb.picard_solve(problem42.spec, problem42.kernel,
                              fb.GridFunction.constant(grid256_42, 0.0),
-                             tol=tol, max_iter=100, matrix=matrix256_42)
-    resid, _ = fb.residual_report(problem42.spec, problem42.kernel, report.solution,
-                                  matrix=matrix256_42)
+                             tol=tol, max_iter=100, operator=operator256_42)
+    resid, _ = operator256_42.residuals(report.solution)
     # contraction with small factor keeps the residual near the last step
     assert resid <= 10.0 * math.sqrt(tol)
 
 
-def test_residual_report_far_from_fixed_point(problem42, grid256_42, matrix256_42):
+def test_residual_report_far_from_fixed_point(grid256_42, operator256_42):
     one = fb.GridFunction.constant(grid256_42, 1.0)
-    resid, (b0, _, _) = fb.residual_report(problem42.spec, problem42.kernel, one,
-                                           matrix=matrix256_42)
+    resid, (b0, _, _) = operator256_42.residuals(one)
     assert resid > 0.1
     assert b0 == pytest.approx(1.0, abs=1e-9)
 
 
-def test_positivity_preservation(problem41, grid256_41, matrix256_41):
+def test_positivity_preservation(grid256_41, operator256_41):
     rng = np.random.default_rng(17)
     for _ in range(5):
         u = fb.GridFunction(grid256_41, rng.uniform(0.0, 4.0, grid256_41.size))
-        out = fb.apply_operator(problem41.spec, problem41.kernel, u, matrix=matrix256_41)
-        assert np.min(out.values) >= 0.0
+        out = operator256_41.apply(u.values)
+        assert np.min(out) >= 0.0
 
 
-def test_certified_contraction_on_pairs(problem42, grid256_42, matrix256_42):
+def test_certified_contraction_on_pairs(problem42, grid256_42, operator256_42):
     cert = fb.build_certificate(problem42.spec, problem42.kernel, "uniqueness",
-                                grid=grid256_42, matrix=matrix256_42)
+                                grid=grid256_42, operator=operator256_42)
     assert cert.verdict == VERDICT_UNIQUE
     rng = np.random.default_rng(99)
     for _ in range(40):
         u = fb.GridFunction(grid256_42, rng.uniform(-2, 2, grid256_42.size))
         v = fb.GridFunction(grid256_42, rng.uniform(-2, 2, grid256_42.size))
-        au = fb.apply_operator(problem42.spec, problem42.kernel, u, matrix=matrix256_42)
-        av = fb.apply_operator(problem42.spec, problem42.kernel, v, matrix=matrix256_42)
+        au, av = operator256_42.apply_many([u, v])
         assert fb.distance(au, av) <= cert.lam * fb.distance(u, v) + 1e-10
 
 
@@ -268,3 +268,72 @@ def test_sample_suite_reproducible(grid256_41, monkeypatch):
     c = fb.default_sample_suite(grid256_41, n_pairs=3)
     d = fb.default_sample_suite(grid256_41, n_pairs=3, seed=12345)
     assert np.array_equal(c[0][0].values, d[0][0].values)
+
+
+def test_picard_divergence_stops_at_last_finite_iterate(kernel42, grid256_42):
+    spec = fb.ProblemSpec(params=kernel42.params,
+                          f=lambda t, u: 1e6 * np.asarray(u, dtype=float) + 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = fb.picard_solve(spec, kernel42, fb.GridFunction.constant(grid256_42, 0.0),
+                                 tol=1e-16, max_iter=2000)
+    assert not report.converged
+    assert 1 < report.iterations < 2000
+    assert math.isfinite(report.final_step_distance)
+    assert all(math.isfinite(r) and r > 1.0 for r in report.observed_ratios)
+    assert np.all(np.isfinite(report.solution.values))
+
+
+def test_picard_nonfinite_f_at_start_raises(kernel42, grid256_42):
+    spec = fb.ProblemSpec(params=kernel42.params,
+                          f=lambda t, u: np.full_like(np.asarray(u, dtype=float), np.inf))
+    with pytest.raises(NumericError, match="f returned non-finite values"):
+        fb.picard_solve(spec, kernel42, fb.GridFunction.constant(grid256_42, 0.0))
+
+
+def test_operator_rejects_grid_of_another_table_map():
+    ts = np.linspace(0.0, 1.0, 9)
+    phi_a = fb.phi_catalog("table", samples=np.column_stack([ts, ts]))
+    phi_b = fb.phi_catalog("table", samples=np.column_stack([ts, 0.5 * (ts + ts**2)]))
+    kernel = fb.build_kernel(fb.BvpParams(alpha=2.5, beta=0.5, eta=0.5, phi=phi_a))
+    spec = fb.ProblemSpec(params=kernel.params, f=lambda t, u: u)
+    fb.Operator(spec, kernel, fb.build_grid(phi_a, 64))
+    with pytest.raises(ConfigurationError, match="different phi map"):
+        fb.Operator(spec, kernel, fb.build_grid(phi_b, 64))
+
+
+def test_operator_checked_against_its_use(problem42, grid256_42, operator256_42):
+    other_grid = problem42.grid(128)
+    with pytest.raises(ConfigurationError, match="operator was built"):
+        fb.picard_solve(problem42.spec, problem42.kernel,
+                        fb.GridFunction.constant(other_grid, 0.0), operator=operator256_42)
+    other_spec = fb.ProblemSpec(params=problem42.params, f=problem42.spec.f,
+                                f_domain="nonnegative")
+    with pytest.raises(ConfigurationError, match="operator was built"):
+        fb.build_certificate(other_spec, problem42.kernel, "positive-existence",
+                             grid=grid256_42, operator=operator256_42)
+
+
+def test_apply_many_matches_apply(grid256_41, operator256_41):
+    pairs = fb.default_sample_suite(grid256_41, n_pairs=4, seed=5)
+    functions = [u for pair in pairs for u in pair]
+    images = operator256_41.apply_many(functions)
+    for u, image in zip(functions, images):
+        assert np.allclose(image.values, operator256_41.apply(u.values), rtol=1e-13, atol=0.0)
+
+
+def test_seed_resolver(grid256_41, monkeypatch):
+    monkeypatch.delenv("FRACBVP_SEED", raising=False)
+    assert resolve_seed() == DEFAULT_SAMPLE_SEED
+    assert resolve_seed(7) == 7
+    monkeypatch.setenv("FRACBVP_SEED", "abc")
+    with pytest.raises(ConfigurationError, match="FRACBVP_SEED must be an integer"):
+        fb.default_sample_suite(grid256_41, n_pairs=1)
+    assert resolve_seed(7) == 7
+
+
+def test_threshold_lambda_disagreement_raises(problem42, grid256_42, monkeypatch):
+    # lambda above 1/2 while sup g sits well below the threshold
+    monkeypatch.setattr(solver, "_lambda_from_gsup", lambda kernel, g_sup: 0.9)
+    with pytest.raises(NumericError, match="disagree"):
+        fb.build_certificate(problem42.spec, problem42.kernel, "uniqueness", grid=grid256_42)
