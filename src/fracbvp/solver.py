@@ -102,17 +102,20 @@ class ProblemSpec:
 
 def resolve_seed(seed: int | None = None) -> int:
     """The given seed, else the FRACBVP_SEED environment variable, else
-    the fixed default."""
-    if seed is not None:
-        return seed
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SAMPLE_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"environment variable {SEED_ENV_VAR} must be an integer") from None
+    the fixed default.  Seeds must be non-negative integers."""
+    source = "seed"
+    if seed is None:
+        raw = os.environ.get(SEED_ENV_VAR)
+        if raw is None:
+            return DEFAULT_SAMPLE_SEED
+        source = f"environment variable {SEED_ENV_VAR}"
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ConfigurationError(f"{source} must be an integer") from None
+    if seed < 0:
+        raise ConfigurationError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -80,47 +81,56 @@ class PhiMap:
         return self.deriv_fn(t)
 
     def inverse(self, y):
-        return self.inverse_fn(y)
+        """phi^-1(y) for y in [phi(0), phi(1)].
+
+        Arguments within ``1e-9 * span`` of the image interval are
+        clipped onto it; anything further out, or NaN, raises
+        :class:`DomainError`.  Every kind's ``inverse_fn`` therefore
+        sees only arguments inside the image interval.
+        """
+        lo, hi = self._image
+        slack = 1e-9 * (hi - lo)
+        y_arr = np.asarray(y, dtype=float)
+        low = y_arr.min(initial=np.inf)
+        high = y_arr.max(initial=-np.inf)
+        # NaN fails both comparisons
+        if not (lo - slack <= low and high <= hi + slack):
+            raise DomainError("inverse argument outside the image interval")
+        if low < lo or high > hi:
+            y_arr = np.clip(y_arr, lo, hi)
+        return self.inverse_fn(y_arr if np.ndim(y) else float(y_arr))
 
     def shifted(self, t):
         """phi(t) - phi(0), the shifted coordinate vanishing at 0."""
         return self.fn(t) - self.fn(0.0)
 
+    @cached_property
+    def _image(self) -> tuple[float, float]:
+        return float(self.fn(0.0)), float(self.fn(1.0))
+
     @property
     def span(self) -> float:
         """Length of the image interval, phi(1) - phi(0)."""
-        return float(self.fn(1.0) - self.fn(0.0))
+        lo, hi = self._image
+        return hi - lo
 
 
-def _bisect_newton_inverse(fn, deriv_fn, y, lo: float = 0.0, hi: float = 1.0,
-                           tol: float = 1e-12, seed_table=None):
-    """Invert a strictly increasing map by bisection plus Newton polish.
+def _bisect_newton_inverse(fn, deriv_fn, y, seed_table):
+    """Invert a strictly increasing map on [0, 1] by bisection plus Newton.
 
-    Vectorized over ``y``.  Bisections shrink a bracket well below the
-    1e-12 tolerance and safeguarded Newton steps sharpen the result to
-    rounding level.  ``seed_table`` is an optional precomputed
-    (abscissae, values) pair used to start from a tight bracket, which
-    cuts the bisection count for hot paths; the root always stays
-    bracketed so the seeding cannot change which value is found.
+    Vectorized over ``y``, which must lie in [fn(0), fn(1)].
+    ``seed_table`` is a precomputed (abscissae, values) pair that starts
+    every root from a tight bracket; a few bisections shrink it well
+    below 1e-12 and safeguarded Newton steps sharpen the result to
+    rounding level.  The root always stays bracketed, so the seeding
+    cannot change which value is found.
     """
-    y_arr = np.asarray(y, dtype=float)
-    f_lo = float(fn(lo))
-    f_hi = float(fn(hi))
-    slack = 1e-9 * (f_hi - f_lo)
-    if np.any(y_arr < f_lo - slack) or np.any(y_arr > f_hi + slack):
-        raise DomainError("inverse argument outside the image interval")
-    yc = np.clip(y_arr, f_lo, f_hi)
-    if seed_table is None:
-        a = np.full(yc.shape, lo, dtype=float)
-        b = np.full(yc.shape, hi, dtype=float)
-        n_bisect = 40
-    else:
-        ts_tab, ys_tab = seed_table
-        idx = np.clip(np.searchsorted(ys_tab, yc), 1, ys_tab.size - 1)
-        a = ts_tab[idx - 1].copy()
-        b = ts_tab[idx].copy()
-        n_bisect = 8
-    for _ in range(n_bisect):
+    yc = np.asarray(y, dtype=float)
+    ts_tab, ys_tab = seed_table
+    idx = np.clip(np.searchsorted(ys_tab, yc), 1, ys_tab.size - 1)
+    a = ts_tab[idx - 1].copy()
+    b = ts_tab[idx].copy()
+    for _ in range(8):
         m = 0.5 * (a + b)
         below = fn(m) < yc
         a = np.where(below, m, a)
@@ -138,7 +148,7 @@ def _bisect_newton_inverse(fn, deriv_fn, y, lo: float = 0.0, hi: float = 1.0,
         b = np.where(negative, b, x)
         d = deriv_fn(x)
         step = np.where(d > 0.0, fx / np.where(d > 0.0, d, 1.0), 0.0)
-        xn = np.clip(x - step, lo, hi)
+        xn = np.clip(x - step, 0.0, 1.0)
         width = b - a
         inside = (xn >= a - width) & (xn <= b + width)
         x = np.where(inside, xn, 0.5 * (a + b))
@@ -229,7 +239,7 @@ def _table_map(samples) -> PhiMap:
     seed_table = (seed_ts, fn(seed_ts))
 
     def inverse_fn(y):
-        return _bisect_newton_inverse(fn, deriv_fn, y, seed_table=seed_table)
+        return _bisect_newton_inverse(fn, deriv_fn, y, seed_table)
 
     return PhiMap(kind="table", fn=fn, deriv_fn=deriv_fn, inverse_fn=inverse_fn)
 
@@ -252,11 +262,8 @@ def _sin_quarter_pi_map() -> PhiMap:
     def deriv_fn(t):
         return q * np.cos(q * np.asarray(t, dtype=float)) if np.ndim(t) else q * math.cos(q * t)
 
-    seed_ts = np.linspace(0.0, 1.0, 4097)
-    seed_table = (seed_ts, np.sin(q * seed_ts))
-
     def inverse_fn(y):
-        return _bisect_newton_inverse(fn, deriv_fn, y, seed_table=seed_table)
+        return np.arcsin(y) / q if np.ndim(y) else math.asin(y) / q
 
     return PhiMap(kind="sin_quarter_pi", fn=fn, deriv_fn=deriv_fn, inverse_fn=inverse_fn)
 
@@ -284,9 +291,9 @@ def phi_catalog(kind: str, samples: Sequence | None = None) -> PhiMap:
     ``identity`` is phi(t) = t, ``sin_quarter_pi`` is sin(pi*t/4),
     ``sqrt_half`` is sqrt(1+t)/2, and ``table`` builds a strictly
     monotone piecewise-cubic interpolant from user samples (rows of
-    (t, phi(t)) covering [0, 1]).  Inverses are analytic where a closed
-    form exists (identity, sqrt_half) and safeguarded bisection+Newton
-    at 1e-12 otherwise.
+    (t, phi(t)) covering [0, 1]).  Inverses are closed forms for
+    identity, sin_quarter_pi ((4/pi)*arcsin) and sqrt_half, and a seeded
+    safeguarded bisection+Newton for tables.
     """
     if kind == "identity":
         return _identity_map()

@@ -24,6 +24,14 @@ def gamma_quadrature_oracle(x: float) -> float:
     return float((vals.sum() - 0.5 * (vals[0] + vals[-1])) * h)
 
 
+def catalog_map(kind: str) -> fb.PhiMap:
+    """Any catalog kind; ``table`` gets 17 samples of sqrt(1/4 + t/2)."""
+    if kind != "table":
+        return fb.phi_catalog(kind)
+    ts = np.linspace(0.0, 1.0, 17)
+    return fb.phi_catalog("table", samples=np.column_stack([ts, np.sqrt(0.25 + 0.5 * ts)]))
+
+
 @pytest.fixture(scope="session")
 def phi_identity():
     return fb.phi_catalog("identity")

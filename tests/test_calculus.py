@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import fracbvp as fb
-from fracbvp.calculus import TOL_DERIVATIVE_IDENTITY, TOL_INTEGRAL_IDENTITY
+from fracbvp.calculus import (_STENCIL_REACH, _STEP_FRACTION, TOL_DERIVATIVE_IDENTITY,
+                              TOL_INTEGRAL_IDENTITY, _frac_integral_y)
 from fracbvp.errors import ConfigurationError, DomainError, GridMismatchError, NumericError
+from fracbvp.special import PHI_KINDS
 
-from conftest import gamma_quadrature_oracle
+from conftest import catalog_map, gamma_quadrature_oracle
 
 # frozen from the quadrature oracle: 1/Gamma(3.5) and the classical
 # half-order derivative of s at t = 1/2
@@ -150,8 +152,7 @@ def test_composition_returns_u(kind):
     grid = fb.build_grid(phi, 256)
     alpha = 2.5
     u = fb.GridFunction.sample(grid, lambda s: np.exp(s))
-    w = fb.GridFunction(grid, np.array(
-        [fb.frac_integral(alpha, phi, u, float(t)) for t in grid.nodes]))
+    w = fb.GridFunction(grid, fb.frac_integral(alpha, phi, u, grid.nodes))
     for t in np.linspace(0.1, 0.9, 9):
         value = fb.frac_derivative(alpha, phi, w, float(t))
         assert value == pytest.approx(math.exp(t), abs=TOL_DERIVATIVE_IDENTITY)
@@ -196,3 +197,64 @@ def test_semigroup_accepts_bare_callable(phi_identity):
     # a callable is sampled onto a fresh grid at the requested panel count
     defect = fb.semigroup_defect(1.5, 1.5, phi_identity, lambda s: np.cos(s), panels=128)
     assert defect <= TOL_INTEGRAL_IDENTITY
+
+
+def _integral_at(alpha, phi, u, y, panels):
+    """One upper limit, one call: the per-node reference for batched code."""
+    return float(_frac_integral_y(alpha, phi, u, float(phi(0.0)), np.array([y]), panels)[0])
+
+
+@pytest.mark.parametrize("alpha", [0.6, 2.5])
+@pytest.mark.parametrize("kind", PHI_KINDS)
+def test_frac_integral_array_of_limits_matches_scalar_calls(kind, alpha):
+    phi = catalog_map(kind)
+    grid = fb.build_grid(phi, 64)
+    u = fb.GridFunction.sample(grid, lambda s: np.exp(s))
+    # more limits than one row block holds at 64 panels (512)
+    ts = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 601)])
+    batched = fb.frac_integral(alpha, phi, u, ts)
+    looped = np.array([fb.frac_integral(alpha, phi, u, float(t)) for t in ts])
+    assert isinstance(fb.frac_integral(alpha, phi, u, 0.5), float)
+    assert batched[0] == 0.0
+    np.testing.assert_allclose(batched, looped, rtol=1e-14, atol=0.0)
+    assert fb.frac_integral(alpha, phi, u, ts[:6].reshape(2, 3)).shape == (2, 3)
+    with pytest.raises(DomainError):
+        fb.frac_integral(alpha, phi, u, np.array([0.5, 1.5]))
+    with pytest.raises(DomainError):
+        fb.frac_integral(alpha, phi, u, np.array([math.nan]))
+
+
+@pytest.mark.parametrize("kind", ["sin_quarter_pi", "sqrt_half"])
+def test_semigroup_defect_matches_scalar_loop(kind):
+    phi = fb.phi_catalog(kind)
+    grid = fb.build_grid(phi, 128)
+    u = fb.GridFunction.sample(grid, lambda s: np.exp(s))
+    inner = fb.GridFunction(grid, np.array(
+        [_integral_at(0.8, phi, u, y, 128) for y in grid.y_nodes]))
+    reference = max(abs(fb.frac_integral(1.2, phi, inner, float(t))
+                        - fb.frac_integral(2.0, phi, u, float(t)))
+                    for t in np.linspace(0.0, 1.0, 33))
+    assert abs(fb.semigroup_defect(1.2, 0.8, phi, u) - reference) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+def test_frac_derivative_matches_scalar_stencil(phi_sin, alpha):
+    grid = fb.build_grid(phi_sin, 128)
+    u = fb.GridFunction.sample(grid, lambda s: np.exp(s))
+    n = int(alpha) + 1
+    y0, y1 = float(phi_sin(0.0)), float(phi_sin(1.0))
+    for t in (0.02, 0.3, 0.7, 0.98):
+        y = float(phi_sin(t))
+        h = min(_STEP_FRACTION[n] * (y1 - y0), 0.45 * min(y - y0, y1 - y) / _STENCIL_REACH[n])
+
+        def F(yy):
+            return _integral_at(n - alpha, phi_sin, u, yy, 128)
+
+        if n == 1:
+            reference = (F(y + h) - F(y - h)) / (2.0 * h)
+        elif n == 2:
+            reference = (F(y + h) - 2.0 * F(y) + F(y - h)) / (h * h)
+        else:
+            reference = (F(y + 2.0 * h) - 2.0 * F(y + h) + 2.0 * F(y - h)
+                         - F(y - 2.0 * h)) / (2.0 * h**3)
+        assert abs(fb.frac_derivative(alpha, phi_sin, u, t) - reference) <= 1e-15

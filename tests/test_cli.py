@@ -1,6 +1,7 @@
 """Black-box command-line tests: exit codes, CSV schemas, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -244,6 +245,29 @@ def test_seed_env_var_accepted(tmp_path, capsys, monkeypatch):
     assert "seed: 777" in out
     monkeypatch.setenv("FRACBVP_SEED", "not-a-number")
     assert main(["check", E41, "--grid", "256"]) == 1
+
+
+@pytest.mark.parametrize("config", [E41, E42], ids=["example41", "example42"])
+def test_negative_seed_env_var_exits_1(capsys, monkeypatch, config):
+    monkeypatch.setenv("FRACBVP_SEED", "-5")
+    assert main(["check", config, "--grid", "256"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "FRACBVP_SEED" in err
+
+
+@pytest.mark.parametrize("config", [E41, E42], ids=["example41", "example42"])
+def test_solve_csv_independent_of_blas_threads(tmp_path, config):
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out_dir = tmp_path / threads
+        out_dir.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "fracbvp", "solve", config, "--grid", "256",
+                               "-o", str(out_dir / "u.csv")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+    assert set(outputs[0]) == {"u.csv", "u.report.txt"}
+    assert outputs[0] == outputs[1]
 
 
 def test_bad_grid_override_exits_1_naming_the_setting(capsys):

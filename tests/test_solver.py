@@ -330,6 +330,11 @@ def test_seed_resolver(grid256_41, monkeypatch):
     with pytest.raises(ConfigurationError, match="FRACBVP_SEED must be an integer"):
         fb.default_sample_suite(grid256_41, n_pairs=1)
     assert resolve_seed(7) == 7
+    monkeypatch.setenv("FRACBVP_SEED", "-5")
+    with pytest.raises(ConfigurationError, match="FRACBVP_SEED must be non-negative"):
+        fb.default_sample_suite(grid256_41, n_pairs=1)
+    with pytest.raises(ConfigurationError, match="seed must be non-negative"):
+        resolve_seed(-1)
 
 
 def test_threshold_lambda_disagreement_raises(problem42, grid256_42, monkeypatch):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import fracbvp as fb
 from fracbvp.errors import ConfigurationError, DomainError
+from fracbvp.special import PHI_KINDS, _bisect_newton_inverse
 
-from conftest import gamma_quadrature_oracle
+from conftest import catalog_map, gamma_quadrature_oracle
 
 # frozen from the quadrature oracle above (rounding-level accurate)
 GAMMA_2_5 = 1.3293403881791372
@@ -128,7 +129,37 @@ def test_unknown_kind_rejected():
         fb.phi_catalog("parabola")
 
 
-def test_inverse_domain_error():
+@pytest.mark.parametrize("kind", PHI_KINDS)
+def test_inverse_checks_the_image_interval_for_every_kind(kind):
+    phi = catalog_map(kind)
+    lo, hi = float(phi(0.0)), float(phi(1.0))
+    span = hi - lo
+    for bad in (lo - 0.1 * span, hi + 0.1 * span, -0.5, 1.5, math.nan):
+        with pytest.raises(DomainError):
+            phi.inverse(bad)
+        with pytest.raises(DomainError):
+            phi.inverse(np.array([lo, bad, hi]))
+    # rounding-level overshoot is clipped onto the interval
+    assert phi.inverse(lo - 1e-12 * span) == phi.inverse(lo)
+    assert phi.inverse(hi + 1e-12 * span) == phi.inverse(hi)
+    assert np.array_equal(phi.inverse(np.array([lo - 1e-12 * span, hi + 1e-12 * span])),
+                          phi.inverse(np.array([lo, hi])))
+
+
+def test_sin_closed_form_inverse_matches_bisection():
     phi = fb.phi_catalog("sin_quarter_pi")
-    with pytest.raises(DomainError):
-        phi.inverse(0.9)  # above phi(1) ~ 0.707
+    q = math.pi / 4.0
+    seed_ts = np.linspace(0.0, 1.0, 4097)
+    seed_table = (seed_ts, np.sin(q * seed_ts))
+    y_nodes = fb.build_grid(phi, 1024).y_nodes
+    closed = phi.inverse(y_nodes)
+    bisected = _bisect_newton_inverse(phi.fn, phi.deriv_fn, y_nodes, seed_table)
+    # the bisection inverts the rounded sin, the closed form the exact
+    # one: they agree to one ulp of 1.0
+    assert np.max(np.abs(closed - bisected)) <= np.finfo(float).eps
+    ys = np.linspace(0.0, phi.span, 200001)
+    assert np.max(np.abs(phi(phi.inverse(ys)) - ys)) <= 2.3e-16
+    for y in ys[::5000]:
+        t = phi.inverse(float(y))
+        assert isinstance(t, float)
+        assert abs(phi(t) - y) <= 2.3e-16
