@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -122,8 +123,7 @@ class QuadratureGrid:
 def build_grid(phi: PhiMap, panels: int = DEFAULT_PANELS) -> QuadratureGrid:
     """Build the graded two-point Gauss grid for a coordinate map."""
     ref_nodes, ref_weights = _unit_rule(panels)
-    y0 = float(phi(0.0))
-    y1 = float(phi(1.0))
+    y0, y1 = phi.image
     span = y1 - y0
     y_nodes = y0 + span * ref_nodes
     nodes = np.asarray(phi.inverse(y_nodes), dtype=float)
@@ -141,32 +141,16 @@ def build_grid(phi: PhiMap, panels: int = DEFAULT_PANELS) -> QuadratureGrid:
     )
 
 
-def _cubic_interp(xs: np.ndarray, vs: np.ndarray, q):
-    """Local 4-point Lagrange interpolation on sorted nodes.
-
-    Queries outside the node range use the nearest boundary stencil
-    (cubic extrapolation over the short gap to 0 or 1).
-    """
-    q_arr = np.asarray(q, dtype=float)
-    i = np.clip(np.searchsorted(xs, q_arr), 2, xs.size - 2)
-    x0, x1, x2, x3 = xs[i - 2], xs[i - 1], xs[i], xs[i + 1]
-    v0, v1, v2, v3 = vs[i - 2], vs[i - 1], vs[i], vs[i + 1]
-    l0 = ((q_arr - x1) * (q_arr - x2) * (q_arr - x3)) / ((x0 - x1) * (x0 - x2) * (x0 - x3))
-    l1 = ((q_arr - x0) * (q_arr - x2) * (q_arr - x3)) / ((x1 - x0) * (x1 - x2) * (x1 - x3))
-    l2 = ((q_arr - x0) * (q_arr - x1) * (q_arr - x3)) / ((x2 - x0) * (x2 - x1) * (x2 - x3))
-    l3 = ((q_arr - x0) * (q_arr - x1) * (q_arr - x2)) / ((x3 - x0) * (x3 - x1) * (x3 - x2))
-    out = v0 * l0 + v1 * l1 + v2 * l2 + v3 * l3
-    return float(out) if np.ndim(q) == 0 else out
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """A function on [0, 1] sampled at the nodes of a fixed grid.
 
     Values must be finite.  Two grid functions are comparable only when
-    they live on the same grid.  Calling the object evaluates a local
-    cubic interpolant, which is what the fractional operators use when
-    they need values between nodes.
+    they live on the same grid.  Calling the object evaluates the cubic
+    through the 4 nodes nearest the query, which is what the fractional
+    operators use when they need values between nodes.  Queries outside
+    the node range use the nearest boundary stencil (cubic
+    extrapolation over the short gap to 0 or 1).
     """
 
     grid: QuadratureGrid
@@ -196,8 +180,31 @@ class GridFunction:
     def constant(cls, grid: QuadratureGrid, value: float) -> "GridFunction":
         return cls(grid=grid, values=np.full(grid.size, float(value)))
 
+    @cached_property
+    def _cubics(self) -> tuple[np.ndarray, ...]:
+        """Breakpoints, centres and coefficients of the local cubics.
+
+        Stencil k (nodes k..k+3) serves queries between xs[k+1] and
+        xs[k+2]; its cubic is c0 + z*(c1 + z*(c2 + z*c3)), z = q - xs[k+1],
+        from divided differences, so constants give c1 = c2 = c3 = 0.
+        """
+        xs, vs = self.grid.nodes, self.values
+        d1 = np.diff(vs) / np.diff(xs)
+        d2 = (d1[1:] - d1[:-1]) / (xs[2:] - xs[:-2])
+        d3 = (d2[1:] - d2[:-1]) / (xs[3:] - xs[:-3])
+        h0 = xs[1:-2] - xs[:-3]
+        h1 = xs[2:-1] - xs[1:-2]
+        c1 = d1[1:-1] - h1 * (d2[:-1] + h0 * d3)
+        c2 = d2[:-1] + (h0 - h1) * d3
+        return xs[2:-2], xs[1:-2], vs[1:-2], c1, c2, d3
+
     def __call__(self, t):
-        return _cubic_interp(self.grid.nodes, self.values, t)
+        breaks, centres, c0, c1, c2, c3 = self._cubics
+        q = np.asarray(t, dtype=float)
+        k = np.searchsorted(breaks, q)
+        z = q - centres[k]
+        out = c0[k] + z * (c1[k] + z * (c2[k] + z * c3[k]))
+        return float(out) if np.ndim(t) == 0 else out
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -276,7 +283,7 @@ def frac_integral(alpha: float, phi: PhiMap, u, t: float | np.ndarray,
     u_eval = _as_evaluator(u)
     m = _default_panels(u, panels)
     y_top = np.asarray(phi(t_arr), dtype=float).reshape(-1)
-    values = _frac_integral_y(alpha, phi, u_eval, float(phi(0.0)), y_top, m)
+    values = _frac_integral_y(alpha, phi, u_eval, phi.image[0], y_top, m)
     return float(values[0]) if t_arr.ndim == 0 else values.reshape(t_arr.shape)
 
 
@@ -302,8 +309,7 @@ def frac_derivative(alpha: float, phi: PhiMap, u, t: float,
         raise DomainError(f"t must lie strictly inside (0, 1), got {t!r}")
     u_eval = _as_evaluator(u)
     m = _default_panels(u, panels)
-    y0 = float(phi(0.0))
-    y1 = float(phi(1.0))
+    y0, y1 = phi.image
     y = float(phi(t))
     span = y1 - y0
     reach = _STENCIL_REACH[n]
@@ -342,7 +348,7 @@ def semigroup_defect(alpha: float, beta: float, phi: PhiMap, u,
         u = GridFunction.sample(grid, u)
     m = _default_panels(u, panels)
     grid = u.grid
-    inner_vals = _frac_integral_y(beta, phi, u, float(phi(0.0)), grid.y_nodes, m)
+    inner_vals = _frac_integral_y(beta, phi, u, phi.image[0], grid.y_nodes, m)
     inner = GridFunction(grid=grid, values=inner_vals)
     ts = np.linspace(0.0, 1.0, 33) if test_points is None else np.asarray(test_points, dtype=float)
     lhs = frac_integral(alpha, phi, inner, ts, panels=m)

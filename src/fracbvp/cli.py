@@ -177,10 +177,10 @@ def _solve_csv(problem: Problem, report: SolveReport, seed: int) -> str:
     lines = [f"# {line}" for line in _provenance_lines(problem, "solve", seed)]
     lines.append(f"# converged: {report.converged} | iterations: {report.iterations}")
     lines.append("t,u")
-    nodes = report.solution.grid.nodes
-    values = report.solution.values
-    for t, u in zip(nodes, values):
-        lines.append(f"{_fmt(t)},{_fmt(u)}")
+    # tolist() gives Python floats, whose repr is _fmt's shortest round trip
+    solution = report.solution
+    lines.extend(f"{t!r},{u!r}" for t, u in zip(solution.grid.nodes.tolist(),
+                                                 solution.values.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -256,9 +256,10 @@ def _cmd_green(args) -> int:
     lines.append(f"# mu: {_fmt(kernel.mu)}")
     lines.append(f"# beta_bound: {_fmt(beta_bound(config.alpha, config.eta, problem.params.phi))}")
     lines.append("t,s,G")
-    for i, t in enumerate(pts):
-        for j, s in enumerate(pts):
-            lines.append(f"{_fmt(t)},{_fmt(s)},{_fmt(gmat[i, j])}")
+    # each axis value is formatted once; G values as in _solve_csv
+    axis = [_fmt(p) for p in pts]
+    for t, row in zip(axis, gmat.tolist()):
+        lines.extend(f"{t},{s},{g!r}" for s, g in zip(axis, row))
     _atomic_write(Path(args.output), "\n".join(lines) + "\n")
     if args.json:
         payload = {

@@ -88,7 +88,7 @@ class PhiMap:
         :class:`DomainError`.  Every kind's ``inverse_fn`` therefore
         sees only arguments inside the image interval.
         """
-        lo, hi = self._image
+        lo, hi = self.image
         slack = 1e-9 * (hi - lo)
         y_arr = np.asarray(y, dtype=float)
         low = y_arr.min(initial=np.inf)
@@ -105,13 +105,14 @@ class PhiMap:
         return self.fn(t) - self.fn(0.0)
 
     @cached_property
-    def _image(self) -> tuple[float, float]:
+    def image(self) -> tuple[float, float]:
+        """The image interval (phi(0), phi(1)), computed once per map."""
         return float(self.fn(0.0)), float(self.fn(1.0))
 
     @property
     def span(self) -> float:
         """Length of the image interval, phi(1) - phi(0)."""
-        lo, hi = self._image
+        lo, hi = self.image
         return hi - lo
 
 

@@ -68,6 +68,56 @@ def test_grid_function_interpolation(phi_identity):
     assert np.max(np.abs(u(qs) - np.sin(3.0 * qs))) <= 1e-9
 
 
+def _lagrange_cubic(xs, vs, q):
+    """Reference: 4-point Lagrange interpolation on the nearest stencil.
+
+    The stencil of nodes i-2..i+1 with i = searchsorted(xs, q), clipped
+    so that queries outside the node range use the boundary stencil.
+    """
+    q_arr = np.asarray(q, dtype=float)
+    i = np.clip(np.searchsorted(xs, q_arr), 2, xs.size - 2)
+    x0, x1, x2, x3 = xs[i - 2], xs[i - 1], xs[i], xs[i + 1]
+    v0, v1, v2, v3 = vs[i - 2], vs[i - 1], vs[i], vs[i + 1]
+    l0 = ((q_arr - x1) * (q_arr - x2) * (q_arr - x3)) / ((x0 - x1) * (x0 - x2) * (x0 - x3))
+    l1 = ((q_arr - x0) * (q_arr - x2) * (q_arr - x3)) / ((x1 - x0) * (x1 - x2) * (x1 - x3))
+    l2 = ((q_arr - x0) * (q_arr - x1) * (q_arr - x3)) / ((x2 - x0) * (x2 - x1) * (x2 - x3))
+    l3 = ((q_arr - x0) * (q_arr - x1) * (q_arr - x2)) / ((x3 - x0) * (x3 - x1) * (x3 - x2))
+    return v0 * l0 + v1 * l1 + v2 * l2 + v3 * l3
+
+
+@pytest.mark.parametrize("kind", PHI_KINDS)
+def test_grid_function_matches_lagrange_reference(kind):
+    grid = fb.build_grid(catalog_map(kind), 64)
+    xs = grid.nodes
+    u = fb.GridFunction.sample(grid, lambda s: np.exp(2.0 * s) * np.sin(5.0 * s))
+    tol = 8.0 * np.finfo(float).eps * np.max(np.abs(u.values))
+    qs = np.concatenate([[0.0, 1.0], xs, 0.5 * (xs[1:] + xs[:-1]), np.linspace(0.0, 1.0, 301)])
+    assert np.max(np.abs(u(qs) - _lagrange_cubic(xs, u.values, qs))) <= tol
+    grid_q = qs.reshape(-1, 2)
+    assert u(grid_q).shape == grid_q.shape
+    assert np.max(np.abs(u(grid_q) - _lagrange_cubic(xs, u.values, grid_q))) <= tol
+    for t in (0.0, 1.0, float(xs[0]), float(xs[7]), 0.5 * float(xs[7] + xs[8]), float(xs[-1])):
+        value = u(t)
+        assert isinstance(value, float)
+        assert abs(value - float(_lagrange_cubic(xs, u.values, t))) <= tol
+
+
+def test_grid_function_reproduces_cubics_and_constants(phi_sin):
+    grid = fb.build_grid(phi_sin, 64)
+    qs = np.concatenate([[0.0, 1.0], grid.nodes, np.linspace(0.0, 1.0, 1001)])
+
+    def cubic(s):
+        return 0.3 - 1.2 * s + 2.5 * s**2 - 1.7 * s**3
+
+    u = fb.GridFunction.sample(grid, cubic)
+    assert np.max(np.abs(u(qs) - cubic(qs))) <= 1e-13
+    # bit for bit: the Lagrange form gave v * (1 +- eps) here
+    for v in (1.0, -0.7, 3.3e5):
+        const = fb.GridFunction.constant(grid, v)
+        assert np.all(const(qs) == v)
+        assert const(0.0) == v and const(1.0) == v
+
+
 def test_frac_integral_zero(phi_identity):
     grid = fb.build_grid(phi_identity, 128)
     zero = fb.GridFunction.constant(grid, 0.0)

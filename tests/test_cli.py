@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from fracbvp.cli import bundled_config_path, main
+from fracbvp.config import build_problem, load_config
+from fracbvp.green import green_values
 
 E41 = str(bundled_config_path("example41"))
 E42 = str(bundled_config_path("example42"))
@@ -195,6 +197,19 @@ def test_green_interior_positive_example42(tmp_path, capsys):
     _, data = read_csv(out)
     interior = data[(data[:, 0] > 0) & (data[:, 0] < 1) & (data[:, 1] > 0) & (data[:, 1] < 1)]
     assert np.all(interior[:, 2] > 0.0)
+
+
+@pytest.mark.parametrize("config", [E41, E42])
+def test_green_csv_round_trips_exact_values(tmp_path, capsys, config):
+    out = tmp_path / "g37.csv"
+    assert main(["green", config, "-o", str(out), "--resolution", "37"]) == 0
+    capsys.readouterr()
+    _, data = read_csv(out)
+    pts = np.linspace(0.0, 1.0, 37)
+    kernel = build_problem(load_config(config)).kernel
+    assert np.array_equal(data[:, 0], np.repeat(pts, 37))
+    assert np.array_equal(data[:, 1], np.tile(pts, 37))
+    assert np.array_equal(data[:, 2], green_values(kernel, pts[:, None], pts[None, :]).ravel())
 
 
 def test_green_bad_resolution(tmp_path, capsys):
