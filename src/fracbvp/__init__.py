@@ -11,17 +11,14 @@ from .bmetric import (
     ContractionVerdict,
     FamilyVerdict,
     GeraghtyVerdict,
-    PsiFunction,
-    TauRelation,
-    ThetaFunction,
     admissibility_check,
     contraction_certificate,
-    default_psi,
-    default_tau,
-    default_theta,
     distance,
     geraghty_inequality_check,
+    psi,
     psi_family_check,
+    tau,
+    theta,
     theta_family_check,
 )
 from .calculus import (
@@ -81,8 +78,7 @@ __all__ = [
     "green", "green_values", "green_branch", "green_max_bound", "seam_gap",
     "KernelPropertyReport", "check_kernel_properties",
     # metric machinery
-    "distance", "PsiFunction", "ThetaFunction", "TauRelation",
-    "default_psi", "default_theta", "default_tau", "FamilyVerdict",
+    "distance", "psi", "theta", "tau", "FamilyVerdict",
     "psi_family_check", "theta_family_check", "ContractionVerdict",
     "contraction_certificate", "GeraghtyVerdict", "geraghty_inequality_check",
     "AdmissibilityVerdict", "admissibility_check",

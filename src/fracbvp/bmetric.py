@@ -3,17 +3,19 @@
 The solver's ambient space is continuous functions on [0, 1] carrying
 the squared sup distance d(x, y) = sup (x - y)^2, which satisfies the
 relaxed triangle inequality d(x, z) <= r * (d(x, y) + d(y, z)) with
-r = 2.  Certificates for the two fixed-point routes are plain verdict
+r = 2.  The positive-existence route uses the paper's gauge psi, shrink
+function theta and sign relation tau.  Certificates are plain verdict
 objects: mathematical failures are data, only structural misuse (grid
-mismatch, bad arguments) raises.  The sampled checks take each pair's
-images under the operator, computed by the caller, so one batch of
-images can serve several checks.
+mismatch, bad arguments) raises.  The sampled checks take the sampled
+pairs and their images under the operator as (k, N) arrays of nodal
+values, row k holding pair k; the caller computes the images once for
+both checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -22,12 +24,9 @@ from .errors import ConfigurationError, GridMismatchError
 
 __all__ = [
     "distance",
-    "PsiFunction",
-    "ThetaFunction",
-    "TauRelation",
-    "default_psi",
-    "default_theta",
-    "default_tau",
+    "psi",
+    "theta",
+    "tau",
     "FamilyVerdict",
     "psi_family_check",
     "theta_family_check",
@@ -50,55 +49,23 @@ def distance(x: GridFunction, y: GridFunction) -> float:
     return float(np.max(diff * diff))
 
 
-@dataclass(frozen=True)
-class PsiFunction:
-    """Gauge function: increasing, continuous, psi(0) = 0 and
+def psi(x):
+    """The gauge psi(x) = x: increasing, psi(0) = 0 and
     psi(c*x) <= c*psi(x) <= c*x for factors c > 1."""
-
-    name: str
-    fn: Callable
-
-    def __call__(self, x):
-        return self.fn(x)
+    return np.multiply(x, 1.0)
 
 
-@dataclass(frozen=True)
-class ThetaFunction:
-    """Shrink function: nondecreasing with values in [0, 1/r^2)."""
-
-    name: str
-    fn: Callable
-
-    def __call__(self, x):
-        return self.fn(x)
+def theta(x):
+    """The shrink function theta(x) = (1 + x^2) / (6 + 4 x^2):
+    nondecreasing with values in [1/6, 1/4), below 1/r^2 for r = 2."""
+    x = np.asarray(x, dtype=float)
+    return (1.0 + x**2) / (6.0 + 4.0 * x**2)
 
 
-@dataclass(frozen=True)
-class TauRelation:
-    """Sign relation generating the admissibility indicator: a pair
-    (u, v) is admissible when tau(u(t), v(t)) >= 0 at every node."""
-
-    name: str
-    fn: Callable
-
-    def __call__(self, x, y):
-        return self.fn(x, y)
-
-
-def default_psi() -> PsiFunction:
-    return PsiFunction(name="identity", fn=lambda x: np.multiply(x, 1.0))
-
-
-def default_theta() -> ThetaFunction:
-    def fn(x):
-        x_arr = np.asarray(x, dtype=float)
-        return (1.0 + x_arr**2) / (6.0 + 4.0 * x_arr**2)
-
-    return ThetaFunction(name="(1+x^2)/(6+4x^2)", fn=fn)
-
-
-def default_tau() -> TauRelation:
-    return TauRelation(name="product", fn=lambda x, y: np.multiply(x, y))
+def tau(x, y):
+    """The sign relation tau(x, y) = x * y: a pair (u, v) is admissible
+    when tau(u(t), v(t)) >= 0 at every node."""
+    return np.multiply(x, y)
 
 
 # documented sample sets for family membership checks: zero plus a log
@@ -113,40 +80,31 @@ class FamilyVerdict:
     detail: str
 
 
-def psi_family_check(psi: PsiFunction,
-                     points: np.ndarray | None = None,
-                     factors: Sequence[float] = FAMILY_SAMPLE_FACTORS) -> FamilyVerdict:
-    """Sampled membership check for the gauge family."""
-    xs = FAMILY_SAMPLE_POINTS if points is None else np.asarray(points, dtype=float)
-    vals = np.asarray(psi(xs), dtype=float)
-    if abs(float(psi(0.0))) > 0.0:
+def psi_family_check(fn: Callable) -> FamilyVerdict:
+    """Sampled membership check of fn in the gauge family."""
+    xs = FAMILY_SAMPLE_POINTS
+    vals = np.asarray(fn(xs), dtype=float)
+    if abs(float(fn(0.0))) > 0.0:
         return FamilyVerdict(False, "psi(0) != 0")
-    order = np.argsort(xs)
-    if np.any(np.diff(vals[order]) < 0.0):
+    if np.any(np.diff(vals) < 0.0):
         return FamilyVerdict(False, "psi not increasing on sample")
     if np.any(vals < 0.0):
         return FamilyVerdict(False, "psi takes negative values")
-    for c in factors:
-        if c <= 1.0:
-            raise ConfigurationError("scaling factors must exceed 1")
-        lhs = np.asarray(psi(c * xs), dtype=float)
+    for c in FAMILY_SAMPLE_FACTORS:
+        lhs = np.asarray(fn(c * xs), dtype=float)
         mid = c * vals
         slack = 1e-12 * (1.0 + np.abs(mid))
         if np.any(lhs > mid + slack):
             return FamilyVerdict(False, f"psi({c}*x) > {c}*psi(x) on sample")
         if np.any(mid > c * xs + slack):
             return FamilyVerdict(False, f"{c}*psi(x) > {c}*x on sample")
-    return FamilyVerdict(True, f"sampled at {xs.size} points, factors {tuple(factors)}")
+    return FamilyVerdict(True, f"sampled at {xs.size} points, factors {FAMILY_SAMPLE_FACTORS}")
 
 
-def theta_family_check(theta: ThetaFunction,
-                       points: np.ndarray | None = None,
-                       r: float = 2.0) -> FamilyVerdict:
-    """Sampled membership check for the shrink family."""
-    xs = FAMILY_SAMPLE_POINTS if points is None else np.asarray(points, dtype=float)
-    vals = np.asarray(theta(xs), dtype=float)
-    order = np.argsort(xs)
-    if np.any(np.diff(vals[order]) < -1e-15):
+def theta_family_check(fn: Callable, r: float = 2.0) -> FamilyVerdict:
+    """Sampled membership check of fn in the shrink family."""
+    vals = np.asarray(fn(FAMILY_SAMPLE_POINTS), dtype=float)
+    if np.any(np.diff(vals) < -1e-15):
         return FamilyVerdict(False, "theta not nondecreasing on sample")
     if np.any(vals < 0.0):
         return FamilyVerdict(False, "theta takes negative values")
@@ -181,8 +139,15 @@ def contraction_certificate(lam: float, r: float) -> ContractionVerdict:
     )
 
 
-def _admissible(tau: TauRelation, u: GridFunction, v: GridFunction) -> bool:
-    return bool(np.min(np.asarray(tau(u.values, v.values), dtype=float)) >= 0.0)
+def _admissible(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row mask: pair k is admissible when tau(u[k], v[k]) >= 0 at every node."""
+    return np.min(tau(u, v), axis=1) >= 0.0
+
+
+def _row_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The squared sup distance of each row pair."""
+    diff = x - y
+    return np.max(diff * diff, axis=1)
 
 
 @dataclass(frozen=True)
@@ -196,40 +161,22 @@ class GeraghtyVerdict:
     r: float
 
 
-def geraghty_inequality_check(pairs: Sequence[tuple[GridFunction, GridFunction]],
-                              images: Sequence[tuple[GridFunction, GridFunction]],
-                              psi: PsiFunction,
-                              theta: ThetaFunction,
-                              tau: TauRelation,
-                              r: float = 2.0) -> GeraghtyVerdict:
+def geraghty_inequality_check(u: np.ndarray, v: np.ndarray, au: np.ndarray,
+                              av: np.ndarray, r: float = 2.0) -> GeraghtyVerdict:
     """Check the shrink inequality on every admissible sampled pair.
 
-    ``images[k]`` is (A u, A v) for ``pairs[k]`` = (u, v).
+    Row k of ``au``, ``av`` is (A u, A v) for the pair (u[k], v[k]).
     Pairs whose sign relation fails at some node are skipped (their
     indicator is zero, so the inequality is vacuous).  The worst margin
-    reported is min over checked pairs of rhs - lhs.
+    reported is min over checked pairs of rhs - lhs, 0 when none is.
     """
-    worst = np.inf
-    checked = 0
-    skipped = 0
-    passed = True
-    for (u, v), (au, av) in zip(pairs, images, strict=True):
-        if not _admissible(tau, u, v):
-            skipped += 1
-            continue
-        checked += 1
-        d_uv = distance(u, v)
-        lhs = float(psi(r**3 * distance(au, av)))
-        gauge = float(psi(d_uv))
-        rhs = float(theta(gauge)) * gauge
-        margin = rhs - lhs
-        worst = min(worst, margin)
-        if margin < 0.0:
-            passed = False
-    if checked == 0:
-        worst = 0.0
-    return GeraghtyVerdict(passed=passed, worst_margin=float(worst),
-                           checked=checked, skipped=skipped, r=r)
+    ok = _admissible(u, v)
+    checked = int(np.count_nonzero(ok))
+    gauge = psi(_row_distance(u[ok], v[ok]))
+    margin = theta(gauge) * gauge - psi(r**3 * _row_distance(au[ok], av[ok]))
+    return GeraghtyVerdict(passed=not bool(np.any(margin < 0.0)),
+                           worst_margin=float(np.min(margin)) if checked else 0.0,
+                           checked=checked, skipped=ok.size - checked, r=r)
 
 
 @dataclass(frozen=True)
@@ -242,28 +189,16 @@ class AdmissibilityVerdict:
     worst_value: float
 
 
-def admissibility_check(pairs: Sequence[tuple[GridFunction, GridFunction]],
-                        images: Sequence[tuple[GridFunction, GridFunction]],
-                        tau: TauRelation,
-                        atol: float = 1e-12) -> AdmissibilityVerdict:
+def admissibility_check(u: np.ndarray, v: np.ndarray, au: np.ndarray,
+                        av: np.ndarray, atol: float = 1e-12) -> AdmissibilityVerdict:
     """For each sampled pair with tau >= 0 at every node, require
     tau(Au, Av) >= -atol at every node (the tolerance absorbs rounding
     in quantities that are zero or positive in exact arithmetic).
-    ``images[k]`` is (A u, A v) for ``pairs[k]`` = (u, v)."""
-    checked = 0
-    skipped = 0
-    worst = np.inf
-    passed = True
-    for (u, v), (au, av) in zip(pairs, images, strict=True):
-        if not _admissible(tau, u, v):
-            skipped += 1
-            continue
-        checked += 1
-        low = float(np.min(np.asarray(tau(au.values, av.values), dtype=float)))
-        worst = min(worst, low)
-        if low < -atol:
-            passed = False
-    if checked == 0:
-        worst = 0.0
-    return AdmissibilityVerdict(passed=passed, checked=checked,
-                                skipped=skipped, worst_value=float(worst))
+    Row k of ``au``, ``av`` is (A u, A v) for the pair (u[k], v[k]);
+    the worst value is 0 when no pair is admissible."""
+    ok = _admissible(u, v)
+    checked = int(np.count_nonzero(ok))
+    low = np.min(tau(au[ok], av[ok]), axis=1)
+    return AdmissibilityVerdict(passed=not bool(np.any(low < -atol)), checked=checked,
+                                skipped=ok.size - checked,
+                                worst_value=float(np.min(low)) if checked else 0.0)

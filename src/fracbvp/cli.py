@@ -89,7 +89,7 @@ def _apply_overrides(config: Config, args) -> Config:
 def _provenance_lines(problem: Problem, command: str, seed: int) -> list[str]:
     cfg = problem.config
     lines = [f"fracbvp {__version__}", f"command: {command}"]
-    for key, value in cfg.echo():
+    for key, value in cfg.items:
         lines.append(f"config: {key} = {value}")
     lines.append(
         "effective: "

@@ -80,9 +80,6 @@ class Config:
         if self.max_iter < 1:
             raise ConfigurationError(f"key 'max_iter': must be at least 1, got {self.max_iter}")
 
-    def echo(self) -> tuple[tuple[str, str], ...]:
-        return self.items
-
 
 def _float(raw: str, key: str) -> float:
     try:

@@ -105,7 +105,6 @@ class GreenKernel:
     params: BvpParams
     mu: float
     shifted_one: float
-    shifted_eta: float
     deriv_one: float
     phi_zero: float
     phi_eta: float
@@ -123,7 +122,6 @@ def build_kernel(params: BvpParams) -> GreenKernel:
         params=params,
         mu=mu(params),
         shifted_one=float(phi.shifted(1.0)),
-        shifted_eta=float(phi.shifted(params.eta)),
         deriv_one=float(phi.deriv(1.0)),
         phi_zero=float(phi(0.0)),
         phi_eta=float(phi(params.eta)),
@@ -140,7 +138,7 @@ def _branch_pieces(kernel: GreenKernel, t, s):
     phi_t = np.asarray(phi(t), dtype=float)
     phi_s = np.asarray(phi(s), dtype=float)
     head = _pow_pos(phi_t - kernel.phi_zero, p.alpha - 1.0)
-    full = (p.alpha - 1.0) * kernel.deriv_one * _pow_pos(phi(1.0) - phi_s, p.alpha - 2.0)
+    full = (p.alpha - 1.0) * kernel.deriv_one * _pow_pos(phi.image[1] - phi_s, p.alpha - 2.0)
     eta_part = p.beta * _pow_pos(kernel.phi_eta - phi_s, p.alpha - 1.0)
     memory = kernel.mu * _pow_pos(phi_t - phi_s, p.alpha - 1.0)
     return head, full, eta_part, memory
@@ -199,7 +197,7 @@ def green_max_bound(kernel: GreenKernel, s: float):
         raise DomainError("s must lie in [0, 1]")
     p = kernel.params
     out = (p.alpha - 1.0) * kernel.deriv_one \
-        * _pow_pos(p.phi(1.0) - np.asarray(p.phi(s_arr), dtype=float), p.alpha - 2.0) \
+        * _pow_pos(p.phi.image[1] - np.asarray(p.phi(s_arr), dtype=float), p.alpha - 2.0) \
         / kernel.scale
     return float(out) if np.ndim(s) == 0 else out
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -42,15 +42,10 @@ from .bmetric import (
     AdmissibilityVerdict,
     ContractionVerdict,
     GeraghtyVerdict,
-    PsiFunction,
-    TauRelation,
-    ThetaFunction,
     admissibility_check,
     contraction_certificate,
-    default_psi,
-    default_tau,
-    default_theta,
     geraghty_inequality_check,
+    tau,
 )
 from .calculus import GridFunction, QuadratureGrid
 from .errors import ConfigurationError, NumericError
@@ -157,28 +152,20 @@ class Operator:
         return self
 
     def _forcing(self, values: np.ndarray) -> np.ndarray:
-        nodes = self.grid.nodes
-        fv = np.asarray(self.spec.f(nodes, values), dtype=float)
-        return fv if fv.shape == nodes.shape else np.broadcast_to(fv, nodes.shape)
+        fv = np.asarray(self.spec.f(self.grid.nodes, values), dtype=float)
+        return fv if fv.shape == values.shape else np.broadcast_to(fv, values.shape)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """(A u) at the nodes from the nodal values of u; NumericError
-        when f(u) or the image is not finite."""
+        """(A u) at the nodes from the nodal values of u, or one image
+        per row of a (k, N) stack by one matrix product; NumericError
+        when f(u) or an image is not finite."""
         fv = self._forcing(values)
         if not np.all(np.isfinite(fv)):
             raise NumericError("f returned non-finite values")
-        out = self.matrix @ fv
+        out = (self.matrix @ fv.T).T
         if not np.all(np.isfinite(out)):
             raise NumericError("operator produced non-finite values")
         return out
-
-    def apply_many(self, functions: Sequence[GridFunction]) -> list[GridFunction]:
-        """A applied to each grid function by one matrix product."""
-        forcing = np.column_stack([self._forcing(u.values) for u in functions])
-        if not np.all(np.isfinite(forcing)):
-            raise NumericError("f returned non-finite values")
-        # GridFunction raises NumericError on a non-finite image
-        return [GridFunction(self.grid, image) for image in (self.matrix @ forcing).T]
 
     def at(self, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """(A u)(ts) for off-grid ts, reusing the grid quadrature."""
@@ -205,20 +192,17 @@ class Operator:
                           abs(du1 - p.beta * float(u(p.eta))))
 
 
-def default_sample_suite(grid: QuadratureGrid, n_pairs: int = 50,
-                         seed: int | None = None, scale: float = 2.0):
-    """Reproducible suite of nonnegative grid-function pairs.
+def default_sample_suite(grid: QuadratureGrid,
+                         seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Reproducible suite of 50 pairs (u[k], v[k]) of nodal vectors with
+    values drawn uniformly from [0, 2], as two (50, N) arrays.
 
     The seed comes from ``resolve_seed``: the FRACBVP_SEED environment
     variable when not given explicitly, falling back to a fixed constant.
     """
     rng = np.random.default_rng(resolve_seed(seed))
-    pairs = []
-    for _ in range(n_pairs):
-        u = GridFunction(grid, rng.uniform(0.0, scale, grid.size))
-        v = GridFunction(grid, rng.uniform(0.0, scale, grid.size))
-        pairs.append((u, v))
-    return pairs
+    draw = rng.uniform(0.0, 2.0, (50, 2, grid.size))
+    return draw[:, 0], draw[:, 1]
 
 
 @dataclass(frozen=True)
@@ -279,8 +263,7 @@ def _g_sup(spec: ProblemSpec, grid: QuadratureGrid) -> float:
     return float(np.max(gv))
 
 
-def _lipschitz_sampled(spec: ProblemSpec, grid: QuadratureGrid,
-                       seed: int, n: int = 400) -> tuple[bool, float]:
+def _lipschitz_sampled(spec: ProblemSpec, seed: int, n: int = 400) -> tuple[bool, float]:
     """Sampled |f(t,u)-f(t,v)| <= g(t)|u-v| with a rounding allowance."""
     rng = np.random.default_rng(seed ^ 0x5F5E5F)
     ts = rng.uniform(0.0, 1.0, n)
@@ -305,26 +288,18 @@ def _f_nonneg_sampled(spec: ProblemSpec, seed: int, n: int = 400) -> bool:
     return bool(np.all(np.isfinite(fv)) and np.min(fv) >= 0.0)
 
 
-def build_certificate(spec: ProblemSpec, kernel: GreenKernel,
-                      mode: str,
-                      grid: QuadratureGrid | None = None,
-                      families: tuple[PsiFunction, ThetaFunction, TauRelation] | None = None,
-                      samples: Sequence[tuple[GridFunction, GridFunction]] | None = None,
-                      seed: int | None = None,
+def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
+                      grid: QuadratureGrid, seed: int | None = None,
                       operator: Operator | None = None) -> Certificate:
     """Evaluate the hypotheses of the requested fixed-point route.
 
-    Precondition violations (missing envelope, wrong f domain, missing
-    grid for sampling, an operator built for another problem or grid)
-    raise ConfigurationError; mathematical failures are recorded in the
+    Precondition violations (missing envelope, wrong f domain, an
+    operator built for another problem or grid) raise
+    ConfigurationError; mathematical failures are recorded in the
     verdict.  Only the positive-existence route applies the operator.
     """
     if mode not in ("uniqueness", "positive-existence"):
         raise ConfigurationError(f"unknown certificate mode {mode!r}")
-    if grid is None and samples:
-        grid = samples[0][0].grid
-    if grid is None:
-        raise ConfigurationError("build_certificate needs a grid (or explicit samples)")
     seed = resolve_seed(seed)
 
     p = kernel.params
@@ -347,7 +322,7 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel,
         g_sup = _g_sup(spec, grid)
         lam = _lambda_from_gsup(kernel, g_sup)
         contraction = contraction_certificate(lam, 2.0)
-        lip_ok, lip_excess = _lipschitz_sampled(spec, grid, seed)
+        lip_ok, lip_excess = _lipschitz_sampled(spec, seed)
         hyps.append(Hypothesis("lipschitz_envelope_sampled", lip_ok,
                                f"sampled hypothesis (400 triples), worst excess {lip_excess:.3g}"))
         bound_ok = g_sup < threshold
@@ -366,37 +341,31 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel,
         if spec.f_domain != "nonnegative":
             raise ConfigurationError(
                 "positive-existence certificate requires f_domain = 'nonnegative'")
-        psi, theta, tau = families if families is not None else (
-            default_psi(), default_theta(), default_tau())
-        pairs = samples if samples is not None else default_sample_suite(grid, seed=seed)
+        u, v = default_sample_suite(grid, seed=seed)
         op = Operator(spec, kernel, grid) if operator is None else operator.check(spec, kernel, grid)
-        zero = GridFunction.constant(grid, 0.0)
-        # every sampled function and the witness are mapped once, together
-        w, *mapped = op.apply_many([zero] + [x for pair in pairs for x in pair])
-        images = list(zip(mapped[0::2], mapped[1::2]))
+        zero = np.zeros(grid.size)
+        # the witness and every sampled function are mapped once, together
+        images = op.apply(np.vstack([zero, u, v]))
+        w = images[0]
+        au, av = np.split(images[1:], 2)
 
         hyps.append(Hypothesis("mu_positive", kernel.mu > 0.0, f"mu = {kernel.mu:.6g}"))
         f_ok = _f_nonneg_sampled(spec, seed)
         hyps.append(Hypothesis("f_nonnegative_sampled", f_ok,
                                "sampled hypothesis (400 points of [0,1] x R+)"))
-        geraghty = geraghty_inequality_check(pairs, images, psi, theta, tau)
+        geraghty = geraghty_inequality_check(u, v, au, av)
         hyps.append(Hypothesis("geraghty_inequality_sampled", geraghty.passed,
                                f"sampled hypothesis ({geraghty.checked} pairs), "
                                f"worst margin {geraghty.worst_margin:.3g}"))
-        admissibility = admissibility_check(pairs, images, tau)
+        admissibility = admissibility_check(u, v, au, av)
         hyps.append(Hypothesis("admissibility_sampled", admissibility.passed,
                                f"sampled hypothesis ({admissibility.checked} pairs)"))
-        witness_ok = bool(np.min(np.asarray(tau(zero.values, w.values), dtype=float)) >= 0.0)
+        witness_ok = bool(np.min(tau(zero, w)) >= 0.0)
         hyps.append(Hypothesis("witness_zero_start", witness_ok,
                                "tau(u0, A u0) >= 0 for u0 = 0"))
-        if tau.name == "product":
-            hyps.append(Hypothesis("sequential_closure", None,
-                                   "assumed by construction for the product relation "
-                                   "with nonnegative iterates", required=False))
-        else:
-            hyps.append(Hypothesis("sequential_closure", None,
-                                   "unchecked hypothesis for user-supplied tau",
-                                   required=False))
+        hyps.append(Hypothesis("sequential_closure", None,
+                               "assumed by construction for the product relation "
+                               "with nonnegative iterates", required=False))
         required_ok = all(h.ok for h in hyps if h.required and h.ok is not None)
         verdict = VERDICT_EXISTS if required_ok else VERDICT_NONE
 

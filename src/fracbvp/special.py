@@ -195,8 +195,6 @@ def _monotone_cubic_coefficients(ts: np.ndarray, vs: np.ndarray):
 
 def _table_map(samples) -> PhiMap:
     arr = np.asarray(samples, dtype=float)
-    if arr.ndim == 1 or (arr.ndim == 2 and arr.shape[0] == 2 and arr.shape[1] != 2):
-        raise ConfigurationError("table samples must be (n, 2) rows of (t, phi(t))")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ConfigurationError("table samples must be (n, 2) rows of (t, phi(t))")
     if arr.shape[0] < 4:

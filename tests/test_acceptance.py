@@ -190,7 +190,6 @@ def test_criterion_8_metric_axioms(phi_identity):
             a, b, c = (fb.GridFunction(grid, rng.uniform(-5, 5, grid.size))
                        for _ in range(3))
             assert fb.distance(a, c) <= 2.0 * (fb.distance(a, b) + fb.distance(b, c)) + 1e-12
-        psi, theta = fb.default_psi(), fb.default_theta()
-        assert fb.psi_family_check(psi).passed
-        assert fb.theta_family_check(theta, r=2.0).passed
-        assert float(np.max(theta(FAMILY_SAMPLE_POINTS))) < 0.25
+        assert fb.psi_family_check(fb.psi).passed
+        assert fb.theta_family_check(fb.theta, r=2.0).passed
+        assert float(np.max(fb.theta(FAMILY_SAMPLE_POINTS))) < 0.25

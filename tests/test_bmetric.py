@@ -58,29 +58,27 @@ def test_relaxed_triangle_on_random_triples(grid):
 
 
 def test_default_families_pass_membership():
-    psi = fb.default_psi()
-    theta = fb.default_theta()
-    assert fb.psi_family_check(psi).passed
-    verdict = fb.theta_family_check(theta, r=2.0)
+    assert fb.psi_family_check(fb.psi).passed
+    verdict = fb.theta_family_check(fb.theta, r=2.0)
     assert verdict.passed
-    assert float(np.max(theta(FAMILY_SAMPLE_POINTS))) < 0.25
+    assert float(np.max(fb.theta(FAMILY_SAMPLE_POINTS))) < 0.25
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
        st.sampled_from([1.5, 2.0, 10.0]))
 def test_default_psi_scaling_pointwise(x, c):
-    psi = fb.default_psi()
+    psi = fb.psi
     assert float(psi(c * x)) <= c * float(psi(x)) + 1e-12 * (1 + x)
     assert c * float(psi(x)) <= c * x + 1e-12 * (1 + x)
 
 
 def test_family_checks_reject_outsiders():
-    too_big = fb.ThetaFunction(name="third", fn=lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / 3.0))
+    too_big = lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / 3.0)
     assert not fb.theta_family_check(too_big, r=2.0).passed
-    square = fb.PsiFunction(name="square", fn=lambda x: np.square(np.asarray(x, dtype=float)))
+    square = lambda x: np.square(np.asarray(x, dtype=float))
     assert not fb.psi_family_check(square).passed
-    negative = fb.PsiFunction(name="shifted", fn=lambda x: np.asarray(x, dtype=float) - 1.0)
+    negative = lambda x: np.asarray(x, dtype=float) - 1.0
     assert not fb.psi_family_check(negative).passed
 
 
@@ -99,47 +97,94 @@ def test_contraction_certificate_cases():
 
 
 def test_geraghty_equal_pairs_hold(grid):
-    psi, theta, tau = fb.default_psi(), fb.default_theta(), fb.default_tau()
-    u = fb.GridFunction.constant(grid, 1.0)
-    pairs = [(u, u)] * 5
-    verdict = fb.geraghty_inequality_check(pairs, pairs, psi, theta, tau)
+    u = np.ones((5, grid.size))
+    verdict = fb.geraghty_inequality_check(u, u, u, u)
     assert verdict.passed
     assert verdict.worst_margin == 0.0
 
 
 def test_geraghty_fails_for_tripling(grid):
-    psi, theta, tau = fb.default_psi(), fb.default_theta(), fb.default_tau()
-    pairs = fb.default_sample_suite(grid, n_pairs=20, seed=11)
-    triple = lambda u: fb.GridFunction(grid, 3.0 * u.values)
-    images = [(triple(u), triple(v)) for u, v in pairs]
-    verdict = fb.geraghty_inequality_check(pairs, images, psi, theta, tau)
+    u, v = (x[:20] for x in fb.default_sample_suite(grid, seed=11))
+    verdict = fb.geraghty_inequality_check(u, v, 3.0 * u, 3.0 * v)
     assert not verdict.passed
     assert verdict.worst_margin < 0.0
 
 
 def test_geraghty_skips_inadmissible_pairs(grid):
-    psi, theta, tau = fb.default_psi(), fb.default_theta(), fb.default_tau()
-    pos = fb.GridFunction.constant(grid, 1.0)
-    neg = fb.GridFunction.constant(grid, -1.0)
-    verdict = fb.geraghty_inequality_check([(pos, neg)], [(pos, neg)], psi, theta, tau)
+    pos = np.ones((1, grid.size))
+    neg = -pos
+    verdict = fb.geraghty_inequality_check(pos, neg, pos, neg)
     assert verdict.skipped == 1 and verdict.checked == 0
     assert verdict.passed
 
 
 def test_admissibility_identity_on_nonnegative(grid):
-    tau = fb.default_tau()
-    pairs = fb.default_sample_suite(grid, n_pairs=10, seed=2)
-    verdict = fb.admissibility_check(pairs, pairs, tau)
+    u, v = (x[:10] for x in fb.default_sample_suite(grid, seed=2))
+    verdict = fb.admissibility_check(u, v, u, v)
     assert verdict.passed
 
 
 def test_admissibility_fails_for_shift_through_zero(grid):
-    tau = fb.default_tau()
     rng = np.random.default_rng(8)
     # images straddle zero, so some product goes negative
-    pairs = [(fb.GridFunction(grid, rng.uniform(0.0, 20.0, grid.size)),
-              fb.GridFunction(grid, rng.uniform(0.0, 20.0, grid.size)))
-             for _ in range(10)]
-    shift = lambda u: fb.GridFunction(grid, u.values - 10.0)
-    verdict = fb.admissibility_check(pairs, [(shift(u), shift(v)) for u, v in pairs], tau)
+    u, v = rng.uniform(0.0, 20.0, (2, 10, grid.size))
+    verdict = fb.admissibility_check(u, v, u - 10.0, v - 10.0)
     assert not verdict.passed
+
+
+def _per_pair_reference(u, v, au, av, r=2.0, atol=1e-12):
+    """The per-pair loop the array checks replaced, one pair at a time:
+    (passed, checked, skipped, worst) for the shrink inequality and for
+    sign preservation."""
+    def admissible(x, y):
+        return bool(np.min(x * y) >= 0.0)
+
+    def dist(x, y):
+        diff = x - y
+        return float(np.max(diff * diff))
+
+    g_worst, a_worst = np.inf, np.inf
+    g_passed = a_passed = True
+    checked = skipped = 0
+    for x, y, ax, ay in zip(u, v, au, av, strict=True):
+        if not admissible(x, y):
+            skipped += 1
+            continue
+        checked += 1
+        lhs = float(fb.psi(r**3 * dist(ax, ay)))
+        gauge = float(fb.psi(dist(x, y)))
+        margin = float(fb.theta(gauge)) * gauge - lhs
+        g_worst = min(g_worst, margin)
+        g_passed = g_passed and not margin < 0.0
+        low = float(np.min(ax * ay))
+        a_worst = min(a_worst, low)
+        a_passed = a_passed and not low < -atol
+    if checked == 0:
+        g_worst = a_worst = 0.0
+    return (g_passed, checked, skipped, g_worst), (a_passed, checked, skipped, a_worst)
+
+
+@pytest.mark.parametrize("seed, shrink, noise, passes",
+                         [(1, 0.4, 0.3, False), (2, 0.4, 0.3, False), (3, 0.05, 0.0, True)])
+def test_sampled_checks_match_per_pair_reference(grid, seed, shrink, noise, passes):
+    rng = np.random.default_rng(seed)
+    u, v = rng.uniform(0.0, 2.0, (2, 40, grid.size))
+    # rows 0, 7, 14, ... cross zero somewhere, so their pairs are skipped
+    u[::7, rng.integers(grid.size)] = -0.5
+    # noisy images break the shrink inequality and sign preservation
+    au = shrink * u + rng.uniform(-noise, noise, u.shape)
+    av = shrink * v + rng.uniform(-noise, noise, v.shape)
+    (g_passed, checked, skipped, g_worst), (a_passed, _, _, a_worst) = \
+        _per_pair_reference(u, v, au, av)
+    assert (checked, skipped) == (34, 6)
+    assert g_passed is a_passed is passes
+    geraghty = fb.geraghty_inequality_check(u, v, au, av)
+    assert (geraghty.passed, geraghty.checked, geraghty.skipped) == (g_passed, checked, skipped)
+    assert geraghty.worst_margin == g_worst
+    admissibility = fb.admissibility_check(u, v, au, av)
+    assert (admissibility.passed, admissibility.checked, admissibility.skipped) == \
+        (a_passed, checked, skipped)
+    assert admissibility.worst_value == a_worst
+    # no admissible pair at all
+    none = fb.geraghty_inequality_check(u, -v, au, av)
+    assert (none.passed, none.checked, none.skipped, none.worst_margin) == (True, 0, 40, 0.0)

@@ -80,7 +80,7 @@ def test_apply_operator_nonfinite_f(kernel42, grid256_42):
     with pytest.raises(NumericError):
         op.apply(np.zeros(grid256_42.size))
     with pytest.raises(NumericError):
-        op.apply_many([fb.GridFunction.constant(grid256_42, 0.0)])
+        op.apply(np.zeros((3, grid256_42.size)))
 
 
 def test_certificate_unique_solution(problem42, grid256_42, operator256_42):
@@ -136,15 +136,6 @@ def test_certificate_existence_requires_nonneg_domain(problem42, grid256_42):
     with pytest.raises(ConfigurationError):
         fb.build_certificate(problem42.spec, problem42.kernel, "positive-existence",
                              grid=grid256_42)
-
-
-def test_certificate_existence_user_tau_unchecked(problem41, grid256_41, operator256_41):
-    families = (fb.default_psi(), fb.default_theta(),
-                fb.TauRelation(name="min", fn=lambda x, y: np.minimum(x, y)))
-    cert = fb.build_certificate(problem41.spec, problem41.kernel, "positive-existence",
-                                grid=grid256_41, families=families, operator=operator256_41)
-    closure = [h for h in cert.hypotheses if h.name == "sequential_closure"][0]
-    assert "unchecked hypothesis" in closure.note
 
 
 def test_certificate_unknown_mode(problem42, grid256_42):
@@ -254,20 +245,24 @@ def test_certified_contraction_on_pairs(problem42, grid256_42, operator256_42):
     for _ in range(40):
         u = fb.GridFunction(grid256_42, rng.uniform(-2, 2, grid256_42.size))
         v = fb.GridFunction(grid256_42, rng.uniform(-2, 2, grid256_42.size))
-        au, av = operator256_42.apply_many([u, v])
+        au, av = (fb.GridFunction(grid256_42, image)
+                  for image in operator256_42.apply(np.vstack([u.values, v.values])))
         assert fb.distance(au, av) <= cert.lam * fb.distance(u, v) + 1e-10
 
 
 def test_sample_suite_reproducible(grid256_41, monkeypatch):
-    a = fb.default_sample_suite(grid256_41, n_pairs=3, seed=42)
-    b = fb.default_sample_suite(grid256_41, n_pairs=3, seed=42)
-    for (u1, v1), (u2, v2) in zip(a, b):
-        assert np.array_equal(u1.values, u2.values)
-        assert np.array_equal(v1.values, v2.values)
+    u1, v1 = fb.default_sample_suite(grid256_41, seed=42)
+    u2, v2 = fb.default_sample_suite(grid256_41, seed=42)
+    assert u1.shape == v1.shape == (50, grid256_41.size)
+    assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
+    # the same stream as 100 sequential draws, u and v of each pair in turn
+    rng = np.random.default_rng(42)
+    draws = [rng.uniform(0.0, 2.0, grid256_41.size) for _ in range(100)]
+    assert np.array_equal(u1, draws[0::2]) and np.array_equal(v1, draws[1::2])
     monkeypatch.setenv("FRACBVP_SEED", "12345")
-    c = fb.default_sample_suite(grid256_41, n_pairs=3)
-    d = fb.default_sample_suite(grid256_41, n_pairs=3, seed=12345)
-    assert np.array_equal(c[0][0].values, d[0][0].values)
+    u3, v3 = fb.default_sample_suite(grid256_41)
+    u4, v4 = fb.default_sample_suite(grid256_41, seed=12345)
+    assert np.array_equal(u3, u4) and np.array_equal(v3, v4)
 
 
 def test_picard_divergence_stops_at_last_finite_iterate(kernel42, grid256_42):
@@ -314,12 +309,17 @@ def test_operator_checked_against_its_use(problem42, grid256_42, operator256_42)
                              grid=grid256_42, operator=operator256_42)
 
 
-def test_apply_many_matches_apply(grid256_41, operator256_41):
-    pairs = fb.default_sample_suite(grid256_41, n_pairs=4, seed=5)
-    functions = [u for pair in pairs for u in pair]
-    images = operator256_41.apply_many(functions)
-    for u, image in zip(functions, images):
-        assert np.allclose(image.values, operator256_41.apply(u.values), rtol=1e-13, atol=0.0)
+def test_apply_stack_matches_rows(grid256_41, operator256_41):
+    u, v = fb.default_sample_suite(grid256_41, seed=5)
+    stack = np.vstack([u[:4], v[:4]])
+    images = operator256_41.apply(stack)
+    assert images.shape == stack.shape
+    for row, image in zip(stack, images):
+        assert np.allclose(image, operator256_41.apply(row), rtol=1e-13, atol=0.0)
+    # one non-finite row fails the whole stack
+    stack[5, 17] = np.inf
+    with pytest.raises(NumericError, match="f returned non-finite values"):
+        operator256_41.apply(stack)
 
 
 def test_seed_resolver(grid256_41, monkeypatch):
@@ -328,11 +328,11 @@ def test_seed_resolver(grid256_41, monkeypatch):
     assert resolve_seed(7) == 7
     monkeypatch.setenv("FRACBVP_SEED", "abc")
     with pytest.raises(ConfigurationError, match="FRACBVP_SEED must be an integer"):
-        fb.default_sample_suite(grid256_41, n_pairs=1)
+        fb.default_sample_suite(grid256_41)
     assert resolve_seed(7) == 7
     monkeypatch.setenv("FRACBVP_SEED", "-5")
     with pytest.raises(ConfigurationError, match="FRACBVP_SEED must be non-negative"):
-        fb.default_sample_suite(grid256_41, n_pairs=1)
+        fb.default_sample_suite(grid256_41)
     with pytest.raises(ConfigurationError, match="seed must be non-negative"):
         resolve_seed(-1)
 
