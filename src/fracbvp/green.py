@@ -129,19 +129,26 @@ def build_kernel(params: BvpParams) -> GreenKernel:
     )
 
 
-def _branch_pieces(kernel: GreenKernel, t, s):
-    """Factors of the kernel formula at broadcastable t, s.  phi is
-    evaluated on t and s before broadcasting: only the memory term
-    mu * (phi(t) - phi(s))_+**(alpha-1) takes the broadcast shape."""
+def _separable(kernel: GreenKernel, y_t, y_s):
+    """The separable factors of the kernel formula at phi-values y_t, y_s:
+    head(t) and the two parts of the tail full(s) - eta_part(s)."""
     p = kernel.params
-    phi = p.phi
-    phi_t = np.asarray(phi(t), dtype=float)
-    phi_s = np.asarray(phi(s), dtype=float)
-    head = _pow_pos(phi_t - kernel.phi_zero, p.alpha - 1.0)
-    full = (p.alpha - 1.0) * kernel.deriv_one * _pow_pos(phi.image[1] - phi_s, p.alpha - 2.0)
-    eta_part = p.beta * _pow_pos(kernel.phi_eta - phi_s, p.alpha - 1.0)
-    memory = kernel.mu * _pow_pos(phi_t - phi_s, p.alpha - 1.0)
-    return head, full, eta_part, memory
+    head = _pow_pos(y_t - kernel.phi_zero, p.alpha - 1.0)
+    full = (p.alpha - 1.0) * kernel.deriv_one * _pow_pos(p.phi.image[1] - y_s, p.alpha - 2.0)
+    eta_part = p.beta * _pow_pos(kernel.phi_eta - y_s, p.alpha - 1.0)
+    return head, full, eta_part
+
+
+def _memory(kernel: GreenKernel, y_t, y_s):
+    """The memory term mu * (y_t - y_s)_+**(alpha-1) at broadcast
+    phi-values; 0 wherever y_s >= y_t."""
+    return kernel.mu * _pow_pos(y_t - y_s, kernel.params.alpha - 1.0)
+
+
+def _phi_values(kernel: GreenKernel, t, s):
+    """phi at t and at s, each evaluated before any broadcasting."""
+    phi = kernel.params.phi
+    return np.asarray(phi(t), dtype=float), np.asarray(phi(s), dtype=float)
 
 
 def green_branch(kernel: GreenKernel, t, s, branch: int):
@@ -153,7 +160,9 @@ def green_branch(kernel: GreenKernel, t, s, branch: int):
     """
     if kernel.mu == 0.0:
         raise ConfigurationError("kernel requires mu != 0")
-    head, full, eta_part, memory = _branch_pieces(kernel, t, s)
+    y_t, y_s = _phi_values(kernel, t, s)
+    head, full, eta_part = _separable(kernel, y_t, y_s)
+    memory = _memory(kernel, y_t, y_s)
     if branch == 1:
         raw = head * (full - eta_part) - memory
     elif branch == 2:
@@ -176,9 +185,9 @@ def green_values(kernel: GreenKernel, t, s):
     """
     if kernel.mu == 0.0:
         raise ConfigurationError("kernel requires mu != 0")
-    head, full, eta_part, memory = _branch_pieces(
-        kernel, np.asarray(t, dtype=float), np.asarray(s, dtype=float))
-    return (head * (full - eta_part) - memory) / kernel.scale
+    y_t, y_s = _phi_values(kernel, np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    head, full, eta_part = _separable(kernel, y_t, y_s)
+    return (head * (full - eta_part) - _memory(kernel, y_t, y_s)) / kernel.scale
 
 
 def green(kernel: GreenKernel, t: float, s: float) -> float:
@@ -195,10 +204,8 @@ def green_max_bound(kernel: GreenKernel, s: float):
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0.0) or np.any(s_arr > 1.0):
         raise DomainError("s must lie in [0, 1]")
-    p = kernel.params
-    out = (p.alpha - 1.0) * kernel.deriv_one \
-        * _pow_pos(p.phi.image[1] - np.asarray(p.phi(s_arr), dtype=float), p.alpha - 2.0) \
-        / kernel.scale
+    y_s = np.asarray(kernel.params.phi(s_arr), dtype=float)
+    out = _separable(kernel, y_s, y_s)[1] / kernel.scale
     return float(out) if np.ndim(s) == 0 else out
 
 

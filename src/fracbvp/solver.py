@@ -10,6 +10,14 @@ discrete operator once (a dense matrix pairing kernel rows with
 quadrature weights) and serves every use of A: the Picard iteration
 u <- A u, the sampled existence checks and the boundary residuals.
 
+Assembly follows the kernel's structure: G(t, s) is the rank-one term
+head(t) * tail(s) minus a memory term that vanishes for s >= t.  The
+N x N matrix is allocated once and filled in row blocks of about 2**16
+entries; each block gets the rank-one term and then the memory term on
+its columns below the block's last node only.  Peak memory is thus
+about the matrix itself, 8 N**2 bytes, and a grid whose matrix would
+exceed 2 GiB (grid_size above 8192) is refused before allocation.
+
 Two certificates are available.  The uniqueness certificate needs a
 Lipschitz envelope g for f and checks
 
@@ -49,7 +57,7 @@ from .bmetric import (
 )
 from .calculus import GridFunction, QuadratureGrid
 from .errors import ConfigurationError, NumericError
-from .green import BvpParams, GreenKernel, beta_bound, green_values
+from .green import BvpParams, GreenKernel, _memory, _separable, beta_bound, green_values
 
 __all__ = [
     "ProblemSpec",
@@ -72,6 +80,12 @@ DEFAULT_SAMPLE_SEED = 20240
 VERDICT_UNIQUE = "unique-solution"
 VERDICT_EXISTS = "exists-positive"
 VERDICT_NONE = "no-certificate"
+
+# operator assembly: entries per block of rows (0.5 MiB per block-sized
+# temporary, the fastest of 2**14..2**18 at 1024 and 2048 panels), and
+# the largest matrix it allocates (2 GiB: grid_size 8192, 16384 nodes)
+_BLOCK_ELEMENTS = 2**16
+_MAX_MATRIX_BYTES = 2 * 2**30
 
 
 @dataclass(frozen=True)
@@ -116,17 +130,47 @@ def resolve_seed(seed: int | None = None) -> int:
 def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> np.ndarray:
     """Dense matrix M with (A u)(nodes) = M @ f(nodes, u(nodes)).
 
+    M[i, j] = G(s_i, s_j) * w_j, filled in row blocks of one preallocated
+    (N, N) array: the rank-one term head(s_i) * tail(s_j), minus the
+    memory term on the columns below the block's end only (it is 0 where
+    phi(s_j) >= phi(s_i)).  The entries are bitwise those of
+    ``green_values(kernel, s_i, s_j) * w_j`` and the peak is about the
+    8 N**2 bytes of M.  A grid whose M would exceed 2 GiB (grid_size
+    above 8192) raises ConfigurationError before any N**2 allocation.
+
     The grid must come from the kernel's phi map: phi at the grid nodes
     has to reproduce the grid's y nodes.
     """
     if kernel.mu == 0.0:
         raise ConfigurationError("integral operator requires mu != 0")
-    gap = np.max(np.abs(kernel.params.phi(grid.nodes) - grid.y_nodes))
+    n = grid.size
+    if 8 * n * n > _MAX_MATRIX_BYTES:
+        largest = math.isqrt(_MAX_MATRIX_BYTES // 8) * grid.panels // n
+        raise ConfigurationError(
+            f"grid_size {grid.panels} needs a {n} x {n} operator matrix of "
+            f"{8 * n * n / 2**20:.0f} MiB, over the {_MAX_MATRIX_BYTES / 2**20:.0f} MiB "
+            f"limit; the largest accepted grid_size is {largest}")
+    y = np.asarray(kernel.params.phi(grid.nodes), dtype=float)
+    gap = np.max(np.abs(y - grid.y_nodes))
     if not gap <= 1e-9 * kernel.shifted_one:
         raise ConfigurationError(
             f"grid was built for a different phi map than the kernel's (node gap {gap:.3g})")
-    gmat = green_values(kernel, grid.nodes[:, None], grid.nodes[None, :])
-    return gmat * grid.weights[None, :]
+    head, full, eta_part = _separable(kernel, y, y)
+    tail = full - eta_part
+    # with ascending phi-values a block's memory term ends at its last
+    # row's column; a grid listed in any other order keeps every column
+    ascending = bool(np.all(y[1:] >= y[:-1]))
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    out = np.empty((n, n))
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        cols = i1 if ascending else n
+        block = out[i0:i1]
+        np.multiply(head[i0:i1, None], tail[None, :], out=block)
+        block[:, :cols] -= _memory(kernel, y[i0:i1, None], y[None, :cols])
+        block /= kernel.scale
+        block *= grid.weights
+    return out
 
 
 # one-sided 5-point first-derivative stencil, order h^4

@@ -290,6 +290,16 @@ def test_bad_grid_override_exits_1_naming_the_setting(capsys):
     assert "'grid_size'" in capsys.readouterr().err
 
 
+def test_solve_oversized_grid_exits_1_before_allocating(tmp_path):
+    # a 2097152 x 2097152 matrix would need 32 TiB; the guard refuses it
+    proc = subprocess.run([sys.executable, "-m", "fracbvp", "solve", E41, "--grid", "1048576",
+                           "-o", str(tmp_path / "u.csv")], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "grid_size 1048576" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["frobnicate"]) == 1
 

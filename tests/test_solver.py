@@ -1,6 +1,8 @@
 """Integral operator, certificates, Picard iteration, residuals."""
 
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,9 +10,13 @@ import pytest
 
 import fracbvp as fb
 from fracbvp import solver
+from fracbvp.cli import bundled_config_path
+from fracbvp.config import build_problem, load_config
 from fracbvp.errors import ConfigurationError, NumericError
 from fracbvp.solver import (DEFAULT_SAMPLE_SEED, VERDICT_EXISTS, VERDICT_NONE, VERDICT_UNIQUE,
                             resolve_seed)
+
+from conftest import catalog_map
 
 
 def test_problem_spec_domain_validation(kernel42):
@@ -71,6 +77,79 @@ def test_apply_operator_mu_zero(phi_identity):
     spec = fb.ProblemSpec(params=kernel.params, f=lambda t, u: u)
     with pytest.raises(ConfigurationError):
         fb.Operator(spec, kernel, grid)
+
+
+def _kernel_case(name):
+    """Kernels that exercise every branch of the assembly: both bundled
+    examples, alpha = 3, eta = 1, mu < 0 and a tabulated map."""
+    if name in ("example41", "example42"):
+        return build_problem(load_config(bundled_config_path(name))).kernel
+    identity = fb.phi_catalog("identity")
+    params = {
+        "alpha3": dict(alpha=3.0, beta=1.0, eta=0.5, phi=identity),
+        "eta1": dict(alpha=2.5, beta=0.5, eta=1.0, phi=identity),
+        "mu_negative": dict(alpha=2.5, beta=6.0, eta=0.5, phi=identity),
+        "table": dict(alpha=2.5, beta=1.0, eta=0.5, phi=catalog_map("table")),
+    }[name]
+    return fb.build_kernel(fb.BvpParams(**params))
+
+
+@pytest.mark.parametrize("panels", [64, 300], ids=["one-block", "partial-last-block"])
+@pytest.mark.parametrize("case", ["example41", "example42", "alpha3", "eta1",
+                                  "mu_negative", "table"])
+def test_operator_matrix_equals_single_formula(case, panels):
+    kernel = _kernel_case(case)
+    assert case != "mu_negative" or kernel.mu < 0.0
+    grid = fb.build_grid(kernel.params.phi, panels)
+    n = grid.size
+    rows = solver._BLOCK_ELEMENTS // n
+    blocks = -(-n // rows)
+    # the two panel counts cover one block, and 3+ blocks with a partial last one
+    if panels == 64:
+        assert blocks == 1
+    else:
+        assert blocks >= 3 and n % rows != 0
+    reference = fb.green_values(kernel, grid.nodes[:, None], grid.nodes[None, :]) * grid.weights
+    assert np.array_equal(solver.operator_matrix(kernel, grid), reference)
+
+
+def test_operator_matrix_on_descending_nodes(kernel42):
+    # a grid listed backwards is still a quadrature rule; the memory term
+    # then lies above the diagonal and every column has to be kept
+    grid = fb.build_grid(kernel42.params.phi, 300)
+    grid = dataclasses.replace(grid, nodes=grid.nodes[::-1], weights=grid.weights[::-1],
+                               y_nodes=grid.y_nodes[::-1])
+    reference = fb.green_values(kernel42, grid.nodes[:, None], grid.nodes[None, :]) * grid.weights
+    assert np.array_equal(solver.operator_matrix(kernel42, grid), reference)
+
+
+def test_operator_matrix_peak_is_the_matrix(kernel42):
+    grid = fb.build_grid(kernel42.params.phi, 1024)
+    tracemalloc.start()
+    try:
+        matrix = solver.operator_matrix(kernel42, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.nbytes == 8 * grid.size**2
+    assert peak <= 1.15 * matrix.nbytes
+
+
+def test_operator_refuses_oversized_grid(kernel41):
+    grid = fb.build_grid(kernel41.params.phi, 8194)
+    spec = fb.ProblemSpec(params=kernel41.params, f=lambda t, u: u)
+    with pytest.raises(ConfigurationError, match="grid_size 8194 .*largest accepted grid_size is 8192"):
+        fb.Operator(spec, kernel41, grid)
+
+
+def test_operator_size_limit_is_inclusive(kernel41, monkeypatch):
+    # with the limit lowered to a 128 x 128 matrix, 64 panels (128 nodes)
+    # are accepted and 66 panels are not
+    monkeypatch.setattr(solver, "_MAX_MATRIX_BYTES", 8 * 128 * 128)
+    phi = kernel41.params.phi
+    assert solver.operator_matrix(kernel41, fb.build_grid(phi, 64)).shape == (128, 128)
+    with pytest.raises(ConfigurationError, match="largest accepted grid_size is 64"):
+        solver.operator_matrix(kernel41, fb.build_grid(phi, 66))
 
 
 def test_apply_operator_nonfinite_f(kernel42, grid256_42):
