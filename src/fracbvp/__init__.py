@@ -41,15 +41,11 @@ from .green import (
     BvpParams,
     GreenKernel,
     KernelPropertyReport,
-    beta_bound,
     build_kernel,
     check_kernel_properties,
     green,
-    green_branch,
     green_max_bound,
     green_values,
-    mu,
-    seam_gap,
 )
 from .solver import (
     Certificate,
@@ -74,8 +70,8 @@ __all__ = [
     "DEFAULT_PANELS", "QuadratureGrid", "GridFunction", "build_grid",
     "frac_integral", "frac_derivative", "semigroup_defect",
     # kernel
-    "BvpParams", "GreenKernel", "build_kernel", "mu", "beta_bound",
-    "green", "green_values", "green_branch", "green_max_bound", "seam_gap",
+    "BvpParams", "GreenKernel", "build_kernel",
+    "green", "green_values", "green_max_bound",
     "KernelPropertyReport", "check_kernel_properties",
     # metric machinery
     "distance", "psi", "theta", "tau", "FamilyVerdict",

@@ -117,7 +117,8 @@ def theta_family_check(fn: Callable, r: float = 2.0) -> FamilyVerdict:
 
 @dataclass(frozen=True)
 class ContractionVerdict:
-    """Outcome of the contraction-factor test 0 < lam < 1/r."""
+    """Outcome of the contraction-factor test 0 <= lam < 1/r; lam = 0
+    (an envelope g = 0) is a contraction with any factor below 1/r."""
 
     passed: bool
     lam: float
@@ -132,7 +133,7 @@ def contraction_certificate(lam: float, r: float) -> ContractionVerdict:
         raise ConfigurationError(f"relaxation constant must be >= 1, got {r!r}")
     limit = 1.0 / r
     return ContractionVerdict(
-        passed=bool(0.0 < lam < limit),
+        passed=bool(lam < limit),
         lam=float(lam),
         limit=limit,
         margin=limit - float(lam),

@@ -7,7 +7,7 @@ Commands:
 * ``solve <cfg> -o <csv>``: run the Picard iteration and write the
   solution as CSV plus a sidecar text report.
 * ``green <cfg> -o <csv> --resolution N``: tabulate the kernel on a
-  uniform N x N grid.
+  uniform N x N grid, 2 <= N <= 1024.
 * ``verify-paper [--json]``: recompute the six reference constants of
   the two bundled example problems and compare them with their
   published approximations.
@@ -32,7 +32,7 @@ from . import __version__
 from .calculus import GridFunction
 from .config import Config, Problem, build_problem, load_config
 from .errors import FracBvpError
-from .green import beta_bound, check_kernel_properties, green_values
+from .green import check_kernel_properties, green_values
 from .solver import (
     Certificate,
     Operator,
@@ -61,6 +61,10 @@ REFERENCE_CONSTANTS = (
     ("example42", "g_sup", 0.895984),
     ("example42", "uniqueness_threshold", 1.95333),
 )
+
+# the largest green --resolution: the table's text rows take about 250 B
+# each, so 1024**2 rows stay near 300 MiB
+_MAX_GREEN_RESOLUTION = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -244,17 +248,18 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_green(args) -> int:
+    if not 2 <= args.resolution <= _MAX_GREEN_RESOLUTION:
+        raise FracBvpError(f"--resolution must lie in [2, {_MAX_GREEN_RESOLUTION}], "
+                           f"got {args.resolution}")
     config = _apply_overrides(load_config(args.config), args)
     problem = build_problem(config)
-    if args.resolution < 2:
-        raise FracBvpError(f"--resolution must be at least 2, got {args.resolution}")
     seed = resolve_seed()
     kernel = problem.kernel
     pts = np.linspace(0.0, 1.0, args.resolution)
     gmat = green_values(kernel, pts[:, None], pts[None, :])
     lines = [f"# {line}" for line in _provenance_lines(problem, "green", seed)]
     lines.append(f"# mu: {_fmt(kernel.mu)}")
-    lines.append(f"# beta_bound: {_fmt(beta_bound(config.alpha, config.eta, problem.params.phi))}")
+    lines.append(f"# beta_bound: {_fmt(kernel.beta_bound)}")
     lines.append("t,s,G")
     # each axis value is formatted once; G values as in _solve_csv
     axis = [_fmt(p) for p in pts]
@@ -266,7 +271,7 @@ def _cmd_green(args) -> int:
             "csv": str(args.output),
             "resolution": args.resolution,
             "mu": kernel.mu,
-            "beta_bound": beta_bound(config.alpha, config.eta, problem.params.phi),
+            "beta_bound": kernel.beta_bound,
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -281,10 +286,8 @@ def reference_table() -> list[dict]:
         problems[name] = build_problem(load_config(bundled_config_path(name)))
     values = {}
     for name, problem in problems.items():
-        kernel = problem.kernel
-        values[(name, "mu")] = kernel.mu
-        values[(name, "beta_bound")] = beta_bound(
-            problem.params.alpha, problem.params.eta, problem.params.phi)
+        values[(name, "mu")] = problem.kernel.mu
+        values[(name, "beta_bound")] = problem.kernel.beta_bound
     p42 = problems["example42"]
     cert = build_certificate(p42.spec, p42.kernel, "uniqueness", grid=p42.grid())
     values[("example42", "g_sup")] = cert.g_sup
@@ -344,7 +347,7 @@ def _build_parser() -> _Parser:
     green_p = sub.add_parser("green", help="tabulate the kernel on a uniform grid")
     add_common(green_p, needs_output=True)
     green_p.add_argument("--resolution", type=int, default=100,
-                         help="points per axis (default 100)")
+                         help="points per axis, 2 to 1024 (default 100)")
     verify = sub.add_parser("verify-paper",
                             help="recompute the reference constants of the bundled "
                                  "examples and compare with their published values")

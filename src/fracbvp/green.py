@@ -14,8 +14,11 @@ phi'(1) * (phi(1) - phi(s))**(alpha-2), eta_part(s) = beta *
 
 S1 = phi(1) - phi(0), Se = phi(eta) - phi(0).  Dropping the positive
 parts that vanish in each (t, s) region gives the paper's four
-branches, kept in ``green_branch`` for comparison.  mu must be
-nonzero for the kernel to exist; whenever
+branches; adjacent branches differ by a positive part that is exactly 0
+on their common seam, so continuity across the seams is structural.
+``build_kernel`` evaluates phi(0), phi(eta), phi(1) and phi'(1) once
+and derives mu and the beta bound from them; a kernel with mu = 0 does
+not exist and is refused.  Whenever
 
     beta < (alpha-1) * phi'(1) * S1**(alpha-2) / Se**(alpha-1)
 
@@ -26,6 +29,7 @@ the kernel is positive on the open square and dominated by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,14 +40,10 @@ from .special import PhiMap, gamma
 __all__ = [
     "BvpParams",
     "GreenKernel",
-    "mu",
-    "beta_bound",
     "build_kernel",
     "green",
     "green_values",
-    "green_branch",
     "green_max_bound",
-    "seam_gap",
     "KernelPropertyReport",
     "check_kernel_properties",
 ]
@@ -61,8 +61,8 @@ class BvpParams:
     def __post_init__(self):
         if not 2.0 < self.alpha <= 3.0:
             raise ConfigurationError(f"alpha must lie in (2, 3], got {self.alpha!r}")
-        if not self.beta >= 0.0:
-            raise ConfigurationError(f"beta must be nonnegative, got {self.beta!r}")
+        if not (self.beta >= 0.0 and math.isfinite(self.beta)):
+            raise ConfigurationError(f"beta must be finite and nonnegative, got {self.beta!r}")
         if not 0.0 < self.eta <= 1.0:
             raise ConfigurationError(f"eta must lie in (0, 1], got {self.eta!r}")
 
@@ -80,27 +80,11 @@ def _pow_pos(base, exponent: float):
     return out
 
 
-def mu(params: BvpParams) -> float:
-    """Boundary-condition determinant of the problem."""
-    phi = params.phi
-    s1 = float(phi.shifted(1.0))
-    se = float(phi.shifted(params.eta))
-    d1 = float(phi.deriv(1.0))
-    return (params.alpha - 1.0) * d1 * s1 ** (params.alpha - 2.0) \
-        - params.beta * se ** (params.alpha - 1.0)
-
-
-def beta_bound(alpha: float, eta: float, phi: PhiMap) -> float:
-    """Strict upper bound on beta for kernel positivity."""
-    s1 = float(phi.shifted(1.0))
-    se = float(phi.shifted(eta))
-    d1 = float(phi.deriv(1.0))
-    return (alpha - 1.0) * d1 * s1 ** (alpha - 2.0) / se ** (alpha - 1.0)
-
-
 @dataclass(frozen=True)
 class GreenKernel:
-    """Precomputed constants of the kernel formula for one problem."""
+    """Precomputed constants of the kernel formula for one problem, with
+    ``beta_bound`` the strict upper bound on beta for positivity; mu = 0
+    is refused."""
 
     params: BvpParams
     mu: float
@@ -109,6 +93,11 @@ class GreenKernel:
     phi_zero: float
     phi_eta: float
     gamma_alpha: float
+    beta_bound: float
+
+    def __post_init__(self):
+        if self.mu == 0.0:
+            raise ConfigurationError("kernel requires mu != 0")
 
     @property
     def scale(self) -> float:
@@ -117,15 +106,26 @@ class GreenKernel:
 
 
 def build_kernel(params: BvpParams) -> GreenKernel:
-    phi = params.phi
+    """The kernel of params, with mu and the strict upper bound on beta
+    for positivity; ConfigurationError when mu = 0."""
+    p = params
+    phi_zero, phi_one = p.phi.image
+    phi_eta = float(p.phi(p.eta))
+    deriv_one = float(p.phi.deriv(1.0))
+    s1 = phi_one - phi_zero
+    se = phi_eta - phi_zero
+    lead = (p.alpha - 1.0) * deriv_one * s1 ** (p.alpha - 2.0)
+    # Se**(alpha-1) underflows to 0 for eta within about 1e-200 of 0
+    se_pow = se ** (p.alpha - 1.0)
     return GreenKernel(
         params=params,
-        mu=mu(params),
-        shifted_one=float(phi.shifted(1.0)),
-        deriv_one=float(phi.deriv(1.0)),
-        phi_zero=float(phi(0.0)),
-        phi_eta=float(phi(params.eta)),
-        gamma_alpha=gamma(params.alpha),
+        mu=lead - p.beta * se_pow,
+        shifted_one=s1,
+        deriv_one=deriv_one,
+        phi_zero=phi_zero,
+        phi_eta=phi_eta,
+        gamma_alpha=gamma(p.alpha),
+        beta_bound=lead / se_pow if se_pow > 0.0 else math.inf,
     )
 
 
@@ -145,47 +145,15 @@ def _memory(kernel: GreenKernel, y_t, y_s):
     return kernel.mu * _pow_pos(y_t - y_s, kernel.params.alpha - 1.0)
 
 
-def _phi_values(kernel: GreenKernel, t, s):
-    """phi at t and at s, each evaluated before any broadcasting."""
-    phi = kernel.params.phi
-    return np.asarray(phi(t), dtype=float), np.asarray(phi(s), dtype=float)
-
-
-def green_branch(kernel: GreenKernel, t, s, branch: int):
-    """Evaluate one raw branch formula everywhere (no region masking).
-
-    Used to compare adjacent branches at their seams; branch is 1 for
-    s <= min(eta, t), 2 for t <= s <= eta, 3 for eta <= s <= t and 4
-    for the remaining region.
-    """
-    if kernel.mu == 0.0:
-        raise ConfigurationError("kernel requires mu != 0")
-    y_t, y_s = _phi_values(kernel, t, s)
-    head, full, eta_part = _separable(kernel, y_t, y_s)
-    memory = _memory(kernel, y_t, y_s)
-    if branch == 1:
-        raw = head * (full - eta_part) - memory
-    elif branch == 2:
-        raw = head * (full - eta_part)
-    elif branch == 3:
-        raw = head * full - memory
-    elif branch == 4:
-        raw = head * full
-    else:
-        raise ConfigurationError(f"branch must be 1..4, got {branch!r}")
-    out = raw / kernel.scale
-    return float(out) if (np.ndim(t) == 0 and np.ndim(s) == 0) else out
-
-
 def green_values(kernel: GreenKernel, t, s):
     """Kernel values at broadcast t, s in [0, 1], by the single formula.
 
     Outside its own region each positive part is 0, so the formula
     reproduces all four of the paper's branches.
     """
-    if kernel.mu == 0.0:
-        raise ConfigurationError("kernel requires mu != 0")
-    y_t, y_s = _phi_values(kernel, np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    phi = kernel.params.phi
+    y_t = np.asarray(phi(np.asarray(t, dtype=float)), dtype=float)
+    y_s = np.asarray(phi(np.asarray(s, dtype=float)), dtype=float)
     head, full, eta_part = _separable(kernel, y_t, y_s)
     return (head * (full - eta_part) - _memory(kernel, y_t, y_s)) / kernel.scale
 
@@ -199,8 +167,6 @@ def green(kernel: GreenKernel, t: float, s: float) -> float:
 
 def green_max_bound(kernel: GreenKernel, s: float):
     """Upper bound on max over t of G(t, s), as a function of s."""
-    if kernel.mu == 0.0:
-        raise ConfigurationError("kernel requires mu != 0")
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0.0) or np.any(s_arr > 1.0):
         raise DomainError("s must lie in [0, 1]")
@@ -209,37 +175,15 @@ def green_max_bound(kernel: GreenKernel, s: float):
     return float(out) if np.ndim(s) == 0 else out
 
 
-def seam_gap(kernel: GreenKernel, t_values) -> float:
-    """Worst absolute mismatch between adjacent branch formulas at seams.
-
-    At s = t the applicable branch pair differs by the memory term,
-    which vanishes there; at s = eta the pair differs by the eta term,
-    which also vanishes.  The returned gap is therefore pure rounding.
-    """
-    ts = np.asarray(t_values, dtype=float)
-    eta = kernel.params.eta
-    worst = 0.0
-    below = ts[ts <= eta]
-    above = ts[ts >= eta]
-    if below.size:
-        worst = max(worst, float(np.max(np.abs(
-            green_branch(kernel, below, below, 1) - green_branch(kernel, below, below, 2)))))
-        worst = max(worst, float(np.max(np.abs(
-            green_branch(kernel, below, np.full_like(below, eta), 2)
-            - green_branch(kernel, below, np.full_like(below, eta), 4)))))
-    if above.size:
-        worst = max(worst, float(np.max(np.abs(
-            green_branch(kernel, above, above, 3) - green_branch(kernel, above, above, 4)))))
-        worst = max(worst, float(np.max(np.abs(
-            green_branch(kernel, above, np.full_like(above, eta), 1)
-            - green_branch(kernel, above, np.full_like(above, eta), 3)))))
-    return worst
-
-
 @dataclass(frozen=True)
 class KernelPropertyReport:
     """Sampled kernel checks, keeping hypothesis failures distinct from
-    property failures."""
+    property failures.
+
+    Positivity and the max bound are checked numerically.  ``seam_ok``
+    is always True: continuity across s = t and s = eta is structural,
+    since each positive part of the formula vanishes on its own seam.
+    """
 
     gridsize: int
     mu: float
@@ -247,14 +191,13 @@ class KernelPropertyReport:
     hypothesis_ok: bool
     positivity_ok: bool
     min_value: float
-    seam_ok: bool
-    max_seam_gap_rel: float
     bound_ok: bool
     max_bound_excess: float
+    seam_ok: bool = True
 
     @property
     def properties_ok(self) -> bool:
-        return self.positivity_ok and self.seam_ok and self.bound_ok
+        return self.positivity_ok and self.bound_ok
 
     @property
     def passed(self) -> bool:
@@ -263,7 +206,7 @@ class KernelPropertyReport:
 
 def check_kernel_properties(kernel: GreenKernel, gridsize: int = 200) -> KernelPropertyReport:
     """Sample the kernel on the interior grid {k/(n+1)} and check
-    positivity, seam continuity and the max bound.
+    positivity and the max bound.
 
     Failures are reported, never raised; when beta sits at or above its
     bound the report flags the violated hypothesis so a property
@@ -271,20 +214,12 @@ def check_kernel_properties(kernel: GreenKernel, gridsize: int = 200) -> KernelP
     """
     if gridsize < 2:
         raise ConfigurationError("gridsize must be at least 2")
-    p = kernel.params
-    bound = beta_bound(p.alpha, p.eta, p.phi)
-    hypothesis_ok = p.beta < bound and kernel.mu > 0.0
+    hypothesis_ok = kernel.params.beta < kernel.beta_bound and kernel.mu > 0.0
 
     pts = np.arange(1, gridsize + 1) / (gridsize + 1.0)
     values = green_values(kernel, pts[:, None], pts[None, :])
     min_value = float(np.min(values))
     positivity_ok = bool(min_value > 0.0)
-
-    scale = float(np.max(np.abs(values)))
-    scale = scale if scale > 0.0 else 1.0
-    gap = seam_gap(kernel, pts)
-    max_seam_gap_rel = gap / scale
-    seam_ok = bool(max_seam_gap_rel <= 1e-8)
 
     bounds = green_max_bound(kernel, pts)
     excess = float(np.max(values - bounds[None, :]))
@@ -293,12 +228,10 @@ def check_kernel_properties(kernel: GreenKernel, gridsize: int = 200) -> KernelP
     return KernelPropertyReport(
         gridsize=gridsize,
         mu=kernel.mu,
-        beta_bound=bound,
+        beta_bound=kernel.beta_bound,
         hypothesis_ok=hypothesis_ok,
         positivity_ok=positivity_ok,
         min_value=min_value,
-        seam_ok=seam_ok,
-        max_seam_gap_rel=max_seam_gap_rel,
         bound_ok=bound_ok,
         max_bound_excess=excess,
     )

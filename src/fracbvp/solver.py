@@ -57,7 +57,7 @@ from .bmetric import (
 )
 from .calculus import GridFunction, QuadratureGrid
 from .errors import ConfigurationError, NumericError
-from .green import BvpParams, GreenKernel, _memory, _separable, beta_bound, green_values
+from .green import BvpParams, GreenKernel, _memory, _separable, green_values
 
 __all__ = [
     "ProblemSpec",
@@ -141,8 +141,6 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> np.ndarray:
     The grid must come from the kernel's phi map: phi at the grid nodes
     has to reproduce the grid's y nodes.
     """
-    if kernel.mu == 0.0:
-        raise ConfigurationError("integral operator requires mu != 0")
     n = grid.size
     if 8 * n * n > _MAX_MATRIX_BYTES:
         largest = math.isqrt(_MAX_MATRIX_BYTES // 8) * grid.panels // n
@@ -347,7 +345,7 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
     seed = resolve_seed(seed)
 
     p = kernel.params
-    bound = beta_bound(p.alpha, p.eta, p.phi)
+    bound = kernel.beta_bound
     threshold = _uniqueness_threshold(kernel)
     hyps: list[Hypothesis] = []
     hyps.append(Hypothesis("mu_nonzero", kernel.mu != 0.0, f"mu = {kernel.mu:.6g}"))

@@ -100,10 +100,6 @@ class PhiMap:
             y_arr = np.clip(y_arr, lo, hi)
         return self.inverse_fn(y_arr if np.ndim(y) else float(y_arr))
 
-    def shifted(self, t):
-        """phi(t) - phi(0), the shifted coordinate vanishing at 0."""
-        return self.fn(t) - self.fn(0.0)
-
     @cached_property
     def image(self) -> tuple[float, float]:
         """The image interval (phi(0), phi(1)), computed once per map."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,48 @@ def gamma_quadrature_oracle(x: float) -> float:
     h = (hi - lo) / (n - 1)
     vals = np.exp(x * z - np.exp(z))
     return float((vals.sum() - 0.5 * (vals[0] + vals[-1])) * h)
+
+
+def paper_green(params: fb.BvpParams, ts, ss) -> np.ndarray:
+    """The paper's piecewise kernel on the table ts x ss, one raw branch
+    per (t, s) region, taken in the order s <= min(eta, t), then
+    t <= s <= eta, then eta <= s <= t, then the remainder.
+
+    Written only from phi, phi'(1) and math.gamma: phi is evaluated one
+    point at a time, and each branch sees only its own region, where all
+    its bases are nonnegative, so no positive parts are needed.
+    """
+    a, beta, eta, phi = params.alpha, params.beta, params.eta, params.phi
+    p0, pe, p1 = (float(phi(x)) for x in (0.0, eta, 1.0))
+    d1 = float(phi.deriv(1.0))
+    mu = (a - 1.0) * d1 * (p1 - p0) ** (a - 2.0) - beta * (pe - p0) ** (a - 1.0)
+
+    def lead(yt, ys):
+        return (a - 1.0) * d1 * (yt - p0) ** (a - 1.0) * (p1 - ys) ** (a - 2.0)
+
+    def eta_term(yt, ys):
+        return beta * (yt - p0) ** (a - 1.0) * (pe - ys) ** (a - 1.0)
+
+    def memory(yt, ys):
+        return mu * (yt - ys) ** (a - 1.0)
+
+    ts, ss = np.asarray(ts, dtype=float), np.asarray(ss, dtype=float)
+    t, s = np.meshgrid(ts, ss, indexing="ij")
+    yt, ys = np.meshgrid([float(phi(x)) for x in ts.tolist()],
+                         [float(phi(x)) for x in ss.tolist()], indexing="ij")
+    regions = (
+        (s <= np.minimum(eta, t), lambda y, z: lead(y, z) - eta_term(y, z) - memory(y, z)),
+        ((t <= s) & (s <= eta), lambda y, z: lead(y, z) - eta_term(y, z)),
+        ((eta <= s) & (s <= t), lambda y, z: lead(y, z) - memory(y, z)),
+        (np.ones_like(t, dtype=bool), lead),
+    )
+    out = np.empty_like(t)
+    taken = np.zeros_like(t, dtype=bool)
+    for region, branch in regions:
+        mask = region & ~taken
+        out[mask] = branch(yt[mask], ys[mask])
+        taken |= mask
+    return out / (mu * math.gamma(a))
 
 
 def catalog_map(kind: str) -> fb.PhiMap:

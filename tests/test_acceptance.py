@@ -16,6 +16,8 @@ from fracbvp.bmetric import FAMILY_SAMPLE_POINTS
 from fracbvp.cli import main, reference_table
 from fracbvp.oracles import oracle_classical_green
 
+from conftest import paper_green
+
 
 @contextmanager
 def criterion(number, name):
@@ -73,8 +75,9 @@ def test_criterion_2_kernel_property_suite(kernel41, kernel42):
         for kernel in (kernel41, kernel42):
             values = fb.green_values(kernel, pts[:, None], pts[None, :])
             assert np.min(values) > 0.0
-            scale = float(np.max(np.abs(values)))
-            assert fb.seam_gap(kernel, pts) / scale <= 1e-10
+            # the paper's four branches, one per region
+            oracle = paper_green(kernel.params, pts, pts)
+            assert np.max(np.abs(values - oracle)) <= 1e-13 * np.max(np.abs(values))
             bounds = fb.green_max_bound(kernel, pts)
             assert np.max(values - bounds[None, :]) <= 1e-12
             report = fb.check_kernel_properties(kernel, 200)

@@ -85,7 +85,8 @@ def test_family_checks_reject_outsiders():
 def test_contraction_certificate_cases():
     assert fb.contraction_certificate(0.3, 2.0).passed
     assert not fb.contraction_certificate(0.6, 2.0).passed
-    assert not fb.contraction_certificate(0.0, 2.0).passed
+    # lam = 0 (envelope g = 0): d(Au, Av) = 0 <= lam' d(u, v) for any lam'
+    assert fb.contraction_certificate(0.0, 2.0).passed
     # the contraction factor of the second bundled example
     verdict = fb.contraction_certificate(0.1052, 2.0)
     assert verdict.passed

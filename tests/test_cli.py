@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fracbvp import cli
 from fracbvp.cli import bundled_config_path, main
 from fracbvp.config import build_problem, load_config
 from fracbvp.green import green_values
@@ -121,7 +122,40 @@ def test_solve_mu_zero_exits_1(tmp_path, capsys):
     code = main(["solve", str(cfg), "-o", str(tmp_path / "x.csv")])
     err = capsys.readouterr().err
     assert code == 1
-    assert "mu != 0" in err
+    assert err == "error: kernel requires mu != 0\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+# alpha = 3, beta = 2, eta = 1 on the identity map gives mu = 0
+@pytest.mark.parametrize("argv,body", [
+    pytest.param(["check"], "f = custom-expression\nf.expr = sin(u)\n"
+                 "g = custom-expression\ng.expr = 1\nmode = uniqueness\n", id="check-uniqueness"),
+    pytest.param(["check"], "f = zero\nmode = positive-existence\n", id="check-positive-existence"),
+    pytest.param(["green", "-o", "g.csv"], "f = zero\nmode = solve-only\n", id="green"),
+])
+def test_mu_zero_exits_1_with_one_error_line(argv, body, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "mu0.cfg"
+    cfg.write_text("alpha = 3\nbeta = 2\neta = 1\nphi = identity\n" + body)
+    code = main(argv[:1] + [str(cfg)] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: kernel requires mu != 0\n"
+    assert captured.out == ""
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_check_zero_envelope_is_unique(tmp_path, capsys):
+    # g = 0 gives lambda = 0, a contraction with every factor below 1/2
+    cfg = tmp_path / "g0.cfg"
+    cfg.write_text("alpha = 2.5\nbeta = 1\neta = 0.5\nphi = identity\n"
+                   "f = custom-expression\nf.expr = 1 + t\n"
+                   "g = custom-expression\ng.expr = 0\nmode = uniqueness\ngrid_size = 64\n")
+    code = main(["check", str(cfg)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "[pass    ] lambda_below_half: lambda = 0," in out
+    assert "verdict               unique-solution" in out
 
 
 @pytest.mark.parametrize("expr,max_iter", [
@@ -214,6 +248,18 @@ def test_green_csv_round_trips_exact_values(tmp_path, capsys, config):
 
 def test_green_bad_resolution(tmp_path, capsys):
     assert main(["green", E41, "-o", str(tmp_path / "g.csv"), "--resolution", "1"]) == 1
+
+
+def test_green_resolution_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_GREEN_RESOLUTION", 8)
+    out = tmp_path / "g.csv"
+    # refused before the config is even read
+    assert main(["green", str(tmp_path / "missing.cfg"), "-o", str(out), "--resolution", "9"]) == 1
+    assert capsys.readouterr().err == "error: --resolution must lie in [2, 8], got 9\n"
+    assert not out.exists()
+    assert main(["green", E41, "-o", str(out), "--resolution", "8"]) == 0
+    capsys.readouterr()
+    assert read_csv(out)[1].shape == (64, 3)
 
 
 def test_green_json_payload(tmp_path, capsys):

@@ -1,12 +1,22 @@
 """Kernel constants, the kernel formula against the paper's branches, and
 the sampled property checks."""
 
+import math
+
 import numpy as np
 import pytest
 
 import fracbvp as fb
 from fracbvp.errors import ConfigurationError, DomainError
 from fracbvp.oracles import oracle_classical_green, oracle_grid_max
+
+from conftest import paper_green
+
+
+@pytest.fixture(scope="module")
+def kernel_mu_negative(phi_sin):
+    """beta above its bound, so mu < 0 and the kernel changes sign."""
+    return fb.build_kernel(fb.BvpParams(alpha=2.5, beta=3.5, eta=0.5, phi=phi_sin))
 
 
 def test_params_validation(phi_identity):
@@ -16,6 +26,8 @@ def test_params_validation(phi_identity):
         fb.BvpParams(alpha=3.2, beta=1.0, eta=0.5, phi=phi_identity)
     with pytest.raises(ConfigurationError):
         fb.BvpParams(alpha=2.5, beta=-0.1, eta=0.5, phi=phi_identity)
+    with pytest.raises(ConfigurationError):
+        fb.BvpParams(alpha=2.5, beta=float("inf"), eta=0.5, phi=phi_identity)
     with pytest.raises(ConfigurationError):
         fb.BvpParams(alpha=2.5, beta=1.0, eta=0.0, phi=phi_identity)
     with pytest.raises(ConfigurationError):
@@ -29,12 +41,12 @@ def test_mu_reference_values(kernel41, kernel42):
 
 def test_mu_identity_reduction(phi_identity):
     params = fb.BvpParams(alpha=2.5, beta=0.0, eta=0.3, phi=phi_identity)
-    assert fb.mu(params) == pytest.approx(1.5, abs=1e-14)
+    assert fb.build_kernel(params).mu == pytest.approx(1.5, abs=1e-14)
 
 
 def test_beta_bound_reference_values(kernel41, kernel42):
-    b41 = fb.beta_bound(2.5, 0.5, kernel41.params.phi)
-    b42 = fb.beta_bound(2.5, kernel42.params.eta, kernel42.params.phi)
+    b41 = kernel41.beta_bound
+    b42 = kernel42.beta_bound
     assert b41 == pytest.approx(2.95903, abs=1e-4)
     assert b42 == pytest.approx(5.60946, abs=1e-4)
     assert b41 > kernel41.params.beta
@@ -42,7 +54,15 @@ def test_beta_bound_reference_values(kernel41, kernel42):
 
 
 def test_beta_bound_identity_eta_one(phi_identity):
-    assert fb.beta_bound(2.7, 1.0, phi_identity) == pytest.approx(1.7, abs=1e-14)
+    kernel = fb.build_kernel(fb.BvpParams(alpha=2.7, beta=0.0, eta=1.0, phi=phi_identity))
+    assert kernel.beta_bound == pytest.approx(1.7, abs=1e-14)
+
+
+def test_beta_bound_infinite_when_se_power_underflows(phi_identity):
+    # Se**(alpha-1) = 1e-450 underflows to 0: no bound on beta, mu = lead
+    kernel = fb.build_kernel(fb.BvpParams(alpha=2.5, beta=1.0, eta=1e-300, phi=phi_identity))
+    assert kernel.beta_bound == math.inf
+    assert kernel.mu == pytest.approx(1.5, abs=1e-14)
 
 
 def test_green_vanishes_on_edges(kernel41):
@@ -74,26 +94,28 @@ def test_green_classical_reduction_grid(classical_kernel):
 
 
 def test_green_mu_zero_raises(phi_identity):
-    kernel = fb.build_kernel(fb.BvpParams(alpha=3.0, beta=2.0, eta=1.0, phi=phi_identity))
-    assert kernel.mu == 0.0
-    with pytest.raises(ConfigurationError):
-        fb.green(kernel, 0.5, 0.5)
+    # alpha = 3, beta = 2, eta = 1 on the identity map gives mu = 2 - 2 = 0
+    with pytest.raises(ConfigurationError, match="mu != 0"):
+        fb.build_kernel(fb.BvpParams(alpha=3.0, beta=2.0, eta=1.0, phi=phi_identity))
 
 
-def test_green_negative_mu_still_evaluates(phi_sin):
-    kernel = fb.build_kernel(fb.BvpParams(alpha=2.5, beta=3.5, eta=0.5, phi=phi_sin))
-    assert kernel.mu < 0.0
-    value = fb.green(kernel, 0.5, 0.5)
+def test_green_negative_mu_still_evaluates(kernel_mu_negative):
+    assert kernel_mu_negative.mu < 0.0
+    value = fb.green(kernel_mu_negative, 0.5, 0.5)
     assert np.isfinite(value)
 
 
 @pytest.mark.parametrize("which", ["kernel41", "kernel42"])
 def test_seam_agreement(which, request):
+    # G is continuous across s = t and s = eta: the values just either
+    # side of each seam differ by O(delta)
     kernel = request.getfixturevalue(which)
-    pts = np.arange(1, 201) / 201.0
-    gap = fb.seam_gap(kernel, pts)
+    pts = np.arange(1, 200) / 201.0
     scale = float(np.max(np.abs(fb.green_values(kernel, pts[:, None], pts[None, :]))))
-    assert gap / scale <= 1e-10
+    delta = 1e-9
+    for seam in (pts, np.full_like(pts, kernel.params.eta)):
+        jump = fb.green_values(kernel, pts, seam + delta) - fb.green_values(kernel, pts, seam - delta)
+        assert np.max(np.abs(jump)) <= 1e-6 * scale
 
 
 @pytest.mark.parametrize("which", ["kernel41", "kernel42"])
@@ -124,9 +146,8 @@ def test_check_kernel_properties_pass(kernel41, kernel42):
         assert report.passed
 
 
-def test_check_kernel_properties_beta_above_bound(phi_sin):
-    kernel = fb.build_kernel(fb.BvpParams(alpha=2.5, beta=3.5, eta=0.5, phi=phi_sin))
-    report = fb.check_kernel_properties(kernel, 200)
+def test_check_kernel_properties_beta_above_bound(kernel_mu_negative):
+    report = fb.check_kernel_properties(kernel_mu_negative, 200)
     assert not report.hypothesis_ok
     # outside the guaranteed regime the certificate must at least flag
     # the hypothesis; here positivity actually fails as well
@@ -136,32 +157,21 @@ def test_check_kernel_properties_beta_above_bound(phi_sin):
 
 def test_branch_dispatch_matches_branches(kernel42):
     eta = kernel42.params.eta
-    # each region evaluated through the dispatcher equals its raw branch
+    # one point inside each of the paper's four regions
     cases = [
-        (0.7, 0.2, 1),   # s <= min(eta, t)
-        (0.1, 0.25, 2),  # t <= s <= eta
-        (0.9, 0.5, 3),   # eta <= s <= t
-        (0.2, 0.8, 4),   # max(eta, t) <= s
+        (0.7, 0.2),   # s <= min(eta, t)
+        (0.1, 0.25),  # t <= s <= eta
+        (0.9, 0.5),   # eta <= s <= t
+        (0.2, 0.8),   # max(eta, t) <= s
     ]
-    for t, s, branch in cases:
-        assert fb.green(kernel42, t, s) == pytest.approx(
-            float(fb.green_branch(kernel42, t, s, branch)), abs=1e-15)
+    assert cases[1][1] <= eta <= cases[2][1]
+    for t, s in cases:
+        expected = float(paper_green(kernel42.params, [t], [s])[0, 0])
+        assert fb.green(kernel42, t, s) == pytest.approx(expected, rel=1e-13)
 
 
-def four_region_dispatch(kernel, t, s):
-    """The paper's piecewise kernel: one raw branch per (t, s) region, in
-    the fixed order s <= min(eta, t), then t <= s <= eta, then
-    eta <= s <= t, then the remainder."""
-    eta = kernel.params.eta
-    t_arr, s_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
-    b1, b2, b3, b4 = (fb.green_branch(kernel, t_arr, s_arr, k) for k in (1, 2, 3, 4))
-    m1 = s_arr <= np.minimum(eta, t_arr)
-    m2 = ~m1 & (t_arr <= s_arr) & (s_arr <= eta)
-    m3 = ~m1 & ~m2 & (eta <= s_arr) & (s_arr <= t_arr)
-    return np.select([m1, m2, m3], [b1, b2, b3], default=b4)
-
-
-@pytest.mark.parametrize("which", ["kernel41", "kernel42", "classical_kernel"])
+@pytest.mark.parametrize("which", ["kernel41", "kernel42", "classical_kernel",
+                                   "kernel_mu_negative"])
 def test_single_formula_equals_branch_dispatch(which, request):
     kernel = request.getfixturevalue(which)
     interior = np.arange(1, 201) / 201.0
@@ -169,5 +179,6 @@ def test_single_formula_equals_branch_dispatch(which, request):
     uniform = np.arange(301) / 300.0
     assert kernel.params.eta in uniform
     for pts in (interior, uniform):
-        assert np.array_equal(fb.green_values(kernel, pts[:, None], pts[None, :]),
-                              four_region_dispatch(kernel, pts[:, None], pts[None, :]))
+        values = fb.green_values(kernel, pts[:, None], pts[None, :])
+        oracle = paper_green(kernel.params, pts, pts)
+        assert np.max(np.abs(values - oracle)) <= 1e-13 * np.max(np.abs(values))

@@ -89,7 +89,7 @@ def test_sqrt_half_values():
     phi = fb.phi_catalog("sqrt_half")
     assert float(phi(0.0)) == pytest.approx(0.5, abs=1e-15)
     assert float(phi(1.0)) == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-15)
-    assert float(phi.shifted(0.0)) == 0.0
+    assert phi.image == (float(phi(0.0)), float(phi(1.0)))
 
 
 def test_table_map_invariants():
