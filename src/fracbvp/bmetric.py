@@ -2,11 +2,11 @@
 
 The solver's ambient space is continuous functions on [0, 1] carrying
 the squared sup distance d(x, y) = sup (x - y)^2, which satisfies the
-relaxed triangle inequality d(x, z) <= r * (d(x, y) + d(y, z)) with
-r = 2.  The positive-existence route uses the paper's gauge psi, shrink
-function theta and sign relation tau.  Certificates are plain verdict
-objects: mathematical failures are data, only structural misuse (grid
-mismatch, bad arguments) raises.  The sampled checks take the sampled
+relaxed triangle inequality d(x, z) <= R * (d(x, y) + d(y, z)) with
+the metric's constant R = 2.  The positive-existence route uses the
+paper's gauge psi, shrink function theta and sign relation tau.
+Certificates are plain verdict objects: mathematical failures are
+data, only structural misuse (grid mismatch, bad arguments) raises.  The sampled checks take the sampled
 pairs and their images under the operator as (k, N) arrays of nodal
 values, row k holding pair k; the caller computes the images once for
 both checks.
@@ -23,6 +23,7 @@ from .calculus import GridFunction
 from .errors import ConfigurationError, GridMismatchError
 
 __all__ = [
+    "R",
     "distance",
     "psi",
     "theta",
@@ -41,6 +42,12 @@ __all__ = [
 ]
 
 
+# the relaxation constant of d(x, y) = sup (x - y)^2: (a + b)^2 <= 2 (a^2 + b^2)
+R = 2.0
+
+_ADMISSIBILITY_ATOL = 1e-12
+
+
 def distance(x: GridFunction, y: GridFunction) -> float:
     """Squared sup distance max (x - y)^2 over the common grid."""
     if not x.grid.same_as(y.grid):
@@ -57,7 +64,7 @@ def psi(x):
 
 def theta(x):
     """The shrink function theta(x) = (1 + x^2) / (6 + 4 x^2):
-    nondecreasing with values in [1/6, 1/4), below 1/r^2 for r = 2."""
+    nondecreasing with values in [1/6, 1/4), below 1/R^2."""
     x = np.asarray(x, dtype=float)
     return (1.0 + x**2) / (6.0 + 4.0 * x**2)
 
@@ -101,24 +108,24 @@ def psi_family_check(fn: Callable) -> FamilyVerdict:
     return FamilyVerdict(True, f"sampled at {xs.size} points, factors {FAMILY_SAMPLE_FACTORS}")
 
 
-def theta_family_check(fn: Callable, r: float = 2.0) -> FamilyVerdict:
+def theta_family_check(fn: Callable) -> FamilyVerdict:
     """Sampled membership check of fn in the shrink family."""
     vals = np.asarray(fn(FAMILY_SAMPLE_POINTS), dtype=float)
     if np.any(np.diff(vals) < -1e-15):
         return FamilyVerdict(False, "theta not nondecreasing on sample")
     if np.any(vals < 0.0):
         return FamilyVerdict(False, "theta takes negative values")
-    cap = 1.0 / (r * r)
+    cap = 1.0 / (R * R)
     top = float(np.max(vals))
     if top >= cap:
-        return FamilyVerdict(False, f"max sampled theta {top} not below 1/r^2 = {cap}")
+        return FamilyVerdict(False, f"max sampled theta {top} not below 1/R^2 = {cap}")
     return FamilyVerdict(True, f"max sampled value {top} < {cap}")
 
 
 @dataclass(frozen=True)
 class ContractionVerdict:
-    """Outcome of the contraction-factor test 0 <= lam < 1/r; lam = 0
-    (an envelope g = 0) is a contraction with any factor below 1/r."""
+    """Outcome of the contraction-factor test 0 <= lam < 1/R; lam = 0
+    (an envelope g = 0) is a contraction with any factor below 1/R."""
 
     passed: bool
     lam: float
@@ -126,12 +133,10 @@ class ContractionVerdict:
     margin: float
 
 
-def contraction_certificate(lam: float, r: float) -> ContractionVerdict:
+def contraction_certificate(lam: float) -> ContractionVerdict:
     if not lam >= 0.0:
         raise ConfigurationError(f"contraction factor must be nonnegative, got {lam!r}")
-    if not r >= 1.0:
-        raise ConfigurationError(f"relaxation constant must be >= 1, got {r!r}")
-    limit = 1.0 / r
+    limit = 1.0 / R
     return ContractionVerdict(
         passed=bool(lam < limit),
         lam=float(lam),
@@ -153,17 +158,16 @@ def _row_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeraghtyVerdict:
-    """Sampled check of psi(r^3 d(Au, Av)) <= theta(psi(d)) * psi(d)."""
+    """Sampled check of psi(R^3 d(Au, Av)) <= theta(psi(d)) * psi(d)."""
 
     passed: bool
     worst_margin: float
     checked: int
     skipped: int
-    r: float
 
 
 def geraghty_inequality_check(u: np.ndarray, v: np.ndarray, au: np.ndarray,
-                              av: np.ndarray, r: float = 2.0) -> GeraghtyVerdict:
+                              av: np.ndarray) -> GeraghtyVerdict:
     """Check the shrink inequality on every admissible sampled pair.
 
     Row k of ``au``, ``av`` is (A u, A v) for the pair (u[k], v[k]).
@@ -174,10 +178,10 @@ def geraghty_inequality_check(u: np.ndarray, v: np.ndarray, au: np.ndarray,
     ok = _admissible(u, v)
     checked = int(np.count_nonzero(ok))
     gauge = psi(_row_distance(u[ok], v[ok]))
-    margin = theta(gauge) * gauge - psi(r**3 * _row_distance(au[ok], av[ok]))
+    margin = theta(gauge) * gauge - psi(R**3 * _row_distance(au[ok], av[ok]))
     return GeraghtyVerdict(passed=not bool(np.any(margin < 0.0)),
                            worst_margin=float(np.min(margin)) if checked else 0.0,
-                           checked=checked, skipped=ok.size - checked, r=r)
+                           checked=checked, skipped=ok.size - checked)
 
 
 @dataclass(frozen=True)
@@ -191,15 +195,15 @@ class AdmissibilityVerdict:
 
 
 def admissibility_check(u: np.ndarray, v: np.ndarray, au: np.ndarray,
-                        av: np.ndarray, atol: float = 1e-12) -> AdmissibilityVerdict:
+                        av: np.ndarray) -> AdmissibilityVerdict:
     """For each sampled pair with tau >= 0 at every node, require
-    tau(Au, Av) >= -atol at every node (the tolerance absorbs rounding
+    tau(Au, Av) >= -1e-12 at every node (the tolerance absorbs rounding
     in quantities that are zero or positive in exact arithmetic).
     Row k of ``au``, ``av`` is (A u, A v) for the pair (u[k], v[k]);
     the worst value is 0 when no pair is admissible."""
     ok = _admissible(u, v)
     checked = int(np.count_nonzero(ok))
     low = np.min(tau(au[ok], av[ok]), axis=1)
-    return AdmissibilityVerdict(passed=not bool(np.any(low < -atol)), checked=checked,
-                                skipped=ok.size - checked,
+    return AdmissibilityVerdict(passed=not bool(np.any(low < -_ADMISSIBILITY_ATOL)),
+                                checked=checked, skipped=ok.size - checked,
                                 worst_value=float(np.min(low)) if checked else 0.0)

@@ -213,12 +213,9 @@ def _as_evaluator(u) -> Callable:
     raise ConfigurationError("u must be a GridFunction or a callable")
 
 
-def _default_panels(u, panels: int | None) -> int:
-    if panels is not None:
-        return panels
-    if isinstance(u, GridFunction):
-        return u.grid.panels
-    return DEFAULT_PANELS
+def _default_panels(u) -> int:
+    """The panel count of u's grid, or DEFAULT_PANELS for a bare callable."""
+    return u.grid.panels if isinstance(u, GridFunction) else DEFAULT_PANELS
 
 
 def _frac_integral_y(alpha: float, phi: PhiMap, u_eval: Callable,
@@ -259,15 +256,14 @@ def _frac_integral_y(alpha: float, phi: PhiMap, u_eval: Callable,
     return out
 
 
-def frac_integral(alpha: float, phi: PhiMap, u, t: float | np.ndarray,
-                  panels: int | None = None) -> float | np.ndarray:
+def frac_integral(alpha: float, phi: PhiMap, u, t: float | np.ndarray) -> float | np.ndarray:
     """Fractional integral of order alpha of u at t, weighted by phi.
 
     ``t`` is one upper limit or an array of them; a scalar gives a
     float, an array an array of the same shape.  ``u`` is evaluated on
-    2-D arrays of abscissae.  Deterministic for a fixed panel count;
-    ``panels`` defaults to the panel count of ``u``'s grid (or 1024 for
-    bare callables).
+    2-D arrays of abscissae.  The quadrature uses as many panels as
+    ``u``'s grid has, or ``DEFAULT_PANELS`` (1024) when ``u`` is a bare
+    callable, and is deterministic for a fixed panel count.
     """
     if not alpha > 0.0:
         raise DomainError(f"integral order must be positive, got {alpha!r}")
@@ -276,7 +272,7 @@ def frac_integral(alpha: float, phi: PhiMap, u, t: float | np.ndarray,
     if np.any(outside):
         raise DomainError(f"t must lie in [0, 1], got {float(t_arr[outside].flat[0])!r}")
     u_eval = _as_evaluator(u)
-    m = _default_panels(u, panels)
+    m = _default_panels(u)
     y_top = np.asarray(phi(t_arr), dtype=float).reshape(-1)
     values = _frac_integral_y(alpha, phi, u_eval, phi.image[0], y_top, m)
     return float(values[0]) if t_arr.ndim == 0 else values.reshape(t_arr.shape)
@@ -286,8 +282,7 @@ _STEP_FRACTION = {1: 1e-3, 2: 3e-3, 3: 5e-3}
 _STENCIL_REACH = {1: 1, 2: 1, 3: 2}
 
 
-def frac_derivative(alpha: float, phi: PhiMap, u, t: float,
-                    panels: int | None = None) -> float:
+def frac_derivative(alpha: float, phi: PhiMap, u, t: float) -> float:
     """Fractional derivative of order alpha of u at an interior point.
 
     Applies the n-th central difference in y = phi(t) to the
@@ -303,7 +298,7 @@ def frac_derivative(alpha: float, phi: PhiMap, u, t: float,
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must lie strictly inside (0, 1), got {t!r}")
     u_eval = _as_evaluator(u)
-    m = _default_panels(u, panels)
+    m = _default_panels(u)
     y0, y1 = phi.image
     y = float(phi(t))
     span = y1 - y0
@@ -325,8 +320,7 @@ def frac_derivative(alpha: float, phi: PhiMap, u, t: float,
     return float((f[0] - 2.0 * f[1] + 2.0 * f[2] - f[3]) / (2.0 * h**3))
 
 
-def semigroup_defect(alpha: float, beta: float, phi: PhiMap, u,
-                     panels: int | None = None) -> float:
+def semigroup_defect(alpha: float, beta: float, phi: PhiMap, u) -> float:
     """Max gap between the iterated and the combined fractional integral.
 
     Computes max over 33 uniform points t of [0, 1] of
@@ -337,13 +331,11 @@ def semigroup_defect(alpha: float, beta: float, phi: PhiMap, u,
     if not (alpha > 0.0 and beta > 0.0):
         raise DomainError("semigroup orders must be positive")
     if not isinstance(u, GridFunction):
-        grid = build_grid(phi, panels if panels is not None else DEFAULT_PANELS)
-        u = GridFunction.sample(grid, u)
-    m = _default_panels(u, panels)
+        u = GridFunction.sample(build_grid(phi), u)
     grid = u.grid
-    inner_vals = _frac_integral_y(beta, phi, u, phi.image[0], grid.y_nodes, m)
+    inner_vals = _frac_integral_y(beta, phi, u, phi.image[0], grid.y_nodes, grid.panels)
     inner = GridFunction(grid=grid, values=inner_vals)
     ts = np.linspace(0.0, 1.0, 33)
-    lhs = frac_integral(alpha, phi, inner, ts, panels=m)
-    rhs = frac_integral(alpha + beta, phi, u, ts, panels=m)
+    lhs = frac_integral(alpha, phi, inner, ts)
+    rhs = frac_integral(alpha + beta, phi, u, ts)
     return float(np.max(np.abs(lhs - rhs), initial=0.0))

@@ -13,7 +13,8 @@ Commands:
   published approximations.
 
 Exit codes: 0 success, 1 configuration error, 2 certificate failure,
-3 non-convergence.
+3 non-convergence.  ``--json`` output is strict JSON: a non-finite
+number is written as null.
 """
 
 from __future__ import annotations
@@ -83,11 +84,18 @@ def bundled_config_path(name: str) -> Path:
 
 
 def _apply_overrides(config: Config, args) -> Config:
-    """The config with --grid/--tol/--max-iter applied; Config validates them."""
-    updates = {key: value for key, value in (("grid_size", args.grid), ("tol", args.tol),
-                                             ("max_iter", args.max_iter))
-               if value is not None}
+    """The config with the command's --grid (check, solve) and --tol and
+    --max-iter (solve) applied; Config validates them."""
+    updates = {key: getattr(args, flag) for key, flag in
+               (("grid_size", "grid"), ("tol", "tol"), ("max_iter", "max_iter"))
+               if getattr(args, flag, None) is not None}
     return dataclasses.replace(config, **updates) if updates else config
+
+
+def _print_json(payload: dict) -> None:
+    """Print payload as strict JSON: a non-finite number becomes null."""
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    print(json.dumps(strict, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _provenance_lines(problem: Problem, command: str, seed: int) -> list[str]:
@@ -163,7 +171,7 @@ def _cmd_check(args) -> int:
             "kernel": dataclasses.asdict(kernel_report),
             "provenance": _provenance_lines(problem, "check", seed),
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _print_json(payload)
     else:
         for line in _provenance_lines(problem, "check", seed):
             print(f"# {line}")
@@ -240,7 +248,7 @@ def _cmd_solve(args) -> int:
         }
         if cert is not None:
             payload["certificate"] = _certificate_json(cert)
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _print_json(payload)
     else:
         print(f"wrote {out} and {sidecar} "
               f"(converged={report.converged}, iterations={report.iterations}, label={report.label})")
@@ -251,8 +259,7 @@ def _cmd_green(args) -> int:
     if not 2 <= args.resolution <= _MAX_GREEN_RESOLUTION:
         raise FracBvpError(f"--resolution must lie in [2, {_MAX_GREEN_RESOLUTION}], "
                            f"got {args.resolution}")
-    config = _apply_overrides(load_config(args.config), args)
-    problem = build_problem(config)
+    problem = build_problem(load_config(args.config))
     seed = resolve_seed()
     kernel = problem.kernel
     pts = np.linspace(0.0, 1.0, args.resolution)
@@ -273,7 +280,7 @@ def _cmd_green(args) -> int:
             "mu": kernel.mu,
             "beta_bound": kernel.beta_bound,
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _print_json(payload)
     else:
         print(f"wrote {args.output} ({args.resolution}x{args.resolution} points)")
     return EXIT_OK
@@ -314,7 +321,7 @@ def _cmd_verify_paper(args) -> int:
             "all_within_tolerance": ok,
             "rows": rows,
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _print_json(payload)
     else:
         header = f"{'problem':<10} {'constant':<22} {'computed':<22} {'reference':<12} {'abs diff':<12}"
         print(header)
@@ -332,26 +339,24 @@ def _build_parser() -> _Parser:
                                  "Picard solves for a three-point fractional "
                                  "boundary value problem.")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def add_common(p, needs_output=False):
-        p.add_argument("config", help="path to a key = value configuration file")
-        if needs_output:
-            p.add_argument("-o", "--output", required=True, help="output CSV path")
-        p.add_argument("--grid", type=int, default=None, help="override grid_size")
-        p.add_argument("--tol", type=float, default=None, help="override tol")
-        p.add_argument("--max-iter", type=int, default=None, help="override max_iter")
-        p.add_argument("--json", action="store_true", help="structured report on stdout")
-
-    add_common(sub.add_parser("check", help="evaluate the certificate for a config"))
-    add_common(sub.add_parser("solve", help="run the Picard iteration"), needs_output=True)
+    check = sub.add_parser("check", help="evaluate the certificate for a config")
+    solve = sub.add_parser("solve", help="run the Picard iteration")
     green_p = sub.add_parser("green", help="tabulate the kernel on a uniform grid")
-    add_common(green_p, needs_output=True)
-    green_p.add_argument("--resolution", type=int, default=100,
-                         help="points per axis, 2 to 1024 (default 100)")
     verify = sub.add_parser("verify-paper",
                             help="recompute the reference constants of the bundled "
                                  "examples and compare with their published values")
-    verify.add_argument("--json", action="store_true", help="structured report on stdout")
+    for p in (check, solve, green_p):
+        p.add_argument("config", help="path to a key = value configuration file")
+    for p in (solve, green_p):
+        p.add_argument("-o", "--output", required=True, help="output CSV path")
+    for p in (check, solve):
+        p.add_argument("--grid", type=int, default=None, help="override grid_size")
+    solve.add_argument("--tol", type=float, default=None, help="override tol")
+    solve.add_argument("--max-iter", type=int, default=None, help="override max_iter")
+    green_p.add_argument("--resolution", type=int, default=100,
+                         help="points per axis, 2 to 1024 (default 100)")
+    for p in (check, solve, green_p, verify):
+        p.add_argument("--json", action="store_true", help="structured report on stdout")
     return parser
 
 

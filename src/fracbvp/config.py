@@ -5,12 +5,13 @@ A configuration file is plain text, one ``key = value`` per line, with
 ``f.expr``).  The format is deliberately language-neutral and
 diff-friendly.
 
-Builtin nonlinearities:
+Builtin nonlinearities, each written as expression text and compiled
+like any custom expression:
 
 * ``example41`` - the linear map c * u whose slope is derived from the
   kernel constants of the first bundled example (its Lipschitz envelope
   is the same constant, and it maps nonnegative states to nonnegative
-  values);
+  values); the slope is written into the text as its exact repr;
 * ``example42`` - the tan/cos^2/exp nonlinearity of the second bundled
   example together with its Lipschitz envelope;
 * ``zero`` - f identically zero;
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -38,6 +38,13 @@ __all__ = ["Config", "parse_config", "load_config", "Problem", "build_problem",
            "F_KINDS", "MODES", "load_phi_table"]
 
 F_KINDS = ("example41", "example42", "zero", "custom-expression")
+# f text, envelope g text (None: no envelope) and f domain of the
+# builtins whose text does not depend on the kernel
+_BUILTIN_TEXTS = {
+    "example42": ("0.1*tan(pi/3*t)*cos(u)^2 - exp(0.5*t)/3*abs(u)/(1+abs(u))",
+                  "0.2*tan(pi/3*t) + exp(0.5*t)/3", "real"),
+    "zero": ("0", None, "nonnegative"),
+}
 MODES = ("uniqueness", "positive-existence", "solve-only")
 
 _KNOWN_KEYS = {
@@ -75,8 +82,8 @@ class Config:
             raise ConfigurationError(f"key 'grid_size': must be at least 64, got {self.grid_size}")
         if self.grid_size % 2:
             raise ConfigurationError(f"key 'grid_size': must be even, got {self.grid_size}")
-        if not self.tol > 0.0:
-            raise ConfigurationError(f"key 'tol': must be positive, got {self.tol}")
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ConfigurationError(f"key 'tol': must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigurationError(f"key 'max_iter': must be at least 1, got {self.max_iter}")
 
@@ -144,6 +151,9 @@ def parse_config(text: str, base_dir: Path | None = None) -> Config:
     f_expr = values.get("f.expr")
     if f_kind == "custom-expression" and f_expr is None:
         raise ConfigurationError("key 'f.expr': required when f = custom-expression")
+    if f_kind != "custom-expression" and f_expr is not None:
+        raise ConfigurationError(f"key 'f.expr': only allowed when f = custom-expression, "
+                                 f"got f = {f_kind}")
     f_domain = values.get("f.domain")
     if f_domain is not None and f_domain not in ("real", "nonnegative"):
         raise ConfigurationError(f"key 'f.domain': expected real|nonnegative, got {f_domain!r}")
@@ -154,6 +164,8 @@ def parse_config(text: str, base_dir: Path | None = None) -> Config:
         raise ConfigurationError(f"key 'g': only custom-expression is supported, got {g_kind!r}")
     if g_kind == "custom-expression" and g_expr is None:
         raise ConfigurationError("key 'g.expr': required when g = custom-expression")
+    if g_kind is None and g_expr is not None:
+        raise ConfigurationError("key 'g.expr': only allowed when g = custom-expression")
 
     grid_size = _int(values.get("grid_size", str(DEFAULT_PANELS)), "grid_size")
     tol = _float(values.get("tol", "1e-16"), "tol")
@@ -202,34 +214,6 @@ def load_phi_table(path: str | Path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _example41_fg(kernel: GreenKernel) -> tuple[Callable, Callable, str]:
-    p = kernel.params
-    c = kernel.scale / (16.0 * math.sqrt(2.0) * kernel.deriv_one
-                        * kernel.shifted_one ** (p.alpha - 1.0))
-
-    def f(t, u):
-        return c * np.asarray(u, dtype=float)
-
-    def g(t):
-        return np.full_like(np.asarray(t, dtype=float), c)
-
-    return f, g, "nonnegative"
-
-
-def _example42_fg() -> tuple[Callable, Callable, str]:
-    def f(t, u):
-        t_arr = np.asarray(t, dtype=float)
-        u_arr = np.asarray(u, dtype=float)
-        return (0.1 * np.tan(np.pi / 3.0 * t_arr) * np.cos(u_arr) ** 2
-                - np.exp(0.5 * t_arr) / 3.0 * np.abs(u_arr) / (1.0 + np.abs(u_arr)))
-
-    def g(t):
-        t_arr = np.asarray(t, dtype=float)
-        return 0.2 * np.tan(np.pi / 3.0 * t_arr) + np.exp(0.5 * t_arr) / 3.0
-
-    return f, g, "real"
-
-
 @dataclass(frozen=True)
 class Problem:
     """Everything a command needs: parsed config plus built objects."""
@@ -252,22 +236,25 @@ def build_problem(config: Config) -> Problem:
     params = BvpParams(alpha=config.alpha, beta=config.beta, eta=config.eta, phi=phi)
     kernel = build_kernel(params)
 
-    g = None
     if config.f_kind == "example41":
-        f, g, domain = _example41_fg(kernel)
-    elif config.f_kind == "example42":
-        f, g, domain = _example42_fg()
-    elif config.f_kind == "zero":
-        f, domain = (lambda t, u: np.zeros_like(np.asarray(u, dtype=float))), "nonnegative"
+        p = kernel.params
+        c = kernel.scale / (16.0 * math.sqrt(2.0) * kernel.deriv_one
+                            * kernel.shifted_one ** (p.alpha - 1.0))
+        f_text, g_text, domain = f"{c!r}*u", repr(c), "nonnegative"
+    elif config.f_kind == "custom-expression":
+        f_text, g_text, domain = config.f_expr, None, "real"
     else:
-        expr = compile_expression(config.f_expr)
-        f, domain = (lambda t, u: expr(t, u)), "real"
-
-    if config.g_kind == "custom-expression":
-        g_expr = compile_expression(config.g_expr)
-        g = lambda t: g_expr(t, 0.0)  # noqa: E731  (envelope depends on t only)
+        f_text, g_text, domain = _BUILTIN_TEXTS[config.f_kind]
+    if config.g_kind is not None:
+        g_text = config.g_expr
     if config.f_domain is not None:
         domain = config.f_domain
+
+    f = compile_expression(f_text)
+    g = None
+    if g_text is not None:
+        g_expr = compile_expression(g_text)
+        g = lambda t: g_expr(t, 0.0)  # noqa: E731  (envelope depends on t only)
 
     spec = ProblemSpec(params=params, f=f, g=g, f_domain=domain)
     return Problem(config=config, params=params, kernel=kernel, spec=spec)

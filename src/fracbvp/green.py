@@ -204,19 +204,17 @@ class KernelPropertyReport:
         return self.hypothesis_ok and self.properties_ok
 
 
-def check_kernel_properties(kernel: GreenKernel, gridsize: int = 200) -> KernelPropertyReport:
-    """Sample the kernel on the interior grid {k/(n+1)} and check
-    positivity and the max bound.
+def check_kernel_properties(kernel: GreenKernel) -> KernelPropertyReport:
+    """Sample the kernel on the interior grid {k/(n+1)}, n = 200, and
+    check positivity and the max bound.
 
     Failures are reported, never raised; when beta sits at or above its
     bound the report flags the violated hypothesis so a property
     failure outside the guaranteed regime is not mistaken for a bug.
     """
-    if gridsize < 2:
-        raise ConfigurationError("gridsize must be at least 2")
     hypothesis_ok = kernel.params.beta < kernel.beta_bound and kernel.mu > 0.0
 
-    pts = np.arange(1, gridsize + 1) / (gridsize + 1.0)
+    pts = np.arange(1, 201) / 201.0
     values = green_values(kernel, pts[:, None], pts[None, :])
     min_value = float(np.min(values))
     positivity_ok = bool(min_value > 0.0)
@@ -226,7 +224,7 @@ def check_kernel_properties(kernel: GreenKernel, gridsize: int = 200) -> KernelP
     bound_ok = bool(excess <= 1e-12)
 
     return KernelPropertyReport(
-        gridsize=gridsize,
+        gridsize=pts.size,
         mu=kernel.mu,
         beta_bound=kernel.beta_bound,
         hypothesis_ok=hypothesis_ok,

@@ -363,7 +363,7 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
             raise ConfigurationError("uniqueness certificate requires a Lipschitz envelope g")
         g_sup = _g_sup(spec, grid)
         lam = _lambda_from_gsup(kernel, g_sup)
-        contraction = contraction_certificate(lam, 2.0)
+        contraction = contraction_certificate(lam)
         lip_ok, lip_excess = _lipschitz_sampled(spec, seed)
         hyps.append(Hypothesis("lipschitz_envelope_sampled", lip_ok,
                                f"sampled hypothesis (400 triples), worst excess {lip_excess:.3g}"))
@@ -463,8 +463,8 @@ def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
     reported as not converged.  Runs without a passing certificate are
     labeled best-effort.
     """
-    if not tol > 0.0:
-        raise ConfigurationError(f"tol must be positive, got {tol!r}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigurationError(f"tol must be finite and positive, got {tol!r}")
     if max_iter < 1:
         raise ConfigurationError(f"max_iter must be at least 1, got {max_iter!r}")
     grid = u0.grid

@@ -80,7 +80,7 @@ def test_criterion_2_kernel_property_suite(kernel41, kernel42):
             assert np.max(np.abs(values - oracle)) <= 1e-13 * np.max(np.abs(values))
             bounds = fb.green_max_bound(kernel, pts)
             assert np.max(values - bounds[None, :]) <= 1e-12
-            report = fb.check_kernel_properties(kernel, 200)
+            report = fb.check_kernel_properties(kernel)
             assert report.passed
         assert time.perf_counter() - t0 < 10.0
 
@@ -156,7 +156,7 @@ def test_criterion_7_negative_controls(problem42, phi_sin, tmp_path, capsys):
     with criterion(7, "negative controls and exit codes"):
         # beta above its bound flags the positivity hypothesis
         bad = fb.build_kernel(fb.BvpParams(2.5, 3.5, 0.5, phi_sin))
-        report = fb.check_kernel_properties(bad, 200)
+        report = fb.check_kernel_properties(bad)
         assert not report.hypothesis_ok
         # tenfold envelope exceeds the threshold
         grid = problem42.grid(256)
@@ -166,7 +166,7 @@ def test_criterion_7_negative_controls(problem42, phi_sin, tmp_path, capsys):
         cert = fb.build_certificate(scaled, problem42.kernel, "uniqueness", grid=grid)
         assert cert.verdict == "no-certificate"
         # raw contraction check
-        assert not fb.contraction_certificate(0.6, 2.0).passed
+        assert not fb.contraction_certificate(0.6).passed
         # exit-code contract, black box
         from fracbvp.cli import bundled_config_path
         e42 = str(bundled_config_path("example42"))
@@ -194,5 +194,5 @@ def test_criterion_8_metric_axioms(phi_identity):
                        for _ in range(3))
             assert fb.distance(a, c) <= 2.0 * (fb.distance(a, b) + fb.distance(b, c)) + 1e-12
         assert fb.psi_family_check(fb.psi).passed
-        assert fb.theta_family_check(fb.theta, r=2.0).passed
+        assert fb.theta_family_check(fb.theta).passed
         assert float(np.max(fb.theta(FAMILY_SAMPLE_POINTS))) < 0.25

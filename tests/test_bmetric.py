@@ -59,7 +59,7 @@ def test_relaxed_triangle_on_random_triples(grid):
 
 def test_default_families_pass_membership():
     assert fb.psi_family_check(fb.psi).passed
-    verdict = fb.theta_family_check(fb.theta, r=2.0)
+    verdict = fb.theta_family_check(fb.theta)
     assert verdict.passed
     assert float(np.max(fb.theta(FAMILY_SAMPLE_POINTS))) < 0.25
 
@@ -75,7 +75,7 @@ def test_default_psi_scaling_pointwise(x, c):
 
 def test_family_checks_reject_outsiders():
     too_big = lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / 3.0)
-    assert not fb.theta_family_check(too_big, r=2.0).passed
+    assert not fb.theta_family_check(too_big).passed
     square = lambda x: np.square(np.asarray(x, dtype=float))
     assert not fb.psi_family_check(square).passed
     negative = lambda x: np.asarray(x, dtype=float) - 1.0
@@ -83,18 +83,16 @@ def test_family_checks_reject_outsiders():
 
 
 def test_contraction_certificate_cases():
-    assert fb.contraction_certificate(0.3, 2.0).passed
-    assert not fb.contraction_certificate(0.6, 2.0).passed
+    assert fb.contraction_certificate(0.3).passed
+    assert not fb.contraction_certificate(0.6).passed
     # lam = 0 (envelope g = 0): d(Au, Av) = 0 <= lam' d(u, v) for any lam'
-    assert fb.contraction_certificate(0.0, 2.0).passed
+    assert fb.contraction_certificate(0.0).passed
     # the contraction factor of the second bundled example
-    verdict = fb.contraction_certificate(0.1052, 2.0)
+    verdict = fb.contraction_certificate(0.1052)
     assert verdict.passed
     assert verdict.margin == pytest.approx(0.5 - 0.1052, abs=1e-12)
     with pytest.raises(ConfigurationError):
-        fb.contraction_certificate(-0.1, 2.0)
-    with pytest.raises(ConfigurationError):
-        fb.contraction_certificate(0.3, 0.9)
+        fb.contraction_certificate(-0.1)
 
 
 def test_geraghty_equal_pairs_hold(grid):

@@ -244,8 +244,8 @@ def test_semigroup_rejects_bad_orders(phi_identity):
 
 
 def test_semigroup_accepts_bare_callable(phi_identity):
-    # a callable is sampled onto a fresh grid at the requested panel count
-    defect = fb.semigroup_defect(1.5, 1.5, phi_identity, lambda s: np.cos(s), panels=128)
+    # a callable is sampled onto a fresh grid of DEFAULT_PANELS panels
+    defect = fb.semigroup_defect(1.5, 1.5, phi_identity, lambda s: np.cos(s))
     assert defect <= TOL_INTEGRAL_IDENTITY
 
 

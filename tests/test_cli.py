@@ -336,6 +336,48 @@ def test_bad_grid_override_exits_1_naming_the_setting(capsys):
     assert "'grid_size'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", E42, "--tol", "1e-3"],
+    ["check", E42, "--max-iter", "5"],
+    ["green", E42, "-o", "g.csv", "--grid", "256"],
+    ["green", E42, "-o", "g.csv", "--tol", "1e-3"],
+], ids=["check-tol", "check-max-iter", "green-grid", "green-tol"])
+def test_flags_outside_their_command_exit_1(argv, tmp_path, monkeypatch, capsys):
+    # only solve reads tol and max_iter; green reads no grid setting
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_writes_non_finite_numbers_as_null(tmp_path, capsys):
+    # eta near 0: Se**(alpha-1) underflows, so the positivity bound is inf
+    cfg = tmp_path / "tiny_eta.cfg"
+    cfg.write_text("alpha = 2.5\nbeta = 1\neta = 1e-300\nphi = identity\nf = zero\n"
+                   "mode = positive-existence\ngrid_size = 64\n")
+    assert main(["check", str(cfg), "--json"]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["certificate"]["beta_bound"] is None
+    assert payload["kernel"]["beta_bound"] is None
+    # a diverging solve: the residuals of its last iterate overflow
+    cfg = tmp_path / "div.cfg"
+    cfg.write_text("alpha = 2.5\nbeta = 1\neta = 0.5\nphi = identity\n"
+                   "f = custom-expression\nf.expr = exp(u)*50\ngrid_size = 64\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["solve", str(cfg), "-o", str(tmp_path / "div.csv"), "--json"]) == 3
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["converged"] is False
+    assert payload["fixed_point_residual"] is None
+    assert payload["boundary_residuals"][1:] == [None, None]
+
+
 def test_solve_oversized_grid_exits_1_before_allocating(tmp_path):
     # a 2097152 x 2097152 matrix would need 32 TiB; the guard refuses it
     proc = subprocess.run([sys.executable, "-m", "fracbvp", "solve", E41, "--grid", "1048576",

@@ -37,9 +37,13 @@ def test_parse_defaults():
     ("grid_size = 32", "'grid_size'"),
     ("grid_size = 129", "'grid_size'"),
     ("tol = 0", "'tol'"),
+    ("tol = inf", "'tol'"),
     ("max_iter = 0", "'max_iter'"),
     ("mode = sideways", "'mode'"),
     ("alpha = 2.5", "duplicate"),
+    # expression keys that the builtin f or the missing g would ignore
+    ("f.expr = 100*u", "'f.expr'"),
+    ("g.expr = 1", "'g.expr'"),
 ])
 def test_parse_diagnostics_name_the_key(line, fragment):
     with pytest.raises(ConfigurationError, match=fragment):
@@ -47,7 +51,7 @@ def test_parse_diagnostics_name_the_key(line, fragment):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("grid_size", 32), ("grid_size", 129), ("tol", 0.0), ("max_iter", 0),
+    ("grid_size", 32), ("grid_size", 129), ("tol", 0.0), ("tol", math.inf), ("max_iter", 0),
 ])
 def test_overrides_validated_like_parsed_values(key, value):
     cfg = parse_config(BASE)
@@ -120,6 +124,30 @@ def test_build_problem_example42_envelope(problem42):
     expected = 0.2 * np.tan(np.pi / 3 * ts) + np.exp(0.5 * ts) / 3.0
     assert np.max(np.abs(problem42.spec.g(ts) - expected)) <= 1e-15
     assert problem42.spec.f_domain == "real"
+
+
+def test_builtin_texts_match_former_formulas(problem41, problem42):
+    # the numpy formulas the builtins had before they became expression text
+    rng = np.random.default_rng(8)
+    t = rng.uniform(0.0, 1.0, 10**6)
+    u = rng.uniform(-10.0, 10.0, 10**6)
+    k = problem41.kernel
+    c = k.scale / (16.0 * math.sqrt(2.0) * k.deriv_one * k.shifted_one ** (k.params.alpha - 1.0))
+    zero = build_problem(parse_config(
+        "alpha = 2.5\nbeta = 0.5\neta = 0.5\nphi = identity\nf = zero\n"))
+    cases = [
+        (problem41.spec.f, c * u, problem41.spec.g, np.full_like(t, c)),
+        (problem42.spec.f,
+         0.1 * np.tan(np.pi / 3.0 * t) * np.cos(u) ** 2
+         - np.exp(0.5 * t) / 3.0 * np.abs(u) / (1.0 + np.abs(u)),
+         problem42.spec.g, 0.2 * np.tan(np.pi / 3.0 * t) + np.exp(0.5 * t) / 3.0),
+        (zero.spec.f, np.zeros_like(u), None, None),
+    ]
+    for f, f_ref, g, g_ref in cases:
+        assert np.array_equal(np.broadcast_to(f(t, u), u.shape), f_ref)
+        if g is not None:
+            assert np.array_equal(np.broadcast_to(g(t), t.shape), g_ref)
+    assert zero.spec.g is None
 
 
 def test_build_problem_zero_and_custom():

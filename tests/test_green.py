@@ -138,7 +138,7 @@ def test_green_max_bound_values(classical_kernel, kernel41):
 
 def test_check_kernel_properties_pass(kernel41, kernel42):
     for kernel in (kernel41, kernel42):
-        report = fb.check_kernel_properties(kernel, 200)
+        report = fb.check_kernel_properties(kernel)
         assert report.hypothesis_ok
         assert report.positivity_ok
         assert report.seam_ok
@@ -147,7 +147,7 @@ def test_check_kernel_properties_pass(kernel41, kernel42):
 
 
 def test_check_kernel_properties_beta_above_bound(kernel_mu_negative):
-    report = fb.check_kernel_properties(kernel_mu_negative, 200)
+    report = fb.check_kernel_properties(kernel_mu_negative)
     assert not report.hypothesis_ok
     # outside the guaranteed regime the certificate must at least flag
     # the hypothesis; here positivity actually fails as well

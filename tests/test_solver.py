@@ -278,6 +278,8 @@ def test_picard_bad_arguments(kernel42, grid256_42):
     with pytest.raises(ConfigurationError):
         fb.picard_solve(spec, kernel42, u0, tol=0.0)
     with pytest.raises(ConfigurationError):
+        fb.picard_solve(spec, kernel42, u0, tol=math.inf)
+    with pytest.raises(ConfigurationError):
         fb.picard_solve(spec, kernel42, u0, max_iter=0)
 
 
