@@ -6,11 +6,24 @@ The fractional integral of order ``a`` against the map ``phi`` is
 
 All quadrature happens after the substitution y = phi(s), which absorbs
 the weight phi'(s) ds into dy and turns the kernel into (Y - y)**(a-1)
-on [phi(0), Y].  The mesh in y is graded quadratically toward both ends
-of the integration interval with a fixed two-point Gauss rule per
-panel: the grading restores full convergence order for the weakly
-regular kernels that appear for fractional orders, without special
-weights.  ``frac_integral`` takes one upper limit t or an array of
+on [phi(0), Y].  A grid has two Gauss nodes on each panel of a mesh in
+y graded quadratically toward both ends.  The fractional integral is a
+product-integration rule on the grid's own nodes (Diethelm, Ford &
+Freed, Nonlinear Dyn. 29, 2002): panels 2k and 2k + 1 form a
+super-panel, u is the cubic in y through its 4 nodes, and each upper
+limit Y sums
+
+* a fixed Gauss-Legendre rule over the super-panels at least _NEAR
+  widths below Y, where (Y - y)**(a-1) is smooth;
+* exact Gauss-Jacobi moments for the weight (Y - y)**(a-1) over the
+  _NEAR super-panels below the one that holds Y, and over that one up
+  to Y (Golub & Welsch, Math. Comp. 23, 1969).
+
+So the singular kernel needs no special case for a < 1, no step
+inverts phi or interpolates u, and the error is smooth in Y.  The
+tables behind it are built on first use: per grid the super-panel
+geometry and far points, per grid function the cubics, per order the
+Jacobi rule.  ``frac_integral`` takes one upper limit t or an array of
 them; an array is evaluated in row blocks, one upper limit per row.
 
 The fractional derivative of order ``a`` is
@@ -27,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -58,15 +71,23 @@ TOL_DERIVATIVE_IDENTITY = 1e-4
 
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
-# quadrature points per row block of _frac_integral_y: about 0.5 MiB
-# per float64 temporary, whatever the number of upper limits
+# product integration on super-panels (grid panels 2k and 2k + 1, whose
+# 4 nodes carry one cubic): a fixed Gauss-Legendre rule of _FAR_POINTS
+# on the super-panels at least _NEAR widths below the upper limit,
+# exact moments by a _JACOBI_POINTS Gauss-Jacobi rule on the rest
+_FAR_POINTS = 6
+_NEAR = 6
+_JACOBI_POINTS = 3
+
+# far points per row block of _integral_y: about 0.5 MiB per float64
+# temporary, whatever the number of upper limits
 _BLOCK_POINTS = 1 << 16
 
-_unit_rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_unit_rules: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two-point Gauss nodes/weights on [0, 1] over a graded panel mesh.
+def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breakpoints and two-point Gauss nodes/weights of a graded mesh on [0, 1].
 
     Breakpoints are 0.5*(2k/m)**2 mirrored about 1/2, so panels shrink
     quadratically toward both endpoints.
@@ -85,10 +106,41 @@ def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     nodes[0::2] = centers - halfwidths * _INV_SQRT3
     nodes[1::2] = centers + halfwidths * _INV_SQRT3
     weights = np.repeat(halfwidths, 2)
+    for arr in (breaks, nodes, weights):
+        arr.setflags(write=False)
+    _unit_rules[panels] = (breaks, nodes, weights)
+    return breaks, nodes, weights
+
+
+@lru_cache(maxsize=64)
+def _gauss_rule(alpha: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for the weight (1 - z)**(alpha - 1) on [0, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
+    the recurrence for the Jacobi polynomials P^(alpha - 1, 0), mapped
+    from [-1, 1]; the weights are the squared first eigenvector
+    components times the weight's mass 1/alpha.  Exact for polynomials
+    of degree up to 2 * points - 1; alpha = 1 gives Gauss-Legendre.
+    """
+    p = alpha - 1.0
+    n = np.arange(1, points)
+    s = 2.0 * n + p
+    diag = np.concatenate([[-p / (p + 2.0)], -p * p / (s * (s + 2.0))])
+    off = 2.0 * n * (n + p) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    nodes, vectors = np.linalg.eigh(np.diag(1.0 + diag) + np.diag(off, 1) + np.diag(off, -1))
+    nodes, weights = 0.5 * nodes, vectors[0] ** 2 / alpha
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    _unit_rules[panels] = (nodes, weights)
     return nodes, weights
+
+
+# one Lanczos sum per order, not per call
+_gamma = lru_cache(maxsize=64)(gamma)
+
+
+def _cubic_at(x0, x1, x2, v0, d1, d2, d3, y):
+    """The Newton-form cubic with nodes x0, x1, x2 and coefficients v0, d1..d3 at y."""
+    return v0 + (y - x0) * (d1 + (y - x1) * (d2 + (y - x2) * d3))
 
 
 @dataclass(frozen=True)
@@ -117,10 +169,30 @@ class QuadratureGrid:
             and np.array_equal(self.nodes, other.nodes)
         )
 
+    @cached_property
+    def _super_panels(self) -> tuple[np.ndarray, ...]:
+        """Super-panel geometry in y, built on first use.
+
+        Returns the interior super-panel bounds, the bounds (lower,
+        upper) and first three nodes of every super-panel after _NEAR
+        empty ones at phi(0), and the far Gauss-Legendre points and
+        weights in ascending order.
+        """
+        y0, y1 = self.phi.image
+        bounds = y0 + (y1 - y0) * _unit_rule(self.panels)[0][0::2]
+        lo, hi = bounds[:-1], bounds[1:]
+        x, w = _gauss_rule(1.0, _FAR_POINTS)
+        width = (hi - lo)[:, None]
+        y_far = (lo[:, None] + width * x).ravel()
+        w_far = (width * w).ravel()
+        geometry = np.vstack([lo, hi, self.y_nodes.reshape(-1, 4)[:, :3].T])
+        geometry = np.concatenate([np.full((5, _NEAR), y0), geometry], axis=1)
+        return bounds[1:-1], geometry, y_far, w_far
+
 
 def build_grid(phi: PhiMap, panels: int = DEFAULT_PANELS) -> QuadratureGrid:
     """Build the graded two-point Gauss grid for a coordinate map."""
-    ref_nodes, ref_weights = _unit_rule(panels)
+    _, ref_nodes, ref_weights = _unit_rule(panels)
     y0, y1 = phi.image
     span = y1 - y0
     y_nodes = y0 + span * ref_nodes
@@ -144,10 +216,10 @@ class GridFunction:
 
     Values must be finite.  Two grid functions are comparable only when
     they live on the same grid.  Calling the object evaluates the cubic
-    through the 4 nodes nearest the query, which is what the fractional
-    operators use when they need values between nodes.  Queries outside
-    the node range use the nearest boundary stencil (cubic
-    extrapolation over the short gap to 0 or 1).
+    in s through the 4 nodes nearest the query; queries outside the node
+    range use the nearest boundary stencil (cubic extrapolation over the
+    short gap to 0 or 1).  The fractional integral uses another
+    interpolant, the cubic in y = phi(s) on each super-panel.
     """
 
     grid: QuadratureGrid
@@ -203,56 +275,80 @@ class GridFunction:
         out = c0[k] + z * (c1[k] + z * (c2[k] + z * c3[k]))
         return float(out) if np.ndim(t) == 0 else out
 
+    @cached_property
+    def _panel_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cubic in y through the 4 nodes of each super-panel.
+
+        Returns the grid's super-panel geometry stacked over each
+        cubic's Newton coefficients (v0, d1, d2, d3), after _NEAR zero
+        cubics, and the far weights times the cubics at the far points.
+        """
+        _, geometry, y_far, w_far = self.grid._super_panels
+        xs = self.grid.y_nodes.reshape(-1, 4)
+        vs = self.values.reshape(-1, 4)
+        d1 = np.diff(vs, axis=1) / np.diff(xs, axis=1)
+        d2 = (d1[:, 1:] - d1[:, :-1]) / (xs[:, 2:] - xs[:, :-2])
+        d3 = (d2[:, 1] - d2[:, 0]) / (xs[:, 3] - xs[:, 0])
+        coeffs = np.vstack([vs[:, 0], d1[:, 0], d2[:, 0], d3])
+        panel = np.concatenate([xs[:, :3].T, coeffs])[:, :, None]
+        w_u = w_far * _cubic_at(*panel, y_far.reshape(xs.shape[0], -1)).ravel()
+        table = np.vstack([geometry, np.pad(coeffs, ((0, 0), (_NEAR, 0)))])
+        return table, w_u
+
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
 
-def _as_evaluator(u) -> Callable:
+def _on_map(u, phi: PhiMap) -> GridFunction:
+    """u as a grid function on a grid of ``phi``.
+
+    A grid function on a grid of this very map keeps its values; any
+    other grid function, or a bare callable, is sampled once at the
+    nodes of ``build_grid(phi, panels)``, with the panel count of u's
+    grid or ``DEFAULT_PANELS`` for a callable.
+    """
+    if isinstance(u, GridFunction):
+        if u.grid.phi is phi:
+            return u
+        return GridFunction.sample(build_grid(phi, u.grid.panels), u)
     if callable(u):
-        return u
+        return GridFunction.sample(build_grid(phi, DEFAULT_PANELS), u)
     raise ConfigurationError("u must be a GridFunction or a callable")
 
 
-def _default_panels(u) -> int:
-    """The panel count of u's grid, or DEFAULT_PANELS for a bare callable."""
-    return u.grid.panels if isinstance(u, GridFunction) else DEFAULT_PANELS
+def _integral_y(alpha: float, u: GridFunction, c: np.ndarray) -> np.ndarray:
+    """Order-alpha integrals of u's panel cubics at the limits c in y.
 
-
-def _frac_integral_y(alpha: float, phi: PhiMap, u_eval: Callable,
-                     y0: float, y_top: np.ndarray, panels: int) -> np.ndarray:
-    """Order-alpha integrals in the transformed variable, one per upper limit.
-
-    ``y_top`` is a 1-D array of upper limits; limits at or below ``y0``
-    give 0.  The limits are processed in row blocks of about
-    ``_BLOCK_POINTS`` quadrature points, each with one inversion of phi,
-    one kernel power, one evaluation of u and one row-wise reduction.
-    The reduction is numpy's own, not a BLAS product, so results do not
-    depend on the BLAS thread count.
-
-    For orders below 1 the kernel is singular at the upper limit; the
-    value of u there is split off and integrated in closed form, which
-    leaves a remainder one power smoother and restores the convergence
-    order of the graded mesh.
+    ``c`` is a 1-D array in [phi(0), phi(1)].  Each limit sums the far
+    super-panels by the fixed Gauss-Legendre rule and integrates the
+    super-panel that holds it, plus the _NEAR below that one, exactly by
+    Gauss-Jacobi moments.  The limits go in row blocks of about
+    ``_BLOCK_POINTS`` far points, and every row runs the same arithmetic
+    whatever the block, so an array of limits gives the values of one
+    call per limit.  The long far sum is numpy's own reduction, not a
+    BLAS product, so results do not depend on the BLAS thread count.
     """
-    ref_nodes, ref_weights = _unit_rule(panels)
-    out = np.zeros(y_top.shape)
-    rows = np.flatnonzero(y_top > y0)
-    block = max(1, _BLOCK_POINTS // ref_nodes.size)
-    g = gamma(alpha)
-    for start in range(0, rows.size, block):
-        idx = rows[start:start + block]
-        top = y_top[idx, None]
-        span = top - y0
-        y_q = y0 + span * ref_nodes
-        kern = np.power(top - y_q, alpha - 1.0)
-        vals = np.asarray(u_eval(phi.inverse(y_q)), dtype=float)
-        if alpha < 1.0:
-            u_top = np.asarray(u_eval(phi.inverse(top)), dtype=float)
-            total = (u_top * span**alpha / alpha)[:, 0] + np.einsum(
-                "ij,ij->i", span * ref_weights, kern * (vals - u_top))
-        else:
-            total = np.einsum("ij,ij->i", span * ref_weights, kern * vals)
-        out[idx] = total / g
+    z, lam = _gauss_rule(alpha, _JACOBI_POINTS)
+    g = _gamma(alpha)
+    bounds, _, y_far, _ = u.grid._super_panels
+    table, w_u = u._panel_table
+    window = np.arange(_NEAR + 1)
+    out = np.empty(c.shape)
+    block = max(1, _BLOCK_POINTS // y_far.size)
+    for start in range(0, c.size, block):
+        top = c[start:start + block, None]
+        # rows k .. k + _NEAR of the padded table: the _NEAR super-panels
+        # below the one that holds the limit, then that one
+        k = np.searchsorted(bounds, top[:, 0], side="right")
+        rows = table[:, k[:, None] + window, None]
+        ends = np.minimum(rows[:2], top[:, :, None])
+        width = top[:, :, None] - ends
+        cubic = _cubic_at(*rows[2:], ends + width * z)
+        moments = width[..., 0] ** alpha * (cubic @ lam)
+        near = np.add.reduce(moments[0] - moments[1], axis=1)
+        far = np.power(top - y_far, alpha - 1.0, out=np.zeros((top.size, y_far.size)),
+                       where=y_far < rows[0, :, :1, 0])
+        out[start:start + block] = (np.einsum("ij,j->i", far, w_u) + near) / g
     return out
 
 
@@ -260,21 +356,21 @@ def frac_integral(alpha: float, phi: PhiMap, u, t: float | np.ndarray) -> float 
     """Fractional integral of order alpha of u at t, weighted by phi.
 
     ``t`` is one upper limit or an array of them; a scalar gives a
-    float, an array an array of the same shape.  ``u`` is evaluated on
-    2-D arrays of abscissae.  The quadrature uses as many panels as
-    ``u``'s grid has, or ``DEFAULT_PANELS`` (1024) when ``u`` is a bare
-    callable, and is deterministic for a fixed panel count.
+    float, an array an array of the same shape, each element computed
+    as the scalar call computes it.  The integrand is the piecewise
+    cubic in y = phi(s) through u's values at the nodes of its grid, 4
+    nodes per super-panel; a bare callable, or a grid function on
+    another map, is first sampled on a grid of ``phi`` with as many
+    panels as ``u``'s grid, or ``DEFAULT_PANELS`` (1024).
     """
     if not alpha > 0.0:
         raise DomainError(f"integral order must be positive, got {alpha!r}")
     t_arr = np.asarray(t, dtype=float)
     outside = ~((t_arr >= 0.0) & (t_arr <= 1.0))
-    if np.any(outside):
+    if outside.any():
         raise DomainError(f"t must lie in [0, 1], got {float(t_arr[outside].flat[0])!r}")
-    u_eval = _as_evaluator(u)
-    m = _default_panels(u)
-    y_top = np.asarray(phi(t_arr), dtype=float).reshape(-1)
-    values = _frac_integral_y(alpha, phi, u_eval, phi.image[0], y_top, m)
+    u = _on_map(u, phi)
+    values = _integral_y(alpha, u, np.asarray(phi(t_arr), dtype=float).reshape(-1))
     return float(values[0]) if t_arr.ndim == 0 else values.reshape(t_arr.shape)
 
 
@@ -297,8 +393,7 @@ def frac_derivative(alpha: float, phi: PhiMap, u, t: float) -> float:
         raise DomainError(f"derivative order must satisfy floor(alpha)+1 <= 3, got {alpha!r}")
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must lie strictly inside (0, 1), got {t!r}")
-    u_eval = _as_evaluator(u)
-    m = _default_panels(u)
+    u = _on_map(u, phi)
     y0, y1 = phi.image
     y = float(phi(t))
     span = y1 - y0
@@ -308,7 +403,7 @@ def frac_derivative(alpha: float, phi: PhiMap, u, t: float) -> float:
         raise DomainError("stencil does not fit: t too close to an endpoint")
 
     def F(*ys: float) -> np.ndarray:
-        return _frac_integral_y(n - alpha, phi, u_eval, y0, np.array(ys), m)
+        return _integral_y(n - alpha, u, np.array(ys))
 
     if n == 1:
         f = F(y + h, y - h)
@@ -330,11 +425,8 @@ def semigroup_defect(alpha: float, beta: float, phi: PhiMap, u) -> float:
     """
     if not (alpha > 0.0 and beta > 0.0):
         raise DomainError("semigroup orders must be positive")
-    if not isinstance(u, GridFunction):
-        u = GridFunction.sample(build_grid(phi), u)
-    grid = u.grid
-    inner_vals = _frac_integral_y(beta, phi, u, phi.image[0], grid.y_nodes, grid.panels)
-    inner = GridFunction(grid=grid, values=inner_vals)
+    u = _on_map(u, phi)
+    inner = GridFunction(grid=u.grid, values=_integral_y(beta, u, u.grid.y_nodes))
     ts = np.linspace(0.0, 1.0, 33)
     lhs = frac_integral(alpha, phi, inner, ts)
     rhs = frac_integral(alpha + beta, phi, u, ts)

@@ -238,8 +238,13 @@ def build_problem(config: Config) -> Problem:
 
     if config.f_kind == "example41":
         p = kernel.params
-        c = kernel.scale / (16.0 * math.sqrt(2.0) * kernel.deriv_one
-                            * kernel.shifted_one ** (p.alpha - 1.0))
+        denominator = (16.0 * math.sqrt(2.0) * kernel.deriv_one
+                       * kernel.shifted_one ** (p.alpha - 1.0))
+        if not denominator > 0.0:
+            raise ConfigurationError(
+                "f = example41: phi'(1) * (phi(1) - phi(0))**(alpha - 1) underflows to 0, "
+                "so the slope is undefined; rescale phi")
+        c = kernel.scale / denominator
         f_text, g_text, domain = f"{c!r}*u", repr(c), "nonnegative"
     elif config.f_kind == "custom-expression":
         f_text, g_text, domain = config.f_expr, None, "real"

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -176,6 +176,11 @@ _EDGE_STENCIL = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _EDGE_SPACING = 1e-3
 
 
+def _built_for(obj, spec: ProblemSpec, kernel: GreenKernel, grid: QuadratureGrid) -> bool:
+    """Whether an operator or certificate was built for spec, kernel and grid."""
+    return obj.spec is spec and obj.kernel is kernel and grid.same_as(obj.grid)
+
+
 class Operator:
     """The discrete integral operator A of one problem on one grid; its
     ``matrix`` is assembled once, by ``operator_matrix``."""
@@ -188,7 +193,7 @@ class Operator:
 
     def check(self, spec: ProblemSpec, kernel: GreenKernel, grid: QuadratureGrid) -> "Operator":
         """This operator, if built for spec, kernel and grid; else ConfigurationError."""
-        if spec is not self.spec or kernel is not self.kernel or not grid.same_as(self.grid):
+        if not _built_for(self, spec, kernel, grid):
             raise ConfigurationError(
                 "operator was built for a different problem, kernel or grid")
         return self
@@ -262,7 +267,12 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Machine-checkable record of which certificate hypotheses hold."""
+    """Machine-checkable record of which certificate hypotheses hold.
+
+    ``spec``, ``kernel`` and ``grid`` record what it was built for, so
+    that ``picard_solve`` refuses it for another problem; they take no
+    part in ``repr`` or comparison.
+    """
 
     mode: str
     mu: float
@@ -275,6 +285,9 @@ class Certificate:
     admissibility: AdmissibilityVerdict | None
     hypotheses: tuple[Hypothesis, ...]
     verdict: str
+    spec: ProblemSpec = field(repr=False, compare=False)
+    kernel: GreenKernel = field(repr=False, compare=False)
+    grid: QuadratureGrid = field(repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -283,8 +296,12 @@ class Certificate:
 
 def _uniqueness_threshold(kernel: GreenKernel) -> float:
     p = kernel.params
-    return kernel.scale / (math.sqrt(2.0) * kernel.shifted_one ** (p.alpha - 1.0)
-                           * kernel.deriv_one)
+    denominator = math.sqrt(2.0) * kernel.shifted_one ** (p.alpha - 1.0) * kernel.deriv_one
+    if not denominator > 0.0:
+        raise ConfigurationError(
+            "uniqueness threshold: phi'(1) * (phi(1) - phi(0))**(alpha - 1) underflows to 0; "
+            "rescale phi")
+    return kernel.scale / denominator
 
 
 def _lambda_from_gsup(kernel: GreenKernel, g_sup: float) -> float:
@@ -423,6 +440,9 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
         admissibility=admissibility,
         hypotheses=tuple(hyps),
         verdict=verdict,
+        spec=spec,
+        kernel=kernel,
+        grid=grid,
     )
 
 
@@ -461,13 +481,17 @@ def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
     NumericError; at a later step the same overflow means the iteration
     diverged, and the run ends at the last iterate whose step was finite,
     reported as not converged.  Runs without a passing certificate are
-    labeled best-effort.
+    labeled best-effort; a certificate built for another spec, kernel or
+    grid raises ConfigurationError.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigurationError(f"tol must be finite and positive, got {tol!r}")
     if max_iter < 1:
         raise ConfigurationError(f"max_iter must be at least 1, got {max_iter!r}")
     grid = u0.grid
+    if certificate is not None and not _built_for(certificate, spec, kernel, grid):
+        raise ConfigurationError(
+            "certificate was built for a different problem, kernel or grid")
     op = Operator(spec, kernel, grid) if operator is None else operator.check(spec, kernel, grid)
     values = u0.values
     ratios: list[float] = []

@@ -7,7 +7,7 @@ import pytest
 
 import fracbvp as fb
 from fracbvp.calculus import (_STENCIL_REACH, _STEP_FRACTION, TOL_DERIVATIVE_IDENTITY,
-                              TOL_INTEGRAL_IDENTITY, _frac_integral_y)
+                              TOL_INTEGRAL_IDENTITY, _gauss_rule, _integral_y)
 from fracbvp.errors import ConfigurationError, DomainError, GridMismatchError, NumericError
 from fracbvp.special import PHI_KINDS
 
@@ -116,6 +116,33 @@ def test_grid_function_reproduces_cubics_and_constants(phi_sin):
         const = fb.GridFunction.constant(grid, v)
         assert np.all(const(qs) == v)
         assert const(0.0) == v and const(1.0) == v
+
+
+@pytest.mark.parametrize("p, points", [(-0.5, 3), (-0.2, 3), (0.2, 3), (1.0, 3), (1.5, 3),
+                                       (0.0, 6)])
+def test_gauss_rule_moments(p, points):
+    # n points integrate (1 - x)**p * x**k exactly up to k = 2n - 1
+    nodes, weights = _gauss_rule(p + 1.0, points)
+    assert np.all(np.diff(nodes) > 0.0) and nodes[0] > 0.0 and nodes[-1] < 1.0
+    for k in range(2 * points):
+        beta_fn = math.gamma(k + 1.0) * math.gamma(p + 1.0) / math.gamma(k + p + 2.0)
+        assert abs(float(np.sum(weights * nodes**k)) - beta_fn) <= 1e-14 * beta_fn
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7, 2.5])
+@pytest.mark.parametrize("kind", PHI_KINDS)
+def test_frac_integral_exact_on_cubics_in_phi(kind, alpha):
+    # (phi - phi0)**3 is a cubic in y, so only rounding is left, at
+    # every super-panel bound too, where panels move from near to far
+    phi = catalog_map(kind)
+    y0 = float(phi(0.0))
+    grid = fb.build_grid(phi, 64)
+    u = fb.GridFunction(grid, (grid.y_nodes - y0) ** 3)
+    ts = np.concatenate([[0.0], phi.inverse(grid._super_panels[0]), [1.0]])
+    exact = 6.0 / math.gamma(4.0 + alpha) * (phi(ts) - y0) ** (3.0 + alpha)
+    got = fb.frac_integral(alpha, phi, u, ts)
+    assert got[0] == 0.0
+    assert np.max(np.abs(got - exact)) <= 16.0 * np.finfo(float).eps * exact[-1]
 
 
 def test_frac_integral_zero(phi_identity):
@@ -249,9 +276,9 @@ def test_semigroup_accepts_bare_callable(phi_identity):
     assert defect <= TOL_INTEGRAL_IDENTITY
 
 
-def _integral_at(alpha, phi, u, y, panels):
+def _integral_at(alpha, u, y):
     """One upper limit, one call: the per-node reference for batched code."""
-    return float(_frac_integral_y(alpha, phi, u, float(phi(0.0)), np.array([y]), panels)[0])
+    return float(_integral_y(alpha, u, np.array([y]))[0])
 
 
 @pytest.mark.parametrize("alpha", [0.6, 2.5])
@@ -260,7 +287,7 @@ def test_frac_integral_array_of_limits_matches_scalar_calls(kind, alpha):
     phi = catalog_map(kind)
     grid = fb.build_grid(phi, 64)
     u = fb.GridFunction.sample(grid, lambda s: np.exp(s))
-    # more limits than one row block holds at 64 panels (512)
+    # more limits than one row block holds at 64 panels (341)
     ts = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 601)])
     batched = fb.frac_integral(alpha, phi, u, ts)
     looped = np.array([fb.frac_integral(alpha, phi, u, float(t)) for t in ts])
@@ -280,7 +307,7 @@ def test_semigroup_defect_matches_scalar_loop(kind):
     grid = fb.build_grid(phi, 128)
     u = fb.GridFunction.sample(grid, lambda s: np.exp(s))
     inner = fb.GridFunction(grid, np.array(
-        [_integral_at(0.8, phi, u, y, 128) for y in grid.y_nodes]))
+        [_integral_at(0.8, u, y) for y in grid.y_nodes]))
     reference = max(abs(fb.frac_integral(1.2, phi, inner, float(t))
                         - fb.frac_integral(2.0, phi, u, float(t)))
                     for t in np.linspace(0.0, 1.0, 33))
@@ -298,7 +325,7 @@ def test_frac_derivative_matches_scalar_stencil(phi_sin, alpha):
         h = min(_STEP_FRACTION[n] * (y1 - y0), 0.45 * min(y - y0, y1 - y) / _STENCIL_REACH[n])
 
         def F(yy):
-            return _integral_at(n - alpha, phi_sin, u, yy, 128)
+            return _integral_at(n - alpha, u, yy)
 
         if n == 1:
             reference = (F(y + h) - F(y - h)) / (2.0 * h)

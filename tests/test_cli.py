@@ -179,6 +179,24 @@ def test_solve_nonconvergence_exits_3_with_partial_output(expr, max_iter, tmp_pa
     assert "best-effort" in report
 
 
+@pytest.mark.parametrize("f, mode, cause", [
+    ("example41", "positive-existence", "f = example41"),
+    ("example42", "uniqueness", "uniqueness threshold"),
+])
+def test_check_tiny_phi_range_is_a_configuration_error(tmp_path, capsys, f, mode, cause):
+    # phi'(1) * phi(1)**(alpha - 1) = 1e-360 underflows to 0 in both the
+    # example41 slope and the uniqueness threshold, which used to divide by it
+    ts = np.linspace(0.0, 1.0, 33)
+    (tmp_path / "tiny.csv").write_text("\n".join(f"{float(t)!r},{1e-120 * float(t)!r}"
+                                                 for t in ts) + "\n")
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(f"alpha = 3\nbeta = 0.5\neta = 0.5\nphi = table\nphi.table = tiny.csv\n"
+                   f"f = {f}\nmode = {mode}\ngrid_size = 64\n")
+    assert main(["check", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cause in err and "underflows to 0" in err
+
+
 def test_table_phi_identity_reproduces_builtin(tmp_path, capsys):
     ts = np.linspace(0.0, 1.0, 33)
     table = tmp_path / "ident.csv"

@@ -283,6 +283,26 @@ def test_picard_bad_arguments(kernel42, grid256_42):
         fb.picard_solve(spec, kernel42, u0, max_iter=0)
 
 
+def test_picard_refuses_certificate_of_another_problem(problem41, problem42):
+    # example42's uniqueness certificate used to label an example41 solve
+    # "certified:unique-solution"
+    grid42 = problem42.grid(64)
+    cert42 = fb.build_certificate(problem42.spec, problem42.kernel, "uniqueness", grid=grid42)
+    assert cert42.passed
+    assert "spec" not in repr(cert42) and "grid=" not in repr(cert42)
+    grid41 = problem41.grid(64)
+    with pytest.raises(ConfigurationError, match="certificate was built for a different"):
+        fb.picard_solve(problem41.spec, problem41.kernel, fb.GridFunction.constant(grid41, 1.0),
+                        certificate=cert42)
+    # the right problem on another grid is refused too; the same grid passes
+    u0 = fb.GridFunction.constant(problem42.grid(128), 0.0)
+    with pytest.raises(ConfigurationError, match="certificate was built for a different"):
+        fb.picard_solve(problem42.spec, problem42.kernel, u0, certificate=cert42)
+    report = fb.picard_solve(problem42.spec, problem42.kernel,
+                             fb.GridFunction.constant(grid42, 0.0), certificate=cert42)
+    assert report.label == "certified:unique-solution"
+
+
 def test_residual_report_zero_case(kernel42, grid256_42):
     spec = fb.ProblemSpec(params=kernel42.params,
                           f=lambda t, u: np.zeros_like(np.asarray(u, dtype=float)))
