@@ -299,20 +299,27 @@ class GridFunction:
         return float(np.max(np.abs(self.values)))
 
 
+@lru_cache(maxsize=16)
+def _shared_grid(phi: PhiMap, panels: int) -> QuadratureGrid:
+    """build_grid(phi, panels), built once per map and panel count, so
+    its phi inverse and super-panel tables are reused across calls."""
+    return build_grid(phi, panels)
+
+
 def _on_map(u, phi: PhiMap) -> GridFunction:
     """u as a grid function on a grid of ``phi``.
 
     A grid function on a grid of this very map keeps its values; any
     other grid function, or a bare callable, is sampled once at the
-    nodes of ``build_grid(phi, panels)``, with the panel count of u's
-    grid or ``DEFAULT_PANELS`` for a callable.
+    nodes of the shared grid of phi with the panel count of u's grid,
+    or ``DEFAULT_PANELS`` for a callable.
     """
     if isinstance(u, GridFunction):
         if u.grid.phi is phi:
             return u
-        return GridFunction.sample(build_grid(phi, u.grid.panels), u)
+        return GridFunction.sample(_shared_grid(phi, u.grid.panels), u)
     if callable(u):
-        return GridFunction.sample(build_grid(phi, DEFAULT_PANELS), u)
+        return GridFunction.sample(_shared_grid(phi, DEFAULT_PANELS), u)
     raise ConfigurationError("u must be a GridFunction or a callable")
 
 

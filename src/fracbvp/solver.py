@@ -6,17 +6,15 @@ u = A u for
     A u (t) = integral_0^1 G(t, s) phi'(s) f(s, u(s)) ds,
 
 so the solver never differentiates: an ``Operator`` assembles the
-discrete operator once (a dense matrix pairing kernel rows with
-quadrature weights) and serves every use of A: the Picard iteration
+discrete operator once and serves every use of A: the Picard iteration
 u <- A u, the sampled existence checks and the boundary residuals.
 
-Assembly follows the kernel's structure: G(t, s) is the rank-one term
-head(t) * tail(s) minus a memory term that vanishes for s >= t.  The
-N x N matrix is allocated once and filled in row blocks of about 2**16
-entries; each block gets the rank-one term and then the memory term on
-its columns below the block's last node only.  Peak memory is thus
-about the matrix itself, 8 N**2 bytes, and a grid whose matrix would
-exceed 2 GiB (grid_size above 8192) is refused before allocation.
+The operator is stored factored, after the kernel's structure: G(t, s)
+is the rank-one term head(t) * tail(s) minus a memory term that
+vanishes for s >= t, kept in row blocks on the columns below each
+block's last node only (``operator_matrix``).  One product serves a
+vector and a (k, N) stack, and its results do not depend on the BLAS
+thread count.
 
 Two certificates are available.  The uniqueness certificate needs a
 Lipschitz envelope g for f and checks
@@ -65,6 +63,7 @@ __all__ = [
     "Certificate",
     "SolveReport",
     "Operator",
+    "OperatorFactors",
     "operator_matrix",
     "build_certificate",
     "picard_solve",
@@ -81,11 +80,17 @@ VERDICT_UNIQUE = "unique-solution"
 VERDICT_EXISTS = "exists-positive"
 VERDICT_NONE = "no-certificate"
 
-# operator assembly: entries per block of rows (0.5 MiB per block-sized
-# temporary, the fastest of 2**14..2**18 at 1024 and 2048 panels), and
-# the largest matrix it allocates (2 GiB: grid_size 8192, 16384 nodes)
+# operator assembly: row blocks of the memory term (16 ran the Picard
+# loop at 2048 panels faster than 32 or 64) and their fewest rows (below
+# 128 the Python cost per block outweighs the bytes saved on grids of
+# 64-256 panels), entries per sub-block filled at once (0.5 MiB per
+# sub-block-sized temporary, the fastest of 2**14..2**18 at 1024 and 2048
+# panels), and the most nodes it assembles (grid_size 8192, whose
+# factored operator takes about 1.1 GiB)
+_MEMORY_BLOCKS = 16
+_MIN_BLOCK_ROWS = 128
 _BLOCK_ELEMENTS = 2**16
-_MAX_MATRIX_BYTES = 2 * 2**30
+_MAX_NODES = 16384
 
 
 @dataclass(frozen=True)
@@ -127,48 +132,91 @@ def resolve_seed(seed: int | None = None) -> int:
     return seed
 
 
-def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> np.ndarray:
-    """Dense matrix M with (A u)(nodes) = M @ f(nodes, u(nodes)).
+@dataclass(frozen=True, eq=False)
+class OperatorFactors:
+    """The discrete operator M = head (x) tail - memory, with (A u)(nodes)
+    = M @ f(nodes, u(nodes)).
 
-    M[i, j] = G(s_i, s_j) * w_j, filled in row blocks of one preallocated
-    (N, N) array: the rank-one term head(s_i) * tail(s_j), minus the
-    memory term on the columns below the block's end only (it is 0 where
-    phi(s_j) >= phi(s_i)).  The entries are bitwise those of
-    ``green_values(kernel, s_i, s_j) * w_j`` and the peak is about the
-    8 N**2 bytes of M.  A grid whose M would exceed 2 GiB (grid_size
-    above 8192) raises ConfigurationError before any N**2 allocation.
+    ``head`` and ``tail`` hold the rank-one term head(s_i) * tail_j.
+    ``memory`` holds the memory term mu * (phi(s_i) - phi(s_j))_+**(alpha-1)
+    / scale * w_j in consecutive row blocks; block b spans the next
+    ``block.shape[0]`` rows and the first ``block.shape[1]`` columns, and
+    the entries outside every block are 0.
+    """
+
+    head: np.ndarray
+    tail: np.ndarray
+    memory: tuple[np.ndarray, ...]
+
+    def product(self, values: np.ndarray) -> np.ndarray:
+        """M @ values for N values, or M applied to each row of a (k, N)
+        stack.  The rank-one inner product is numpy's pairwise sum, not
+        BLAS ddot, whose threaded sum depends on the BLAS thread count."""
+        out = self.head * np.add.reduce(self.tail * values, axis=-1)[..., None]
+        i0 = 0
+        for block in self.memory:
+            rows, cols = block.shape
+            out[..., i0:i0 + rows] -= values[..., :cols] @ block.T
+            i0 += rows
+        return out
+
+
+def _memory_layout(n: int, ascending: bool) -> list[tuple[int, int, int]]:
+    """(first row, end row, columns) of each memory block: blocks of
+    ceil(n / _MEMORY_BLOCKS) rows, but at least _MIN_BLOCK_ROWS, the last
+    one possibly shorter.  With ascending phi-values the memory term of a
+    block ends at its last row's column; in any other order every column
+    is kept."""
+    rows = max(-(-n // _MEMORY_BLOCKS), _MIN_BLOCK_ROWS)
+    return [(i0, min(i0 + rows, n), min(i0 + rows, n) if ascending else n)
+            for i0 in range(0, n, rows)]
+
+
+def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactors:
+    """The factored operator M with M[i, j] = G(s_i, s_j) * w_j =
+    head(s_i) * tail_j - memory[i, j].
+
+    tail = (full - eta_part) / scale * w and the memory term is kept only
+    on each row block's columns below its last node (it is 0 where
+    phi(s_j) >= phi(s_i)), so with ascending nodes and 16 blocks it
+    stores about 0.53 * 8 N**2 bytes.  The blocks are views of one flat
+    buffer, filled in sub-blocks of about 2**16 entries, so the peak is
+    about the stored bytes.  A grid of more than 16384 nodes (grid_size
+    above 8192) raises ConfigurationError before phi is evaluated on it.
 
     The grid must come from the kernel's phi map: phi at the grid nodes
     has to reproduce the grid's y nodes.
     """
     n = grid.size
-    if 8 * n * n > _MAX_MATRIX_BYTES:
-        largest = math.isqrt(_MAX_MATRIX_BYTES // 8) * grid.panels // n
+    if n > _MAX_NODES:
+        least = 8 * (2 * n + sum((i1 - i0) * cols for i0, i1, cols in _memory_layout(n, True)))
         raise ConfigurationError(
-            f"grid_size {grid.panels} needs a {n} x {n} operator matrix of "
-            f"{8 * n * n / 2**20:.0f} MiB, over the {_MAX_MATRIX_BYTES / 2**20:.0f} MiB "
-            f"limit; the largest accepted grid_size is {largest}")
+            f"grid_size {grid.panels} has {n} nodes and its operator would take at least "
+            f"{least / 2**20:.0f} MiB, over the {_MAX_NODES}-node limit; "
+            f"the largest accepted grid_size is {_MAX_NODES * grid.panels // n}")
     y = np.asarray(kernel.params.phi(grid.nodes), dtype=float)
+    layout = _memory_layout(n, bool(np.all(y[1:] >= y[:-1])))
     gap = np.max(np.abs(y - grid.y_nodes))
     if not gap <= 1e-9 * kernel.shifted_one:
         raise ConfigurationError(
             f"grid was built for a different phi map than the kernel's (node gap {gap:.3g})")
     head, full, eta_part = _separable(kernel, y, y)
-    tail = full - eta_part
-    # with ascending phi-values a block's memory term ends at its last
-    # row's column; a grid listed in any other order keeps every column
-    ascending = bool(np.all(y[1:] >= y[:-1]))
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    out = np.empty((n, n))
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        cols = i1 if ascending else n
-        block = out[i0:i1]
-        np.multiply(head[i0:i1, None], tail[None, :], out=block)
-        block[:, :cols] -= _memory(kernel, y[i0:i1, None], y[None, :cols])
-        block /= kernel.scale
-        block *= grid.weights
-    return out
+    tail = (full - eta_part) / kernel.scale * grid.weights
+    flat = np.empty(sum((i1 - i0) * cols for i0, i1, cols in layout))
+    memory = []
+    offset = 0
+    for i0, i1, cols in layout:
+        block = flat[offset:offset + (i1 - i0) * cols].reshape(i1 - i0, cols)
+        offset += block.size
+        step = max(1, _BLOCK_ELEMENTS // cols)
+        for r0 in range(i0, i1, step):
+            r1 = min(r0 + step, i1)
+            sub = block[r0 - i0:r1 - i0]
+            sub[...] = _memory(kernel, y[r0:r1, None], y[None, :cols])
+            sub /= kernel.scale
+            sub *= grid.weights[:cols]
+        memory.append(block)
+    return OperatorFactors(head=head, tail=tail, memory=tuple(memory))
 
 
 # one-sided 5-point first-derivative stencil, order h^4
@@ -183,13 +231,13 @@ def _built_for(obj, spec: ProblemSpec, kernel: GreenKernel, grid: QuadratureGrid
 
 class Operator:
     """The discrete integral operator A of one problem on one grid; its
-    ``matrix`` is assembled once, by ``operator_matrix``."""
+    ``factors`` are assembled once, by ``operator_matrix``."""
 
     def __init__(self, spec: ProblemSpec, kernel: GreenKernel, grid: QuadratureGrid):
         self.spec = spec
         self.kernel = kernel
         self.grid = grid
-        self.matrix = operator_matrix(kernel, grid)
+        self.factors = operator_matrix(kernel, grid)
 
     def check(self, spec: ProblemSpec, kernel: GreenKernel, grid: QuadratureGrid) -> "Operator":
         """This operator, if built for spec, kernel and grid; else ConfigurationError."""
@@ -204,12 +252,12 @@ class Operator:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """(A u) at the nodes from the nodal values of u, or one image
-        per row of a (k, N) stack by one matrix product; NumericError
+        per row of a (k, N) stack by the same product; NumericError
         when f(u) or an image is not finite."""
         fv = self._forcing(values)
         if not np.all(np.isfinite(fv)):
             raise NumericError("f returned non-finite values")
-        out = (self.matrix @ fv.T).T
+        out = self.factors.product(fv)
         if not np.all(np.isfinite(out)):
             raise NumericError("operator produced non-finite values")
         return out
@@ -228,7 +276,7 @@ class Operator:
         coordinate near 0: |u'(0)| carries an O(h^(alpha-2)) stencil
         error, sharp for orders well above 2, degrading as alpha -> 2.
         """
-        residual = float(np.max(np.abs(self.matrix @ self._forcing(u.values) - u.values)))
+        residual = float(np.max(np.abs(self.factors.product(self._forcing(u.values)) - u.values)))
         h = _EDGE_SPACING
         v_left = self.at(u.values, h * np.arange(5, dtype=float))
         v_right = self.at(u.values, 1.0 - h * np.arange(5, dtype=float))

@@ -7,7 +7,7 @@ import pytest
 
 import fracbvp as fb
 from fracbvp.calculus import (_STENCIL_REACH, _STEP_FRACTION, TOL_DERIVATIVE_IDENTITY,
-                              TOL_INTEGRAL_IDENTITY, _gauss_rule, _integral_y)
+                              TOL_INTEGRAL_IDENTITY, _gauss_rule, _integral_y, _on_map)
 from fracbvp.errors import ConfigurationError, DomainError, GridMismatchError, NumericError
 from fracbvp.special import PHI_KINDS
 
@@ -271,9 +271,21 @@ def test_semigroup_rejects_bad_orders(phi_identity):
 
 
 def test_semigroup_accepts_bare_callable(phi_identity):
-    # a callable is sampled onto a fresh grid of DEFAULT_PANELS panels
+    # a callable is sampled onto the shared grid of DEFAULT_PANELS panels
     defect = fb.semigroup_defect(1.5, 1.5, phi_identity, lambda s: np.cos(s))
     assert defect <= TOL_INTEGRAL_IDENTITY
+
+
+def test_bare_callables_share_one_grid_per_map(phi_sqrt):
+    # the grid is built once per map and panel count, not on every call
+    first, second = _on_map(np.exp, phi_sqrt), _on_map(np.sin, phi_sqrt)
+    assert first.grid is second.grid and first.grid.panels == fb.DEFAULT_PANELS
+    other = fb.phi_catalog("identity")
+    assert _on_map(np.exp, other).grid.phi is other
+    fresh = fb.GridFunction.sample(fb.build_grid(phi_sqrt, fb.DEFAULT_PANELS), np.exp)
+    ts = np.linspace(0.1, 1.0, 7)
+    assert np.array_equal(fb.frac_integral(2.5, phi_sqrt, np.exp, ts),
+                          fb.frac_integral(2.5, phi_sqrt, fresh, ts))
 
 
 def _integral_at(alpha, u, y):

@@ -334,19 +334,34 @@ def test_negative_seed_env_var_exits_1(capsys, monkeypatch, config):
     assert err.startswith("error:") and "FRACBVP_SEED" in err
 
 
-@pytest.mark.parametrize("config", [E41, E42], ids=["example41", "example42"])
-def test_solve_csv_independent_of_blas_threads(tmp_path, config):
+def _run_threads(argv, threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    return subprocess.run([sys.executable, "-m", "fracbvp", *argv], capture_output=True,
+                          text=True, env=env)
+
+
+# at 1024 panels the operator's 16 memory blocks have 128 rows each
+@pytest.mark.parametrize("config, grid", [(E41, "256"), (E42, "256"), (E41, "1024"), (E42, "1024")],
+                         ids=["example41", "example42", "example41-grid1024", "example42-grid1024"])
+def test_solve_csv_independent_of_blas_threads(tmp_path, config, grid):
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         out_dir = tmp_path / threads
         out_dir.mkdir()
-        proc = subprocess.run([sys.executable, "-m", "fracbvp", "solve", config, "--grid", "256",
-                               "-o", str(out_dir / "u.csv")], capture_output=True, text=True, env=env)
+        proc = _run_threads(["solve", config, "--grid", grid, "-o", str(out_dir / "u.csv")],
+                            threads)
         assert proc.returncode == 0, proc.stderr
         outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
     assert set(outputs[0]) == {"u.csv", "u.report.txt"}
     assert outputs[0] == outputs[1]
+
+
+def test_check_json_independent_of_blas_threads():
+    # example41's positive-existence certificate maps a (101, N) stack
+    runs = [_run_threads(["check", E41, "--json"], threads) for threads in ("1", "2")]
+    assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
+    assert '"exists-positive"' in runs[0].stdout
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_bad_grid_override_exits_1_naming_the_setting(capsys):

@@ -92,23 +92,53 @@ def _kernel_case(name):
     return fb.build_kernel(fb.BvpParams(**params))
 
 
-@pytest.mark.parametrize("panels", [64, 300], ids=["one-block", "partial-last-block"])
+def _dense_parts(factors):
+    """The rank-one and memory parts of the factored operator as dense
+    N x N arrays."""
+    n = factors.head.size
+    memory = np.zeros((n, n))
+    i0 = 0
+    for block in factors.memory:
+        rows, cols = block.shape
+        memory[i0:i0 + rows, :cols] = block
+        i0 += rows
+    assert i0 == n
+    return factors.head[:, None] * factors.tail[None, :], memory
+
+
+def _assert_factors_match_formula(kernel, grid):
+    factors = solver.operator_matrix(kernel, grid)
+    rank_one, memory = _dense_parts(factors)
+    reference = fb.green_values(kernel, grid.nodes[:, None], grid.nodes[None, :]) * grid.weights
+    # 8 ulp of the two summed parts: the factors round apart, so the
+    # entries are not bitwise those of the formula
+    slack = 8 * np.finfo(float).eps * (np.abs(rank_one) + np.abs(memory))
+    assert np.all(np.abs(rank_one - memory - reference) <= slack)
+    return factors
+
+
+# the panel counts give one memory block; several, the widest filled in
+# more than one sub-block of _BLOCK_ELEMENTS entries; and several with a
+# last block shorter than the others
+@pytest.mark.parametrize("panels", [64, 640, 300],
+                         ids=["one-block", "many-blocks", "partial-last-block"])
 @pytest.mark.parametrize("case", ["example41", "example42", "alpha3", "eta1",
                                   "mu_negative", "table"])
 def test_operator_matrix_equals_single_formula(case, panels):
     kernel = _kernel_case(case)
     assert case != "mu_negative" or kernel.mu < 0.0
     grid = fb.build_grid(kernel.params.phi, panels)
-    n = grid.size
-    rows = solver._BLOCK_ELEMENTS // n
-    blocks = -(-n // rows)
-    # the two panel counts cover one block, and 3+ blocks with a partial last one
+    factors = _assert_factors_match_formula(kernel, grid)
+    shapes = [block.shape for block in factors.memory]
+    # ascending nodes: each block stops at its own last row's column
+    assert [cols for _, cols in shapes] == list(np.cumsum([rows for rows, _ in shapes]))
     if panels == 64:
-        assert blocks == 1
+        assert shapes == [(grid.size, grid.size)]
+    elif panels == 640:
+        assert len(shapes) > 2 and len({rows for rows, _ in shapes}) == 1
+        assert shapes[-2][0] * shapes[-2][1] > solver._BLOCK_ELEMENTS
     else:
-        assert blocks >= 3 and n % rows != 0
-    reference = fb.green_values(kernel, grid.nodes[:, None], grid.nodes[None, :]) * grid.weights
-    assert np.array_equal(solver.operator_matrix(kernel, grid), reference)
+        assert len(shapes) > 2 and shapes[-1][0] < shapes[0][0]
 
 
 def test_operator_matrix_on_descending_nodes(kernel42):
@@ -117,35 +147,54 @@ def test_operator_matrix_on_descending_nodes(kernel42):
     grid = fb.build_grid(kernel42.params.phi, 300)
     grid = dataclasses.replace(grid, nodes=grid.nodes[::-1], weights=grid.weights[::-1],
                                y_nodes=grid.y_nodes[::-1])
-    reference = fb.green_values(kernel42, grid.nodes[:, None], grid.nodes[None, :]) * grid.weights
-    assert np.array_equal(solver.operator_matrix(kernel42, grid), reference)
+    factors = _assert_factors_match_formula(kernel42, grid)
+    assert all(block.shape[1] == grid.size for block in factors.memory)
 
 
 def test_operator_matrix_peak_is_the_matrix(kernel42):
     grid = fb.build_grid(kernel42.params.phi, 1024)
     tracemalloc.start()
     try:
-        matrix = solver.operator_matrix(kernel42, grid)
+        factors = solver.operator_matrix(kernel42, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert matrix.nbytes == 8 * grid.size**2
-    assert peak <= 1.15 * matrix.nbytes
+    # 16 blocks keep about 0.53 of the dense 8 N**2 bytes, all in one buffer
+    assert len(factors.memory) == solver._MEMORY_BLOCKS
+    stored = sum(a.nbytes for a in (factors.head, factors.tail, *factors.memory))
+    assert stored <= 0.55 * 8 * grid.size**2
+    assert all(block.base is factors.memory[0].base for block in factors.memory)
+    assert peak <= 1.15 * stored
+
+
+@pytest.mark.parametrize("panels", [64, 300])
+def test_factored_product_matches_dense(kernel42, panels):
+    grid = fb.build_grid(kernel42.params.phi, panels)
+    factors = solver.operator_matrix(kernel42, grid)
+    rank_one, memory = _dense_parts(factors)
+    stack = np.random.default_rng(5).uniform(-1.0, 2.0, (7, grid.size))
+    dense = stack @ (rank_one - memory).T
+    scale = np.abs(stack) @ (np.abs(rank_one) + np.abs(memory)).T
+    assert np.all(np.abs(factors.product(stack) - dense) <= 1e-13 * scale)
+    # a vector goes through the same product as one row of a stack
+    assert np.all(np.abs(factors.product(stack[3]) - dense[3]) <= 1e-13 * scale[3])
 
 
 def test_operator_refuses_oversized_grid(kernel41):
     grid = fb.build_grid(kernel41.params.phi, 8194)
     spec = fb.ProblemSpec(params=kernel41.params, f=lambda t, u: u)
-    with pytest.raises(ConfigurationError, match="grid_size 8194 .*largest accepted grid_size is 8192"):
+    with pytest.raises(ConfigurationError,
+                       match="grid_size 8194 has 16388 nodes and its operator would take at least 1089 MiB"
+                             ".*largest accepted grid_size is 8192"):
         fb.Operator(spec, kernel41, grid)
 
 
 def test_operator_size_limit_is_inclusive(kernel41, monkeypatch):
-    # with the limit lowered to a 128 x 128 matrix, 64 panels (128 nodes)
-    # are accepted and 66 panels are not
-    monkeypatch.setattr(solver, "_MAX_MATRIX_BYTES", 8 * 128 * 128)
+    # with the limit lowered to 128 nodes, 64 panels (128 nodes) are
+    # accepted and 66 panels are not
+    monkeypatch.setattr(solver, "_MAX_NODES", 128)
     phi = kernel41.params.phi
-    assert solver.operator_matrix(kernel41, fb.build_grid(phi, 64)).shape == (128, 128)
+    assert solver.operator_matrix(kernel41, fb.build_grid(phi, 64)).head.shape == (128,)
     with pytest.raises(ConfigurationError, match="largest accepted grid_size is 64"):
         solver.operator_matrix(kernel41, fb.build_grid(phi, 66))
 
