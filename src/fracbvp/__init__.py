@@ -9,17 +9,14 @@ iteration on the equivalent integral operator.
 from .bmetric import (
     AdmissibilityVerdict,
     ContractionVerdict,
-    FamilyVerdict,
     GeraghtyVerdict,
     admissibility_check,
     contraction_certificate,
     distance,
     geraghty_inequality_check,
     psi,
-    psi_family_check,
     tau,
     theta,
-    theta_family_check,
 )
 from .calculus import (
     DEFAULT_PANELS,
@@ -74,8 +71,7 @@ __all__ = [
     "green", "green_values", "green_max_bound",
     "KernelPropertyReport", "check_kernel_properties",
     # metric machinery
-    "distance", "psi", "theta", "tau", "FamilyVerdict",
-    "psi_family_check", "theta_family_check", "ContractionVerdict",
+    "distance", "psi", "theta", "tau", "ContractionVerdict",
     "contraction_certificate", "GeraghtyVerdict", "geraghty_inequality_check",
     "AdmissibilityVerdict", "admissibility_check",
     # solver

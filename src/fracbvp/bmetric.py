@@ -15,7 +15,6 @@ both checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,17 +27,12 @@ __all__ = [
     "psi",
     "theta",
     "tau",
-    "FamilyVerdict",
-    "psi_family_check",
-    "theta_family_check",
     "ContractionVerdict",
     "contraction_certificate",
     "GeraghtyVerdict",
     "geraghty_inequality_check",
     "AdmissibilityVerdict",
     "admissibility_check",
-    "FAMILY_SAMPLE_POINTS",
-    "FAMILY_SAMPLE_FACTORS",
 ]
 
 
@@ -73,53 +67,6 @@ def tau(x, y):
     """The sign relation tau(x, y) = x * y: a pair (u, v) is admissible
     when tau(u(t), v(t)) >= 0 at every node."""
     return np.multiply(x, y)
-
-
-# documented sample sets for family membership checks: zero plus a log
-# sweep of [1e-6, 1e3], and the scaling factors applied to it
-FAMILY_SAMPLE_POINTS = np.concatenate([[0.0], np.logspace(-6.0, 3.0, 181)])
-FAMILY_SAMPLE_FACTORS = (1.5, 2.0, 10.0)
-
-
-@dataclass(frozen=True)
-class FamilyVerdict:
-    passed: bool
-    detail: str
-
-
-def psi_family_check(fn: Callable) -> FamilyVerdict:
-    """Sampled membership check of fn in the gauge family."""
-    xs = FAMILY_SAMPLE_POINTS
-    vals = np.asarray(fn(xs), dtype=float)
-    if abs(float(fn(0.0))) > 0.0:
-        return FamilyVerdict(False, "psi(0) != 0")
-    if np.any(np.diff(vals) < 0.0):
-        return FamilyVerdict(False, "psi not increasing on sample")
-    if np.any(vals < 0.0):
-        return FamilyVerdict(False, "psi takes negative values")
-    for c in FAMILY_SAMPLE_FACTORS:
-        lhs = np.asarray(fn(c * xs), dtype=float)
-        mid = c * vals
-        slack = 1e-12 * (1.0 + np.abs(mid))
-        if np.any(lhs > mid + slack):
-            return FamilyVerdict(False, f"psi({c}*x) > {c}*psi(x) on sample")
-        if np.any(mid > c * xs + slack):
-            return FamilyVerdict(False, f"{c}*psi(x) > {c}*x on sample")
-    return FamilyVerdict(True, f"sampled at {xs.size} points, factors {FAMILY_SAMPLE_FACTORS}")
-
-
-def theta_family_check(fn: Callable) -> FamilyVerdict:
-    """Sampled membership check of fn in the shrink family."""
-    vals = np.asarray(fn(FAMILY_SAMPLE_POINTS), dtype=float)
-    if np.any(np.diff(vals) < -1e-15):
-        return FamilyVerdict(False, "theta not nondecreasing on sample")
-    if np.any(vals < 0.0):
-        return FamilyVerdict(False, "theta takes negative values")
-    cap = 1.0 / (R * R)
-    top = float(np.max(vals))
-    if top >= cap:
-        return FamilyVerdict(False, f"max sampled theta {top} not below 1/R^2 = {cap}")
-    return FamilyVerdict(True, f"max sampled value {top} < {cap}")
 
 
 @dataclass(frozen=True)

@@ -150,7 +150,8 @@ class QuadratureGrid:
     ``nodes`` are the abscissae s in (0, 1); ``weights`` live in the
     transformed variable y = phi(s), so sum(weights * v(nodes))
     approximates integral_0^1 phi'(s) v(s) ds.  In particular the
-    weights sum to phi(1) - phi(0) exactly up to rounding.
+    weights sum to phi(1) - phi(0) exactly up to rounding.  The nodes
+    must be strictly ascending, which every consumer of a grid assumes.
     """
 
     phi: PhiMap
@@ -158,6 +159,10 @@ class QuadratureGrid:
     nodes: np.ndarray
     weights: np.ndarray
     y_nodes: np.ndarray
+
+    def __post_init__(self):
+        if not np.all(self.nodes[1:] > self.nodes[:-1]):
+            raise ConfigurationError("grid nodes must be strictly ascending")
 
     @property
     def size(self) -> int:
@@ -218,8 +223,9 @@ class GridFunction:
     they live on the same grid.  Calling the object evaluates the cubic
     in s through the 4 nodes nearest the query; queries outside the node
     range use the nearest boundary stencil (cubic extrapolation over the
-    short gap to 0 or 1).  The fractional integral uses another
-    interpolant, the cubic in y = phi(s) on each super-panel.
+    short gap to 0 or 1).  ``deriv`` is the exact t-derivative of that
+    same cubic.  The fractional integral uses another interpolant, the
+    cubic in y = phi(s) on each super-panel.
     """
 
     grid: QuadratureGrid
@@ -267,12 +273,24 @@ class GridFunction:
         c2 = d2[:-1] + (h0 - h1) * d3
         return xs[2:-2], xs[1:-2], vs[1:-2], c1, c2, d3
 
-    def __call__(self, t):
-        breaks, centres, c0, c1, c2, c3 = self._cubics
+    def _local(self, t) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The offset z of each query from its stencil's centre, and the
+        coefficients c0..c3 of the cubic that serves it."""
+        breaks, centres, *coeffs = self._cubics
         q = np.asarray(t, dtype=float)
         k = np.searchsorted(breaks, q)
-        z = q - centres[k]
-        out = c0[k] + z * (c1[k] + z * (c2[k] + z * c3[k]))
+        return q - centres[k], [c[k] for c in coeffs]
+
+    def __call__(self, t):
+        z, (c0, c1, c2, c3) = self._local(t)
+        out = c0 + z * (c1 + z * (c2 + z * c3))
+        return float(out) if np.ndim(t) == 0 else out
+
+    def deriv(self, t):
+        """The t-derivative of the cubic that ``__call__`` evaluates at t;
+        a scalar gives a float, an array an array of the same shape."""
+        z, (_, c1, c2, c3) = self._local(t)
+        out = c1 + z * (2.0 * c2 + 3.0 * z * c3)
         return float(out) if np.ndim(t) == 0 else out
 
     @cached_property
@@ -294,9 +312,6 @@ class GridFunction:
         w_u = w_far * _cubic_at(*panel, y_far.reshape(xs.shape[0], -1)).ravel()
         table = np.vstack([geometry, np.pad(coeffs, ((0, 0), (_NEAR, 0)))])
         return table, w_u
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 @lru_cache(maxsize=16)

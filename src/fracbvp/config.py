@@ -8,10 +8,10 @@ diff-friendly.
 Builtin nonlinearities, each written as expression text and compiled
 like any custom expression:
 
-* ``example41`` - the linear map c * u whose slope is derived from the
-  kernel constants of the first bundled example (its Lipschitz envelope
-  is the same constant, and it maps nonnegative states to nonnegative
-  values); the slope is written into the text as its exact repr;
+* ``example41`` - the linear map c * u whose slope is a sixteenth of
+  the kernel's uniqueness threshold (its Lipschitz envelope is the same
+  constant, and it maps nonnegative states to nonnegative values); the
+  slope is written into the text as its exact repr;
 * ``example42`` - the tan/cos^2/exp nonlinearity of the second bundled
   example together with its Lipschitz envelope;
 * ``zero`` - f identically zero;
@@ -31,7 +31,7 @@ from .calculus import DEFAULT_PANELS, build_grid
 from .errors import ConfigurationError
 from .expressions import compile_expression
 from .green import BvpParams, GreenKernel, build_kernel
-from .solver import ProblemSpec
+from .solver import _MAX_GRID_SIZE, ProblemSpec, _uniqueness_threshold
 from .special import PHI_KINDS, phi_catalog
 
 __all__ = ["Config", "parse_config", "load_config", "Problem", "build_problem",
@@ -82,6 +82,9 @@ class Config:
             raise ConfigurationError(f"key 'grid_size': must be at least 64, got {self.grid_size}")
         if self.grid_size % 2:
             raise ConfigurationError(f"key 'grid_size': must be even, got {self.grid_size}")
+        if self.grid_size > _MAX_GRID_SIZE:
+            raise ConfigurationError(f"key 'grid_size': grid_size {self.grid_size} is above "
+                                     f"the largest accepted grid_size {_MAX_GRID_SIZE}")
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise ConfigurationError(f"key 'tol': must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
@@ -237,14 +240,10 @@ def build_problem(config: Config) -> Problem:
     kernel = build_kernel(params)
 
     if config.f_kind == "example41":
-        p = kernel.params
-        denominator = (16.0 * math.sqrt(2.0) * kernel.deriv_one
-                       * kernel.shifted_one ** (p.alpha - 1.0))
-        if not denominator > 0.0:
-            raise ConfigurationError(
-                "f = example41: phi'(1) * (phi(1) - phi(0))**(alpha - 1) underflows to 0, "
-                "so the slope is undefined; rescale phi")
-        c = kernel.scale / denominator
+        try:
+            c = _uniqueness_threshold(kernel) / 16.0
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"f = example41: the slope is undefined: {exc}") from None
         f_text, g_text, domain = f"{c!r}*u", repr(c), "nonnegative"
     elif config.f_kind == "custom-expression":
         f_text, g_text, domain = config.f_expr, None, "real"

@@ -7,7 +7,9 @@ u = A u for
 
 so the solver never differentiates: an ``Operator`` assembles the
 discrete operator once and serves every use of A: the Picard iteration
-u <- A u, the sampled existence checks and the boundary residuals.
+u <- A u, the sampled existence checks and the fixed-point residual.
+The boundary residuals are those of the solution the solve reports,
+the local cubics of its nodal values.
 
 The operator is stored factored, after the kernel's structure: G(t, s)
 is the rank-one term head(t) * tail(s) minus a memory term that
@@ -55,7 +57,7 @@ from .bmetric import (
 )
 from .calculus import GridFunction, QuadratureGrid
 from .errors import ConfigurationError, NumericError
-from .green import BvpParams, GreenKernel, _memory, _separable, green_values
+from .green import BvpParams, GreenKernel, _memory, _separable
 
 __all__ = [
     "ProblemSpec",
@@ -85,12 +87,13 @@ VERDICT_NONE = "no-certificate"
 # 128 the Python cost per block outweighs the bytes saved on grids of
 # 64-256 panels), entries per sub-block filled at once (0.5 MiB per
 # sub-block-sized temporary, the fastest of 2**14..2**18 at 1024 and 2048
-# panels), and the most nodes it assembles (grid_size 8192, whose
-# factored operator takes about 1.1 GiB)
+# panels), and the most nodes it assembles (two per panel of the largest
+# grid_size, 8192, whose factored operator takes about 1.1 GiB)
 _MEMORY_BLOCKS = 16
 _MIN_BLOCK_ROWS = 128
 _BLOCK_ELEMENTS = 2**16
-_MAX_NODES = 16384
+_MAX_GRID_SIZE = 8192
+_MAX_NODES = 2 * _MAX_GRID_SIZE
 
 
 @dataclass(frozen=True)
@@ -161,15 +164,14 @@ class OperatorFactors:
         return out
 
 
-def _memory_layout(n: int, ascending: bool) -> list[tuple[int, int, int]]:
-    """(first row, end row, columns) of each memory block: blocks of
+def _memory_layout(n: int) -> list[tuple[int, int]]:
+    """(first row, end row) of each memory block: blocks of
     ceil(n / _MEMORY_BLOCKS) rows, but at least _MIN_BLOCK_ROWS, the last
-    one possibly shorter.  With ascending phi-values the memory term of a
-    block ends at its last row's column; in any other order every column
-    is kept."""
+    one possibly shorter.  The nodes ascend, so the memory term of a
+    block ends at its last row's column: the end row is also its number
+    of columns."""
     rows = max(-(-n // _MEMORY_BLOCKS), _MIN_BLOCK_ROWS)
-    return [(i0, min(i0 + rows, n), min(i0 + rows, n) if ascending else n)
-            for i0 in range(0, n, rows)]
+    return [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
 
 
 def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactors:
@@ -178,8 +180,8 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
 
     tail = (full - eta_part) / scale * w and the memory term is kept only
     on each row block's columns below its last node (it is 0 where
-    phi(s_j) >= phi(s_i)), so with ascending nodes and 16 blocks it
-    stores about 0.53 * 8 N**2 bytes.  The blocks are views of one flat
+    phi(s_j) >= phi(s_i)), so with 16 blocks it stores about
+    0.53 * 8 N**2 bytes.  The blocks are views of one flat
     buffer, filled in sub-blocks of about 2**16 entries, so the peak is
     about the stored bytes.  A grid of more than 16384 nodes (grid_size
     above 8192) raises ConfigurationError before phi is evaluated on it.
@@ -189,39 +191,35 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
     """
     n = grid.size
     if n > _MAX_NODES:
-        least = 8 * (2 * n + sum((i1 - i0) * cols for i0, i1, cols in _memory_layout(n, True)))
+        least = 8 * (2 * n + sum((i1 - i0) * i1 for i0, i1 in _memory_layout(n)))
         raise ConfigurationError(
             f"grid_size {grid.panels} has {n} nodes and its operator would take at least "
             f"{least / 2**20:.0f} MiB, over the {_MAX_NODES}-node limit; "
             f"the largest accepted grid_size is {_MAX_NODES * grid.panels // n}")
     y = np.asarray(kernel.params.phi(grid.nodes), dtype=float)
-    layout = _memory_layout(n, bool(np.all(y[1:] >= y[:-1])))
+    layout = _memory_layout(n)
     gap = np.max(np.abs(y - grid.y_nodes))
     if not gap <= 1e-9 * kernel.shifted_one:
         raise ConfigurationError(
             f"grid was built for a different phi map than the kernel's (node gap {gap:.3g})")
     head, full, eta_part = _separable(kernel, y, y)
     tail = (full - eta_part) / kernel.scale * grid.weights
-    flat = np.empty(sum((i1 - i0) * cols for i0, i1, cols in layout))
+    flat = np.empty(sum((i1 - i0) * i1 for i0, i1 in layout))
     memory = []
     offset = 0
-    for i0, i1, cols in layout:
-        block = flat[offset:offset + (i1 - i0) * cols].reshape(i1 - i0, cols)
+    for i0, i1 in layout:
+        # rows i0..i1-1 on columns 0..i1-1
+        block = flat[offset:offset + (i1 - i0) * i1].reshape(i1 - i0, i1)
         offset += block.size
-        step = max(1, _BLOCK_ELEMENTS // cols)
+        step = max(1, _BLOCK_ELEMENTS // i1)
         for r0 in range(i0, i1, step):
             r1 = min(r0 + step, i1)
             sub = block[r0 - i0:r1 - i0]
-            sub[...] = _memory(kernel, y[r0:r1, None], y[None, :cols])
+            sub[...] = _memory(kernel, y[r0:r1, None], y[None, :i1])
             sub /= kernel.scale
-            sub *= grid.weights[:cols]
+            sub *= grid.weights[:i1]
         memory.append(block)
     return OperatorFactors(head=head, tail=tail, memory=tuple(memory))
-
-
-# one-sided 5-point first-derivative stencil, order h^4
-_EDGE_STENCIL = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_EDGE_SPACING = 1e-3
 
 
 def _built_for(obj, spec: ProblemSpec, kernel: GreenKernel, grid: QuadratureGrid) -> bool:
@@ -262,29 +260,15 @@ class Operator:
             raise NumericError("operator produced non-finite values")
         return out
 
-    def at(self, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """(A u)(ts) for off-grid ts, reusing the grid quadrature."""
-        rows = green_values(self.kernel, ts[:, None], self.grid.nodes[None, :])
-        return rows @ (self.grid.weights * self._forcing(values))
-
     def residuals(self, u: GridFunction) -> tuple[float, tuple[float, float, float]]:
-        """sup |A u - u| and the residuals of u(0) = u'(0) = 0 and
-        u'(1) = beta * u(eta); never raises on non-finite values.
-
-        The derivatives come from stencils with spacing 1e-3 on operator
-        output, which behaves like the (alpha-1) power of the shifted
-        coordinate near 0: |u'(0)| carries an O(h^(alpha-2)) stencil
-        error, sharp for orders well above 2, degrading as alpha -> 2.
-        """
+        """sup |A u - u| at the nodes, and |u(0)|, |u'(0)| and
+        |u'(1) - beta * u(eta)| of u itself: the local cubics that u
+        evaluates, differentiated exactly.  Never raises on non-finite
+        values."""
         residual = float(np.max(np.abs(self.factors.product(self._forcing(u.values)) - u.values)))
-        h = _EDGE_SPACING
-        v_left = self.at(u.values, h * np.arange(5, dtype=float))
-        v_right = self.at(u.values, 1.0 - h * np.arange(5, dtype=float))
-        du0 = float(np.dot(_EDGE_STENCIL, v_left)) / h
-        du1 = -float(np.dot(_EDGE_STENCIL, v_right)) / h
         p = self.kernel.params
-        return residual, (abs(float(u(0.0))), abs(du0),
-                          abs(du1 - p.beta * float(u(p.eta))))
+        return residual, (abs(u(0.0)), abs(u.deriv(0.0)),
+                          abs(u.deriv(1.0) - p.beta * u(p.eta)))
 
 
 def default_sample_suite(grid: QuadratureGrid,
@@ -500,10 +484,11 @@ class SolveReport:
 
     ``final_step_distance`` is the squared sup distance between the last
     two iterates; ``observed_ratios`` are consecutive step-distance
-    quotients; boundary residuals are |u(0)|, |u'(0)| and
-    |u'(1) - beta*u(eta)|.  ``solution_min`` records the smallest nodal
-    value so strict positivity can be judged separately from
-    nonnegativity.
+    quotients; ``boundary_residuals`` are |u(0)|, |u'(0)| and
+    |u'(1) - beta*u(eta)| of the reported ``solution``, whose local
+    cubics are evaluated and differentiated exactly.  ``solution_min``
+    records the smallest nodal value so strict positivity can be judged
+    separately from nonnegativity.
     """
 
     solution: GridFunction

@@ -105,12 +105,6 @@ class PhiMap:
         """The image interval (phi(0), phi(1)), computed once per map."""
         return float(self.fn(0.0)), float(self.fn(1.0))
 
-    @property
-    def span(self) -> float:
-        """Length of the image interval, phi(1) - phi(0)."""
-        lo, hi = self.image
-        return hi - lo
-
 
 def _bisect_newton_inverse(fn, deriv_fn, y, seed_table):
     """Invert a strictly increasing map on [0, 1] by bisection plus Newton.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fracbvp as fb
+from fracbvp.bmetric import R
 from fracbvp.cli import bundled_config_path
 from fracbvp.config import build_problem, load_config
 
@@ -24,6 +25,25 @@ def gamma_quadrature_oracle(x: float) -> float:
     h = (hi - lo) / (n - 1)
     vals = np.exp(x * z - np.exp(z))
     return float((vals.sum() - 0.5 * (vals[0] + vals[-1])) * h)
+
+
+def assert_paper_families():
+    """The paper's hypotheses on the gauge psi and the shrink function
+    theta, sampled at 0 and on a log sweep of [1e-6, 1e3]: psi(0) = 0, psi
+    increasing, psi(c x) <= c psi(x) <= c x for c > 1; theta nondecreasing
+    with values in [1/6, 1/4), below 1/R^2."""
+    points = np.concatenate([[0.0], np.logspace(-6.0, 3.0, 181)])
+    vals = fb.psi(points)
+    assert fb.psi(0.0) == 0.0
+    assert np.all(np.diff(vals) > 0.0)
+    for c in (1.5, 2.0, 10.0):
+        slack = 1e-12 * (1.0 + c * vals)
+        assert np.all(fb.psi(c * points) <= c * vals + slack)
+        assert np.all(c * vals <= c * points + slack)
+    shrink = fb.theta(points)
+    assert np.all(np.diff(shrink) >= 0.0)
+    assert np.all(shrink >= 1.0 / 6.0) and np.all(shrink < 0.25)
+    assert np.all(shrink < 1.0 / R**2)
 
 
 def paper_green(params: fb.BvpParams, ts, ss) -> np.ndarray:

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracbvp as fb
-from fracbvp.bmetric import FAMILY_SAMPLE_POINTS
 from fracbvp.errors import ConfigurationError, GridMismatchError
+
+from conftest import assert_paper_families
 
 
 @pytest.fixture(scope="module")
@@ -58,10 +59,7 @@ def test_relaxed_triangle_on_random_triples(grid):
 
 
 def test_default_families_pass_membership():
-    assert fb.psi_family_check(fb.psi).passed
-    verdict = fb.theta_family_check(fb.theta)
-    assert verdict.passed
-    assert float(np.max(fb.theta(FAMILY_SAMPLE_POINTS))) < 0.25
+    assert_paper_families()
 
 
 @settings(max_examples=100, deadline=None)
@@ -71,15 +69,6 @@ def test_default_psi_scaling_pointwise(x, c):
     psi = fb.psi
     assert float(psi(c * x)) <= c * float(psi(x)) + 1e-12 * (1 + x)
     assert c * float(psi(x)) <= c * x + 1e-12 * (1 + x)
-
-
-def test_family_checks_reject_outsiders():
-    too_big = lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / 3.0)
-    assert not fb.theta_family_check(too_big).passed
-    square = lambda x: np.square(np.asarray(x, dtype=float))
-    assert not fb.psi_family_check(square).passed
-    negative = lambda x: np.asarray(x, dtype=float) - 1.0
-    assert not fb.psi_family_check(negative).passed
 
 
 def test_contraction_certificate_cases():

@@ -28,7 +28,7 @@ def test_grid_invariants(kind):
     assert grid.nodes[0] > 0.0 and grid.nodes[-1] < 1.0
     assert np.all(grid.weights >= 0.0)
     # the phi-weighted rule integrates constants to phi(1) - phi(0)
-    assert abs(float(grid.weights.sum()) - phi.span) <= 1e-10
+    assert abs(float(grid.weights.sum()) - (phi.image[1] - phi.image[0])) <= 1e-10
 
 
 def test_grid_rejects_odd_panels(phi_identity):
@@ -41,7 +41,7 @@ def test_grid_invariants_for_table_map():
     phi = fb.phi_catalog("table", samples=np.column_stack([ts, np.sqrt(0.25 + 0.5 * ts)]))
     grid = fb.build_grid(phi, 128)
     assert np.all(np.diff(grid.nodes) > 0.0)
-    assert abs(float(grid.weights.sum()) - phi.span) <= 1e-10
+    assert abs(float(grid.weights.sum()) - (phi.image[1] - phi.image[0])) <= 1e-10
     # nodes really are the preimages of the transformed abscissae
     assert np.max(np.abs(phi(grid.nodes) - grid.y_nodes)) <= 1e-12
 
@@ -116,6 +116,40 @@ def test_grid_function_reproduces_cubics_and_constants(phi_sin):
         const = fb.GridFunction.constant(grid, v)
         assert np.all(const(qs) == v)
         assert const(0.0) == v and const(1.0) == v
+
+
+def test_grid_function_deriv_is_the_cubics_derivative(phi_identity):
+    grid = fb.build_grid(phi_identity, 64)
+    qs = np.concatenate([[0.0, 1.0], grid.nodes, np.linspace(0.0, 1.0, 1001)])
+
+    def cubic(s):
+        return 0.3 - 1.2 * s + 2.5 * s**2 - 1.7 * s**3
+
+    def cubic_deriv(s):
+        return -1.2 + 5.0 * s - 5.1 * s**2
+
+    u = fb.GridFunction.sample(grid, cubic)
+    assert np.max(np.abs(u.deriv(qs) - cubic_deriv(qs))) <= 1e-12
+    for v in (1.0, -0.7, 3.3e5):
+        const = fb.GridFunction.constant(grid, v)
+        assert np.all(const.deriv(qs) == 0.0)
+        assert const.deriv(0.0) == 0.0 and const.deriv(1.0) == 0.0
+    # the scalar/array contract of __call__: a float for a scalar, the
+    # query's shape for an array, and the same value either way
+    wavy = fb.GridFunction.sample(grid, lambda s: np.exp(2.0 * s) * np.sin(5.0 * s))
+    grid_q = qs[:1000].reshape(-1, 4)
+    assert wavy.deriv(grid_q).shape == grid_q.shape == wavy(grid_q).shape
+    assert np.array_equal(wavy.deriv(grid_q).ravel(), wavy.deriv(grid_q.ravel()))
+    for t in (0.0, 1.0, float(grid.nodes[7]), 0.5):
+        slope = wavy.deriv(t)
+        assert isinstance(slope, float)
+        assert slope == wavy.deriv(np.array([t]))[0]
+    # it differentiates the cubic that __call__ evaluates: a central
+    # difference of u agrees to the difference's own error
+    h = 1e-6
+    mid = np.linspace(0.05, 0.95, 91)
+    central = (wavy(mid + h) - wavy(mid - h)) / (2.0 * h)
+    assert np.max(np.abs(wavy.deriv(mid) - central)) <= 1e-6
 
 
 @pytest.mark.parametrize("p, points", [(-0.5, 3), (-0.2, 3), (0.2, 3), (1.0, 3), (1.5, 3),

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fracbvp import cli
+from fracbvp import config as config_module
 from fracbvp.cli import bundled_config_path, main
 from fracbvp.config import build_problem, load_config
 from fracbvp.green import green_values
@@ -398,7 +399,9 @@ def test_json_writes_non_finite_numbers_as_null(tmp_path, capsys):
     payload = _strict_json(capsys.readouterr().out)
     assert payload["certificate"]["beta_bound"] is None
     assert payload["kernel"]["beta_bound"] is None
-    # a diverging solve: the residuals of its last iterate overflow
+    # a diverging solve: A applied to its last iterate overflows, so the
+    # fixed-point residual is null; the boundary residuals are those of
+    # that finite iterate itself
     cfg = tmp_path / "div.cfg"
     cfg.write_text("alpha = 2.5\nbeta = 1\neta = 0.5\nphi = identity\n"
                    "f = custom-expression\nf.expr = exp(u)*50\ngrid_size = 64\n")
@@ -408,7 +411,8 @@ def test_json_writes_non_finite_numbers_as_null(tmp_path, capsys):
     payload = _strict_json(capsys.readouterr().out)
     assert payload["converged"] is False
     assert payload["fixed_point_residual"] is None
-    assert payload["boundary_residuals"][1:] == [None, None]
+    b0, b1, b2 = payload["boundary_residuals"]
+    assert isinstance(b0, float) and b1 > 1e3 and b2 > 10.0
 
 
 def test_solve_oversized_grid_exits_1_before_allocating(tmp_path):
@@ -418,6 +422,23 @@ def test_solve_oversized_grid_exits_1_before_allocating(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "grid_size 1048576" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_oversized_grid_refused_before_the_grid_is_built(command, tmp_path, capsys,
+                                                         monkeypatch):
+    # Config refuses the grid_size, so no O(N) grid work starts at all
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_grid reached")
+
+    monkeypatch.setattr(config_module, "build_grid", unreachable)
+    argv = [command, E41, "--grid", "1048576"]
+    if command == "solve":
+        argv += ["-o", str(tmp_path / "u.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: key 'grid_size'") and "grid_size 1048576" in err
     assert not any(tmp_path.iterdir())
 
 

@@ -51,12 +51,19 @@ def test_parse_diagnostics_name_the_key(line, fragment):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("grid_size", 32), ("grid_size", 129), ("tol", 0.0), ("tol", math.inf), ("max_iter", 0),
+    ("grid_size", 32), ("grid_size", 129), ("grid_size", 8194), ("tol", 0.0), ("tol", math.inf),
+    ("max_iter", 0),
 ])
 def test_overrides_validated_like_parsed_values(key, value):
     cfg = parse_config(BASE)
     with pytest.raises(ConfigurationError, match=f"'{key}'"):
         dataclasses.replace(cfg, **{key: value})
+
+
+def test_grid_size_limit_is_the_operators():
+    # the largest grid_size is the one whose nodes the operator assembles
+    assert parse_config(BASE + "grid_size = 8192\n").grid_size == 8192
+    assert 2 * 8192 == fb.solver._MAX_NODES
 
 
 def test_parse_missing_required():

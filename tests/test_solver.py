@@ -130,7 +130,7 @@ def test_operator_matrix_equals_single_formula(case, panels):
     grid = fb.build_grid(kernel.params.phi, panels)
     factors = _assert_factors_match_formula(kernel, grid)
     shapes = [block.shape for block in factors.memory]
-    # ascending nodes: each block stops at its own last row's column
+    # each block stops at its own last row's column
     assert [cols for _, cols in shapes] == list(np.cumsum([rows for rows, _ in shapes]))
     if panels == 64:
         assert shapes == [(grid.size, grid.size)]
@@ -142,13 +142,16 @@ def test_operator_matrix_equals_single_formula(case, panels):
 
 
 def test_operator_matrix_on_descending_nodes(kernel42):
-    # a grid listed backwards is still a quadrature rule; the memory term
-    # then lies above the diagonal and every column has to be kept
+    # a grid listed backwards is refused where it is made, so no consumer
+    # (interpolation, fractional integral, operator) ever sees one
     grid = fb.build_grid(kernel42.params.phi, 300)
-    grid = dataclasses.replace(grid, nodes=grid.nodes[::-1], weights=grid.weights[::-1],
-                               y_nodes=grid.y_nodes[::-1])
-    factors = _assert_factors_match_formula(kernel42, grid)
-    assert all(block.shape[1] == grid.size for block in factors.memory)
+    with pytest.raises(ConfigurationError, match="strictly ascending"):
+        dataclasses.replace(grid, nodes=grid.nodes[::-1], weights=grid.weights[::-1],
+                            y_nodes=grid.y_nodes[::-1])
+    repeated = grid.nodes.copy()
+    repeated[7] = repeated[6]
+    with pytest.raises(ConfigurationError, match="strictly ascending"):
+        dataclasses.replace(grid, nodes=repeated)
 
 
 def test_operator_matrix_peak_is_the_matrix(kernel42):
@@ -276,7 +279,7 @@ def test_picard_zero_f_converges_immediately(kernel42, grid256_42):
                              tol=1e-16, max_iter=10)
     assert report.converged
     assert report.iterations <= 2
-    assert report.solution.sup_norm() == 0.0
+    assert np.max(np.abs(report.solution.values)) == 0.0
     assert report.fixed_point_residual == 0.0
     assert report.label == "best-effort"
 
@@ -289,7 +292,7 @@ def test_picard_example41_reaches_zero(problem41, grid256_41, operator256_41):
                              tol=1e-16, max_iter=100, certificate=cert,
                              operator=operator256_41)
     assert report.converged
-    assert report.solution.sup_norm() <= 1e-8
+    assert np.max(np.abs(report.solution.values)) <= 1e-8
     assert report.label == "certified:exists-positive"
 
 
@@ -309,6 +312,19 @@ def test_picard_example42_certified(problem42, grid256_42, operator256_42):
     # turn keeps step distances nonincreasing after the first iteration
     assert all(r <= cert.lam + 1e-3 for r in report.observed_ratios)
     assert all(r <= 1.0 + 1e-12 for r in report.observed_ratios)
+
+
+def test_example42_boundary_slope_falls_with_refinement(problem42):
+    # |u'(0)| is the slope at 0 of the reported solution, so it falls as
+    # the grid refines, about 4x per 4x panels
+    slopes = []
+    for panels in (64, 256, 1024):
+        grid = problem42.grid(panels)
+        report = fb.picard_solve(problem42.spec, problem42.kernel,
+                                 fb.GridFunction.constant(grid, 0.0))
+        slopes.append(report.boundary_residuals[1])
+    assert slopes[0] < 1e-4
+    assert slopes[1] < slopes[0] / 3.0 and slopes[2] < slopes[1] / 3.0
 
 
 def test_picard_nonconvergence_reported(kernel42, grid256_42):

@@ -157,7 +157,7 @@ def test_sin_closed_form_inverse_matches_bisection():
     # the bisection inverts the rounded sin, the closed form the exact
     # one: they agree to one ulp of 1.0
     assert np.max(np.abs(closed - bisected)) <= np.finfo(float).eps
-    ys = np.linspace(0.0, phi.span, 200001)
+    ys = np.linspace(*phi.image, 200001)
     assert np.max(np.abs(phi(phi.inverse(ys)) - ys)) <= 2.3e-16
     for y in ys[::5000]:
         t = phi.inverse(float(y))
