@@ -36,7 +36,6 @@ from .errors import FracBvpError
 from .green import check_kernel_properties, green_values
 from .solver import (
     Certificate,
-    Operator,
     SolveReport,
     build_certificate,
     picard_solve,
@@ -221,15 +220,13 @@ def _cmd_solve(args) -> int:
     problem = build_problem(config)
     seed = resolve_seed()
     grid = problem.grid()
-    operator = Operator(problem.spec, problem.kernel, grid)
     cert = None
     if config.mode != "solve-only":
         cert = build_certificate(problem.spec, problem.kernel, config.mode,
-                                 grid=grid, seed=seed, operator=operator)
+                                 grid=grid, seed=seed)
     u0 = GridFunction.constant(grid, 0.0)
     report = picard_solve(problem.spec, problem.kernel, u0,
-                          tol=config.tol, max_iter=config.max_iter,
-                          certificate=cert, operator=operator)
+                          tol=config.tol, max_iter=config.max_iter, certificate=cert)
     out = Path(args.output)
     _atomic_write(out, _solve_csv(problem, report, seed))
     sidecar = out.with_name(out.stem + ".report.txt")

@@ -44,8 +44,7 @@ def solve42(problem42):
     for panels in (512, 1024):
         grid = problem42.grid(panels)
         operator = fb.Operator(problem42.spec, problem42.kernel, grid)
-        cert = fb.build_certificate(problem42.spec, problem42.kernel, "uniqueness",
-                                    grid=grid, operator=operator)
+        cert = fb.build_certificate(problem42.spec, problem42.kernel, "uniqueness", grid=grid)
         t0 = time.perf_counter()
         reports[panels] = fb.picard_solve(
             problem42.spec, problem42.kernel, fb.GridFunction.constant(grid, 0.0),
@@ -136,17 +135,15 @@ def test_criterion_5_certified_solve(problem42, solve42):
 def test_criterion_6_zero_fixed_point_with_certificate(problem41):
     with criterion(6, "linear example fixed point and certificate"):
         grid = problem41.grid(1024)
-        operator = fb.Operator(problem41.spec, problem41.kernel, grid)
         cert = fb.build_certificate(problem41.spec, problem41.kernel,
-                                    "positive-existence", grid=grid, operator=operator)
+                                    "positive-existence", grid=grid)
         assert cert.verdict == "exists-positive"
         assert cert.geraghty is not None
         assert cert.geraghty.passed and cert.geraghty.checked == 50
         assert cert.admissibility is not None and cert.admissibility.passed
         report = fb.picard_solve(problem41.spec, problem41.kernel,
                                  fb.GridFunction.constant(grid, 1.0),
-                                 tol=1e-16, max_iter=100, certificate=cert,
-                                 operator=operator)
+                                 tol=1e-16, max_iter=100, certificate=cert)
         assert report.converged
         assert np.max(np.abs(report.solution.values)) <= 1e-8
 

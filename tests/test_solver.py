@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -106,39 +109,69 @@ def _dense_parts(factors):
     return factors.head[:, None] * factors.tail[None, :], memory
 
 
-def _assert_factors_match_formula(kernel, grid):
-    factors = solver.operator_matrix(kernel, grid)
-    rank_one, memory = _dense_parts(factors)
-    reference = fb.green_values(kernel, grid.nodes[:, None], grid.nodes[None, :]) * grid.weights
-    # 8 ulp of the two summed parts: the factors round apart, so the
-    # entries are not bitwise those of the formula
-    slack = 8 * np.finfo(float).eps * (np.abs(rank_one) + np.abs(memory))
-    assert np.all(np.abs(rank_one - memory - reference) <= slack)
-    return factors
+def _three_integrals(kernel, F, ts):
+    """A u at ts from F = f(s, u(s)) by the formula
+
+        head(t) / mu * [phi'(1) I^(alpha-1) F(phi(1)) - beta I^alpha F(phi(eta))]
+            - I^alpha F(phi(t)),
+
+    head(t) = (phi(t) - phi(0))**(alpha - 1), each integral a
+    ``frac_integral`` of the grid function F."""
+    p = kernel.params
+    head = (p.phi(ts) - p.phi(0.0)) ** (p.alpha - 1.0)
+    bracket = (p.phi.deriv(1.0) * fb.frac_integral(p.alpha - 1.0, p.phi, F, 1.0)
+               - p.beta * fb.frac_integral(p.alpha, p.phi, F, p.eta))
+    return head / kernel.mu * bracket - fb.frac_integral(p.alpha, p.phi, F, ts)
 
 
-# the panel counts give one memory block; several, the widest filled in
-# more than one sub-block of _BLOCK_ELEMENTS entries; and several with a
-# last block shorter than the others
+# the panel counts give one memory block; several of equal rows; and
+# several with a last block shorter than the others
 @pytest.mark.parametrize("panels", [64, 640, 300],
                          ids=["one-block", "many-blocks", "partial-last-block"])
 @pytest.mark.parametrize("case", ["example41", "example42", "alpha3", "eta1",
                                   "mu_negative", "table"])
 def test_operator_matrix_equals_single_formula(case, panels):
+    # the operator is the product rule of frac_integral: its values at the
+    # nodes are the three integrals of F, to the 4 far points it uses in
+    # place of frac_integral's 6
     kernel = _kernel_case(case)
     assert case != "mu_negative" or kernel.mu < 0.0
     grid = fb.build_grid(kernel.params.phi, panels)
-    factors = _assert_factors_match_formula(kernel, grid)
-    shapes = [block.shape for block in factors.memory]
-    # each block stops at its own last row's column
+    spec = fb.ProblemSpec(params=kernel.params,
+                          f=lambda t, u: np.cos(3.0 * t) + 0.5 * u * u)
+    values = np.sin(2.0 * grid.nodes) + grid.nodes**2
+    op = fb.Operator(spec, kernel, grid)
+    formula = _three_integrals(kernel, fb.GridFunction(grid, op._forcing(values)), grid.nodes)
+    assert np.max(np.abs(op.apply(values) - formula)) <= 1e-13 * np.max(np.abs(formula))
+    shapes = [block.shape for block in op.factors.memory]
+    # each block stops at its own last row's column, a multiple of 4
     assert [cols for _, cols in shapes] == list(np.cumsum([rows for rows, _ in shapes]))
+    assert all(cols % 4 == 0 for _, cols in shapes)
     if panels == 64:
         assert shapes == [(grid.size, grid.size)]
     elif panels == 640:
         assert len(shapes) > 2 and len({rows for rows, _ in shapes}) == 1
-        assert shapes[-2][0] * shapes[-2][1] > solver._BLOCK_ELEMENTS
     else:
         assert len(shapes) > 2 and shapes[-1][0] < shapes[0][0]
+
+
+def test_operator_is_fourth_order(problem42):
+    # the Nystrom values of example42's solution, the three-integral
+    # formula at 101 points, against those of a 1024-panel solve: the
+    # error falls about 16x per doubling of the panels
+    ts = np.linspace(0.0, 1.0, 101)
+
+    def nystrom(panels):
+        grid = problem42.grid(panels)
+        report = fb.picard_solve(problem42.spec, problem42.kernel,
+                                 fb.GridFunction.constant(grid, 0.0), tol=1e-30)
+        assert report.converged
+        forcing = problem42.spec.f(grid.nodes, report.solution.values)
+        return _three_integrals(problem42.kernel, fb.GridFunction(grid, forcing), ts)
+
+    reference = nystrom(1024)
+    errors = [np.max(np.abs(nystrom(panels) - reference)) for panels in (64, 128, 256)]
+    assert errors[0] / errors[1] >= 12.0 and errors[1] / errors[2] >= 12.0
 
 
 def test_operator_matrix_on_descending_nodes(kernel42):
@@ -146,8 +179,7 @@ def test_operator_matrix_on_descending_nodes(kernel42):
     # (interpolation, fractional integral, operator) ever sees one
     grid = fb.build_grid(kernel42.params.phi, 300)
     with pytest.raises(ConfigurationError, match="strictly ascending"):
-        dataclasses.replace(grid, nodes=grid.nodes[::-1], weights=grid.weights[::-1],
-                            y_nodes=grid.y_nodes[::-1])
+        dataclasses.replace(grid, nodes=grid.nodes[::-1], y_nodes=grid.y_nodes[::-1])
     repeated = grid.nodes.copy()
     repeated[7] = repeated[6]
     with pytest.raises(ConfigurationError, match="strictly ascending"):
@@ -183,6 +215,35 @@ def test_factored_product_matches_dense(kernel42, panels):
     assert np.all(np.abs(factors.product(stack[3]) - dense[3]) <= 1e-13 * scale[3])
 
 
+_RANK_ONE_PRODUCT = """
+import sys
+import numpy as np
+from fracbvp.solver import OperatorFactors
+rng = np.random.default_rng(3)
+n = 40_000
+factors = OperatorFactors(head=rng.uniform(0.5, 1.5, n), tail=rng.uniform(-1.0, 1.0, n),
+                          memory=())
+values = rng.uniform(-1.0, 1.0, (3, n))
+sys.stdout.write(np.concatenate([factors.product(values[0]), factors.product(values).ravel()])
+                 .tobytes().hex())
+"""
+
+
+def test_rank_one_product_independent_of_blas_threads():
+    # OpenBLAS threads a dot product only above about 1e4 entries, beyond
+    # the operators of the CLI tests; a synthetic rank-one term of 4e4
+    # entries needs no N**2 operator
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _RANK_ONE_PRODUCT], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0]) == 2 * 8 * 4 * 40_000
+    assert outputs[0] == outputs[1]
+
+
 def test_operator_refuses_oversized_grid(kernel41):
     grid = fb.build_grid(kernel41.params.phi, 8194)
     spec = fb.ProblemSpec(params=kernel41.params, f=lambda t, u: u)
@@ -212,9 +273,9 @@ def test_apply_operator_nonfinite_f(kernel42, grid256_42):
         op.apply(np.zeros((3, grid256_42.size)))
 
 
-def test_certificate_unique_solution(problem42, grid256_42, operator256_42):
+def test_certificate_unique_solution(problem42, grid256_42):
     cert = fb.build_certificate(problem42.spec, problem42.kernel, "uniqueness",
-                                grid=grid256_42, operator=operator256_42)
+                                grid=grid256_42)
     assert cert.verdict == VERDICT_UNIQUE
     assert cert.g_sup == pytest.approx(0.895984, abs=1e-4)
     assert cert.uniqueness_threshold == pytest.approx(1.95333, abs=1e-4)
@@ -250,9 +311,9 @@ def test_certificate_requires_envelope(problem41, grid256_41):
         fb.build_certificate(spec, problem41.kernel, "uniqueness", grid=grid256_41)
 
 
-def test_certificate_exists_positive(problem41, grid256_41, operator256_41):
+def test_certificate_exists_positive(problem41, grid256_41):
     cert = fb.build_certificate(problem41.spec, problem41.kernel, "positive-existence",
-                                grid=grid256_41, operator=operator256_41)
+                                grid=grid256_41)
     assert cert.verdict == VERDICT_EXISTS
     assert cert.geraghty is not None and cert.geraghty.passed
     assert cert.admissibility is not None and cert.admissibility.passed
@@ -284,13 +345,12 @@ def test_picard_zero_f_converges_immediately(kernel42, grid256_42):
     assert report.label == "best-effort"
 
 
-def test_picard_example41_reaches_zero(problem41, grid256_41, operator256_41):
+def test_picard_example41_reaches_zero(problem41, grid256_41):
     cert = fb.build_certificate(problem41.spec, problem41.kernel, "positive-existence",
-                                grid=grid256_41, operator=operator256_41)
+                                grid=grid256_41)
     report = fb.picard_solve(problem41.spec, problem41.kernel,
                              fb.GridFunction.constant(grid256_41, 1.0),
-                             tol=1e-16, max_iter=100, certificate=cert,
-                             operator=operator256_41)
+                             tol=1e-16, max_iter=100, certificate=cert)
     assert report.converged
     assert np.max(np.abs(report.solution.values)) <= 1e-8
     assert report.label == "certified:exists-positive"
@@ -298,7 +358,7 @@ def test_picard_example41_reaches_zero(problem41, grid256_41, operator256_41):
 
 def test_picard_example42_certified(problem42, grid256_42, operator256_42):
     cert = fb.build_certificate(problem42.spec, problem42.kernel, "uniqueness",
-                                grid=grid256_42, operator=operator256_42)
+                                grid=grid256_42)
     report = fb.picard_solve(problem42.spec, problem42.kernel,
                              fb.GridFunction.constant(grid256_42, 0.0),
                              tol=1e-16, max_iter=100, certificate=cert,
@@ -403,7 +463,7 @@ def test_positivity_preservation(grid256_41, operator256_41):
 
 def test_certified_contraction_on_pairs(problem42, grid256_42, operator256_42):
     cert = fb.build_certificate(problem42.spec, problem42.kernel, "uniqueness",
-                                grid=grid256_42, operator=operator256_42)
+                                grid=grid256_42)
     assert cert.verdict == VERDICT_UNIQUE
     rng = np.random.default_rng(99)
     for _ in range(40):
@@ -466,11 +526,37 @@ def test_operator_checked_against_its_use(problem42, grid256_42, operator256_42)
     with pytest.raises(ConfigurationError, match="operator was built"):
         fb.picard_solve(problem42.spec, problem42.kernel,
                         fb.GridFunction.constant(other_grid, 0.0), operator=operator256_42)
+    # an operator passed with a certificate is checked too, not the
+    # certificate's own operator
     other_spec = fb.ProblemSpec(params=problem42.params, f=problem42.spec.f,
                                 f_domain="nonnegative")
+    cert = fb.build_certificate(other_spec, problem42.kernel, "positive-existence",
+                                grid=grid256_42)
     with pytest.raises(ConfigurationError, match="operator was built"):
-        fb.build_certificate(other_spec, problem42.kernel, "positive-existence",
-                             grid=grid256_42, operator=operator256_42)
+        fb.picard_solve(other_spec, problem42.kernel, fb.GridFunction.constant(grid256_42, 0.0),
+                        certificate=cert, operator=operator256_42)
+
+
+def test_certificate_hands_its_operator_to_the_solve(problem41, problem42, monkeypatch):
+    # build_certificate then picard_solve assembles once on the
+    # positive-existence route; uniqueness applies no operator and keeps none
+    builds = []
+    assemble = solver.operator_matrix
+    monkeypatch.setattr(solver, "operator_matrix",
+                        lambda kernel, grid: builds.append(grid.panels) or assemble(kernel, grid))
+    grid41 = problem41.grid(64)
+    cert = fb.build_certificate(problem41.spec, problem41.kernel, "positive-existence",
+                                grid=grid41)
+    assert isinstance(cert.operator, fb.Operator) and "operator" not in repr(cert)
+    report = fb.picard_solve(problem41.spec, problem41.kernel,
+                             fb.GridFunction.constant(grid41, 1.0), certificate=cert)
+    assert report.label == "certified:exists-positive" and builds == [64]
+    grid42 = problem42.grid(64)
+    cert42 = fb.build_certificate(problem42.spec, problem42.kernel, "uniqueness", grid=grid42)
+    assert cert42.operator is None and builds == [64]
+    fb.picard_solve(problem42.spec, problem42.kernel, fb.GridFunction.constant(grid42, 0.0),
+                    certificate=cert42)
+    assert builds == [64, 64]
 
 
 def test_apply_stack_matches_rows(grid256_41, operator256_41):
