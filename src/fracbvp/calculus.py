@@ -15,19 +15,16 @@ limit Y sums
 
 * a fixed Gauss-Legendre rule over the super-panels at least _NEAR
   widths below Y, where (Y - y)**(a-1) is smooth;
-* exact moments of (Y - y)**(a-1) against the cubic's Newton basis
-  over the _NEAR super-panels below the one that holds Y, and over that
-  one up to Y.
+* exact Gauss-Jacobi moments for the weight (Y - y)**(a-1) over the
+  _NEAR super-panels below the one that holds Y, and over that one up
+  to Y (Golub & Welsch, Math. Comp. 23, 1969).
 
 So the singular kernel needs no special case for a < 1, no step
-inverts phi or interpolates u, and the error is smooth in Y.  The rule
-has two forms, which share their tables and near-zone helper:
-``frac_integral`` applies it to a grid function, and
-``_integral_weights`` returns its matrix, from which the solver
-assembles its operator.  Every grid of one panel count is the same
-graded grid on [0, 1] mapped affinely onto [phi(0), phi(1)], so the
-tables are built once per panel count.  ``frac_integral`` takes one
-upper limit t or an array of them, evaluated in row blocks.
+inverts phi or interpolates u, and the error is smooth in Y.  The
+tables behind it are built on first use: per grid the super-panel
+geometry and far points, per grid function the cubics, per order the
+Jacobi rule.  ``frac_integral`` takes one upper limit t or an array of
+them; an array is evaluated in row blocks, one upper limit per row.
 
 The fractional derivative of order ``a`` is
 
@@ -75,18 +72,44 @@ TOL_DERIVATIVE_IDENTITY = 1e-4
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
 # product integration on super-panels (grid panels 2k and 2k + 1, whose
-# 4 nodes carry one cubic): _FAR_POINTS Gauss-Legendre points on the
-# super-panels at least _NEAR widths below the upper limit, exact
-# moments on the rest; far points per block of limits (0.5 MiB per
-# float64 temporary), and limits per block of near weights (512 took
-# the 1024-panel assembly's peak past 1.15x its stored bytes)
+# 4 nodes carry one cubic): a fixed Gauss-Legendre rule of _FAR_POINTS
+# on the super-panels at least _NEAR widths below the upper limit,
+# exact moments by a _JACOBI_POINTS Gauss-Jacobi rule on the rest
 _FAR_POINTS = 6
 _NEAR = 6
+_JACOBI_POINTS = 3
+
+# far points per row block of _integral_y: about 0.5 MiB per float64
+# temporary, whatever the number of upper limits
 _BLOCK_POINTS = 1 << 16
-_NEAR_ROWS = 128
-# super-panels per product of the operator's far rule: one product with 8
-# block-diagonal tables was faster than 8 products with one
-_GROUP = 8
+
+_unit_rules: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breakpoints and two-point Gauss nodes/weights of a graded mesh on [0, 1].
+
+    Breakpoints are 0.5*(2k/m)**2 mirrored about 1/2, so panels shrink
+    quadratically toward both endpoints.
+    """
+    cached = _unit_rules.get(panels)
+    if cached is not None:
+        return cached
+    if panels < 2 or panels % 2:
+        raise ConfigurationError(f"panel count must be even and >= 2, got {panels}")
+    half = np.linspace(0.0, 1.0, panels // 2 + 1)
+    left = 0.5 * half**GRADING_EXPONENT
+    breaks = np.concatenate([left, 1.0 - left[-2::-1]])
+    centers = 0.5 * (breaks[:-1] + breaks[1:])
+    halfwidths = 0.5 * (breaks[1:] - breaks[:-1])
+    nodes = np.empty(2 * panels)
+    nodes[0::2] = centers - halfwidths * _INV_SQRT3
+    nodes[1::2] = centers + halfwidths * _INV_SQRT3
+    weights = np.repeat(halfwidths, 2)
+    for arr in (breaks, nodes, weights):
+        arr.setflags(write=False)
+    _unit_rules[panels] = (breaks, nodes, weights)
+    return breaks, nodes, weights
 
 
 @lru_cache(maxsize=64)
@@ -115,18 +138,26 @@ def _gauss_rule(alpha: float, points: int) -> tuple[np.ndarray, np.ndarray]:
 _gamma = lru_cache(maxsize=64)(gamma)
 
 
+def _cubic_at(x0, x1, x2, v0, d1, d2, d3, y):
+    """The Newton-form cubic with nodes x0, x1, x2 and coefficients v0, d1..d3 at y."""
+    return v0 + (y - x0) * (d1 + (y - x1) * (d2 + (y - x2) * d3))
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Fixed nodes on [0, 1] transported through phi.
+    """Fixed quadrature rule on [0, 1] transported through phi.
 
-    ``nodes`` are the abscissae s in (0, 1) and ``y_nodes`` their images
-    y = phi(s), where all quadrature happens.  The nodes must be strictly
-    ascending, which every consumer of a grid assumes.
+    ``nodes`` are the abscissae s in (0, 1); ``weights`` live in the
+    transformed variable y = phi(s), so sum(weights * v(nodes))
+    approximates integral_0^1 phi'(s) v(s) ds.  In particular the
+    weights sum to phi(1) - phi(0) exactly up to rounding.  The nodes
+    must be strictly ascending, which every consumer of a grid assumes.
     """
 
     phi: PhiMap
     panels: int
     nodes: np.ndarray
+    weights: np.ndarray
     y_nodes: np.ndarray
 
     def __post_init__(self):
@@ -143,72 +174,45 @@ class QuadratureGrid:
             and np.array_equal(self.nodes, other.nodes)
         )
 
+    @cached_property
+    def _super_panels(self) -> tuple[np.ndarray, ...]:
+        """Super-panel geometry in y, built on first use.
 
-@lru_cache(maxsize=16)
-def _reference(panels: int) -> tuple:
-    """The graded grid of ``panels`` on [0, 1], which every grid maps
-    affinely onto [phi(0), phi(1)] in y, and its product-rule tables.
-
-    Breakpoints are 0.5*(2k/m)**2 mirrored about 1/2, so panels shrink
-    quadratically toward both endpoints, with two Gauss nodes each.
-    Returns the nodes; the interior super-panel bounds; a table with one
-    column per super-panel of its bounds, its nodes x0, x1, x2 and, row
-    5 + 4k + m, the weight of node m in its cubic's coefficient k in the
-    Newton basis 1, (x - x0), (x - x0)(x - x1), (x - x0)(x - x1)(x - x2);
-    and per count of far points, those (S, points) points and each one's
-    weight times the 4 Lagrange basis values there, (S, points, 4).
-    """
-    if panels < 2 * (_NEAR + 1) or panels % 2:
-        raise ConfigurationError(
-            f"panel count must be even and >= {2 * (_NEAR + 1)}, got {panels}")
-    left = 0.5 * np.linspace(0.0, 1.0, panels // 2 + 1) ** GRADING_EXPONENT
-    breaks = np.concatenate([left, 1.0 - left[-2::-1]])
-    centers = 0.5 * (breaks[:-1] + breaks[1:])
-    halfwidths = 0.5 * (breaks[1:] - breaks[:-1])
-    nodes = np.empty(2 * panels)
-    nodes[0::2] = centers - halfwidths * _INV_SQRT3
-    nodes[1::2] = centers + halfwidths * _INV_SQRT3
-    nodes.setflags(write=False)
-    xs = nodes.reshape(-1, 4).T
-    diffs = np.broadcast_to(np.eye(4)[:, :, None], (4, 4, xs.shape[1]))
-    maps = [diffs[0]]
-    for order in (1, 2, 3):
-        diffs = np.diff(diffs, axis=0) / (xs[order:] - xs[:-order])[:, None]
-        maps.append(diffs[0])
-    table = np.vstack([breaks[:-1:2], breaks[2::2], xs[:3], *maps])
-    lo, hi = table[:2, :, None]
-    far = {}
-    for points in (4, _FAR_POINTS):
-        x, w = _gauss_rule(1.0, points)
-        basis = np.ones((4, xs.shape[1], points))
-        basis[1:] = lo + (hi - lo) * x - table[2:5, :, None]
-        basis[2] *= basis[1]
-        basis[3] *= basis[2]
-        basis *= (hi - lo) * w
-        weights = basis.transpose(1, 2, 0) @ table[5:].reshape(4, 4, -1).transpose(2, 0, 1)
-        far[points] = lo + (hi - lo) * x, weights
-    return nodes, breaks[2:-1:2], table, far
-
-
-@lru_cache(maxsize=16)
-def _far_groups(panels: int, points: int) -> np.ndarray:
-    """The far tables of ``_reference`` block-diagonal over each _GROUP
-    super-panels, (S // _GROUP, _GROUP * points, _GROUP * 4)."""
-    weights = _reference(panels)[3][points][1]
-    groups = np.zeros((len(weights) // _GROUP, _GROUP, points, _GROUP, 4))
-    for g in range(_GROUP):
-        groups[:, g, :, g] = weights[g:len(groups) * _GROUP:_GROUP]
-    return groups.reshape(len(groups), _GROUP * points, _GROUP * 4)
+        Returns the interior super-panel bounds, the bounds (lower,
+        upper) and first three nodes of every super-panel after _NEAR
+        empty ones at phi(0), and the far Gauss-Legendre points and
+        weights in ascending order.
+        """
+        y0, y1 = self.phi.image
+        bounds = y0 + (y1 - y0) * _unit_rule(self.panels)[0][0::2]
+        lo, hi = bounds[:-1], bounds[1:]
+        x, w = _gauss_rule(1.0, _FAR_POINTS)
+        width = (hi - lo)[:, None]
+        y_far = (lo[:, None] + width * x).ravel()
+        w_far = (width * w).ravel()
+        geometry = np.vstack([lo, hi, self.y_nodes.reshape(-1, 4)[:, :3].T])
+        geometry = np.concatenate([np.full((5, _NEAR), y0), geometry], axis=1)
+        return bounds[1:-1], geometry, y_far, w_far
 
 
 def build_grid(phi: PhiMap, panels: int = DEFAULT_PANELS) -> QuadratureGrid:
     """Build the graded two-point Gauss grid for a coordinate map."""
+    _, ref_nodes, ref_weights = _unit_rule(panels)
     y0, y1 = phi.image
-    y_nodes = y0 + (y1 - y0) * _reference(panels)[0]
+    span = y1 - y0
+    y_nodes = y0 + span * ref_nodes
     nodes = np.asarray(phi.inverse(y_nodes), dtype=float)
+    weights = span * ref_weights
     nodes.setflags(write=False)
+    weights.setflags(write=False)
     y_nodes.setflags(write=False)
-    return QuadratureGrid(phi=phi, panels=panels, nodes=nodes, y_nodes=y_nodes)
+    return QuadratureGrid(
+        phi=phi,
+        panels=panels,
+        nodes=nodes,
+        weights=weights,
+        y_nodes=y_nodes,
+    )
 
 
 @dataclass(frozen=True)
@@ -290,14 +294,24 @@ class GridFunction:
         return float(out) if np.ndim(t) == 0 else out
 
     @cached_property
-    def _product_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """The super-panel cubics' Newton coefficients in ``_reference``, one
-        column each, and the far weights of ``frac_integral`` times the
-        cubics at its points."""
-        _, _, table, far = _reference(self.grid.panels)
-        values = self.values.reshape(-1, 4, 1)
-        coeffs = (table[5:].reshape(4, 4, -1).transpose(2, 0, 1) @ values)[..., 0].T
-        return coeffs, (far[_FAR_POINTS][1] @ values).ravel()
+    def _panel_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cubic in y through the 4 nodes of each super-panel.
+
+        Returns the grid's super-panel geometry stacked over each
+        cubic's Newton coefficients (v0, d1, d2, d3), after _NEAR zero
+        cubics, and the far weights times the cubics at the far points.
+        """
+        _, geometry, y_far, w_far = self.grid._super_panels
+        xs = self.grid.y_nodes.reshape(-1, 4)
+        vs = self.values.reshape(-1, 4)
+        d1 = np.diff(vs, axis=1) / np.diff(xs, axis=1)
+        d2 = (d1[:, 1:] - d1[:, :-1]) / (xs[:, 2:] - xs[:, :-2])
+        d3 = (d2[:, 1] - d2[:, 0]) / (xs[:, 3] - xs[:, 0])
+        coeffs = np.vstack([vs[:, 0], d1[:, 0], d2[:, 0], d3])
+        panel = np.concatenate([xs[:, :3].T, coeffs])[:, :, None]
+        w_u = w_far * _cubic_at(*panel, y_far.reshape(xs.shape[0], -1)).ravel()
+        table = np.vstack([geometry, np.pad(coeffs, ((0, 0), (_NEAR, 0)))])
+        return table, w_u
 
 
 @lru_cache(maxsize=16)
@@ -324,128 +338,40 @@ def _on_map(u, phi: PhiMap) -> GridFunction:
     raise ConfigurationError("u must be a GridFunction or a callable")
 
 
-@lru_cache(maxsize=64)
-def _monomial_moments(order: float) -> np.ndarray:
-    """j! / Gamma(order + 1 + j): times (c - e)**(order + j), the integral
-    of (c - x)**(order - 1) / Gamma(order) * (x - e)**j over [e, c]."""
-    j = np.arange(4.0)
-    return (np.cumprod(np.maximum(j, 1.0) / (order + j)) / gamma(order))[:, None, None, None]
-
-
-def _near_moments(order: float, panels: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The near zone of each limit c of ``_reference(panels)``, the
-    super-panel that holds c and the _NEAR below it (or the first _NEAR +
-    1): its first super-panel, and the integrals [k, j, i] of Newton
-    basis polynomial k of super-panel first[i] + j against (c[i] -
-    x)**(order - 1) / Gamma(order) up to c[i].  Each is taken from the
-    lower bound less from the upper bound, which the Newton basis keeps
-    as well conditioned as on a smooth u's own cubic.  The limits run
-    along the last axis, so each one's arithmetic is the same whatever
-    the others."""
-    _, bounds, table, _ = _reference(panels)
-    first = np.searchsorted(bounds[_NEAR:], c, side="right")
-    zone = np.take(table[:5], _ZONE + first, axis=1)
-    lower = np.minimum(zone[:2], c)
-    width = c - lower
-    # moments of (x - lower)**j for both lower ends, lifted to the Newton
-    # basis one factor (x - x_i) = (x - lower) + (lower - x_i) at a time
-    moments = np.empty((4,) + width.shape)
-    np.power(width, order, out=moments[0])
-    for j in (1, 2, 3):
-        np.multiply(moments[j - 1], width, out=moments[j])
-    moments *= _monomial_moments(order)
-    shift = lower - zone[2:5, None]
-    for i in (0, 1, 2):
-        moments[i + 1:] += shift[i] * moments[i:3]
-    return first, moments[:, 0] - moments[:, 1]
-
-
 def _integral_y(alpha: float, u: GridFunction, c: np.ndarray) -> np.ndarray:
-    """Order-alpha integrals of u's panel cubics at the limits c, a 1-D
-    array in [phi(0), phi(1)]: the far rule below each near zone plus
-    ``_near_moments`` on u's Newton coefficients, in row blocks that run
-    every row's arithmetic alike, so an array gives the values of one
+    """Order-alpha integrals of u's panel cubics at the limits c in y.
+
+    ``c`` is a 1-D array in [phi(0), phi(1)].  Each limit sums the far
+    super-panels by the fixed Gauss-Legendre rule and integrates the
+    super-panel that holds it, plus the _NEAR below that one, exactly by
+    Gauss-Jacobi moments.  The limits go in row blocks of about
+    ``_BLOCK_POINTS`` far points, and every row runs the same arithmetic
+    whatever the block, so an array of limits gives the values of one
     call per limit.  The long far sum is numpy's own reduction, not a
-    BLAS product, so it does not depend on the BLAS thread count."""
-    y0, y1 = u.grid.phi.image
-    x = (c - y0) / (y1 - y0)
-    _, _, table, far = _reference(u.grid.panels)
-    x_far = far[_FAR_POINTS][0].ravel()
-    coeffs, far_values = u._product_terms
+    BLAS product, so results do not depend on the BLAS thread count.
+    """
+    z, lam = _gauss_rule(alpha, _JACOBI_POINTS)
+    g = _gamma(alpha)
+    bounds, _, y_far, _ = u.grid._super_panels
+    table, w_u = u._panel_table
+    window = np.arange(_NEAR + 1)
     out = np.empty(c.shape)
-    block = max(1, _BLOCK_POINTS // x_far.size)
+    block = max(1, _BLOCK_POINTS // y_far.size)
     for start in range(0, c.size, block):
-        top = x[start:start + block]
-        first, moments = _near_moments(alpha, u.grid.panels, top)
-        near = (moments * np.take(coeffs, _ZONE + first, axis=1)).sum(axis=0).sum(axis=0)
-        powers = np.power(top[:, None] - x_far, alpha - 1.0, out=np.zeros((top.size, x_far.size)),
-                          where=x_far < table[0, first, None])
-        out[start:start + block] = np.einsum("ij,j->i", powers, far_values) / _gamma(alpha) + near
-    return out * (y1 - y0) ** alpha
-
-
-# a near zone's super-panels after its first; the column of node m of
-# its super-panel j as [m, j]
-_ZONE = np.arange(_NEAR + 1)[:, None]
-_ZONE_COLUMNS = (4 * np.arange(_NEAR + 1) + np.arange(4)[:, None])[..., None]
-
-
-def _integral_weights(order: float, grid: QuadratureGrid, limits: np.ndarray,
-                      far_points: int, out=None):
-    """The matrix W of the order-``order`` integral, order > 1, at the
-    limits in y, one row per limit and one column per node, with
-    ``far_points`` (4 or 6) far points: with 6, ``W @ u.values`` is
-    ``_integral_y`` to rounding.  It is returned for ascending limits, or
-    written into ``out``: arrays that take consecutive rows, each with
-    ascending limits and columns up to their near zones' last nodes.
-    Every column past a row's near zone is 0."""
-    y0, y1 = grid.phi.image
-    x = (limits - y0) / (y1 - y0)
-    _, _, table, far_rules = _reference(grid.panels)
-    blocks = [np.empty((limits.size, grid.size))] if out is None else out
-    first = np.empty(limits.size, dtype=np.intp)
-    near = np.empty((4, _NEAR + 1, limits.size))
-    step = -(-limits.size // max(1, round(limits.size / _NEAR_ROWS)))
-    for r0 in range(0, limits.size, step):
-        first[r0:r0 + step], moments = _near_moments(order, grid.panels, x[r0:r0 + step])
-        maps = np.take(table[5:], _ZONE + first[r0:r0 + step], axis=1)
-        np.sum(moments[:, None] * maps.reshape(4, 4, *maps.shape[1:]), axis=0,
-               out=near[..., r0:r0 + step])
-    near *= (y1 - y0) ** order
-    # (c - y)**(order - 1) / Gamma(order) dy is (s c - s x)**(order - 1) dx
-    # with s**(order - 1) = (y1 - y0)**order / Gamma(order), taken as an exp
-    # of a log: numpy does not vectorize the power, and these cost a fifth less
-    x_far, weights = far_rules[far_points]
-    scale = ((y1 - y0) ** order / _gamma(order)) ** (1.0 / (order - 1.0))
-    x, x_far = scale * x, scale * x_far
-    r1 = 0
-    for block in blocks:
-        r0, r1 = r1, r1 + block.shape[0]
-        rows, c, f = r1 - r0, x[r0:r1], first[r0:r1]
-        clean, far = int(f[0]), int(f[-1])
-        block[:, 4 * (clean + _NEAR + 1):] = 0.0
-        # below every row's zone, in whole groups of _GROUP super-panels for
-        # more than one row, in chunks of about _BLOCK_POINTS powers; then in
-        # steps of _NEAR + 1 for the rows whose zone has not begun, which
-        # reach at most into it, where the near weights overwrite them
-        groups = _far_groups(grid.panels, far_points) if rows > 1 else None
-        grouped = clean if groups is None else clean - clean % _GROUP
-        step = max(1, _BLOCK_POINTS // (rows * far_points * _GROUP)) * _GROUP
-        edges = [*range(0, grouped, step), *range(grouped, far, _NEAR + 1), far]
-        starts = np.searchsorted(f, edges[:-1], side="right").tolist()
-        scratch = np.empty(rows * far_points * max(step, _NEAR + 1))
-        for p0, p1, k in zip(edges[:-1], edges[1:], starts):
-            powers = scratch[:(rows - k) * (p1 - p0) * far_points]
-            np.subtract(c[k:, None], x_far[p0:p1].ravel(), out=powers.reshape(rows - k, -1))
-            np.log(powers, out=powers)
-            powers *= order - 1.0
-            np.exp(powers, out=powers)
-            n, tables = (p1 - p0, weights[p0:p1]) if groups is None or p1 > grouped else \
-                ((p1 - p0) // _GROUP, groups[p0 // _GROUP:p1 // _GROUP])
-            np.matmul(powers.reshape(rows - k, n, -1).transpose(1, 0, 2), tables,
-                      out=block[k:, 4 * p0:4 * p1].reshape(rows - k, n, -1).transpose(1, 0, 2))
-        block[np.arange(rows), 4 * f + _ZONE_COLUMNS] = near[..., r0:r1]
-    return blocks[0] if out is None else out
+        top = c[start:start + block, None]
+        # rows k .. k + _NEAR of the padded table: the _NEAR super-panels
+        # below the one that holds the limit, then that one
+        k = np.searchsorted(bounds, top[:, 0], side="right")
+        rows = table[:, k[:, None] + window, None]
+        ends = np.minimum(rows[:2], top[:, :, None])
+        width = top[:, :, None] - ends
+        cubic = _cubic_at(*rows[2:], ends + width * z)
+        moments = width[..., 0] ** alpha * (cubic @ lam)
+        near = np.add.reduce(moments[0] - moments[1], axis=1)
+        far = np.power(top - y_far, alpha - 1.0, out=np.zeros((top.size, y_far.size)),
+                       where=y_far < rows[0, :, :1, 0])
+        out[start:start + block] = (np.einsum("ij,j->i", far, w_u) + near) / g
+    return out
 
 
 def frac_integral(alpha: float, phi: PhiMap, u, t: float | np.ndarray) -> float | np.ndarray:

@@ -25,10 +25,6 @@ not exist and is refused.  Whenever
 the kernel is positive on the open square and dominated by
 
     (alpha-1) * phi'(1) * (phi(1) - phi(s))**(alpha-2) / (mu * Gamma(alpha)).
-
-The solver never samples G: integrated against f, its pieces are three
-fractional integrals (``solver.operator_matrix``).  ``green_values``
-serves the kernel checks and the ``green`` table.
 """
 
 from __future__ import annotations
@@ -143,6 +139,12 @@ def _separable(kernel: GreenKernel, y_t, y_s):
     return head, full, eta_part
 
 
+def _memory(kernel: GreenKernel, y_t, y_s):
+    """The memory term mu * (y_t - y_s)_+**(alpha-1) at broadcast
+    phi-values; 0 wherever y_s >= y_t."""
+    return kernel.mu * _pow_pos(y_t - y_s, kernel.params.alpha - 1.0)
+
+
 def green_values(kernel: GreenKernel, t, s):
     """Kernel values at broadcast t, s in [0, 1], by the single formula.
 
@@ -153,8 +155,7 @@ def green_values(kernel: GreenKernel, t, s):
     y_t = np.asarray(phi(np.asarray(t, dtype=float)), dtype=float)
     y_s = np.asarray(phi(np.asarray(s, dtype=float)), dtype=float)
     head, full, eta_part = _separable(kernel, y_t, y_s)
-    memory = kernel.mu * _pow_pos(y_t - y_s, kernel.params.alpha - 1.0)
-    return (head * (full - eta_part) - memory) / kernel.scale
+    return (head * (full - eta_part) - _memory(kernel, y_t, y_s)) / kernel.scale
 
 
 def green(kernel: GreenKernel, t: float, s: float) -> float:

@@ -11,11 +11,10 @@ u <- A u, the sampled existence checks and the fixed-point residual.
 The boundary residuals are those of the solution the solve reports,
 the local cubics of its nodal values.
 
-A u is three fractional integrals of f(s, u(s)) (``operator_matrix``),
-taken by the product rule of ``calculus.frac_integral``, and stored
-factored: a rank-one term head(t) * tail(s) minus the memory term, the
-integral up to t, kept in row blocks on the columns up to each block's
-last node only.  One product serves a
+The operator is stored factored, after the kernel's structure: G(t, s)
+is the rank-one term head(t) * tail(s) minus a memory term that
+vanishes for s >= t, kept in row blocks on the columns below each
+block's last node only (``operator_matrix``).  One product serves a
 vector and a (k, N) stack, and its results do not depend on the BLAS
 thread count.
 
@@ -56,9 +55,9 @@ from .bmetric import (
     geraghty_inequality_check,
     tau,
 )
-from .calculus import GridFunction, QuadratureGrid, _integral_weights
+from .calculus import GridFunction, QuadratureGrid
 from .errors import ConfigurationError, NumericError
-from .green import BvpParams, GreenKernel
+from .green import BvpParams, GreenKernel, _memory, _separable
 
 __all__ = [
     "ProblemSpec",
@@ -86,10 +85,13 @@ VERDICT_NONE = "no-certificate"
 # operator assembly: row blocks of the memory term (16 ran the Picard
 # loop at 2048 panels faster than 32 or 64) and their fewest rows (below
 # 128 the Python cost per block outweighs the bytes saved on grids of
-# 64-256 panels), and the most nodes it assembles (two per panel of the
-# largest grid_size, 8192, whose factored operator takes about 1.1 GiB)
+# 64-256 panels), entries per sub-block filled at once (0.5 MiB per
+# sub-block-sized temporary, the fastest of 2**14..2**18 at 1024 and 2048
+# panels), and the most nodes it assembles (two per panel of the largest
+# grid_size, 8192, whose factored operator takes about 1.1 GiB)
 _MEMORY_BLOCKS = 16
 _MIN_BLOCK_ROWS = 128
+_BLOCK_ELEMENTS = 2**16
 _MAX_GRID_SIZE = 8192
 _MAX_NODES = 2 * _MAX_GRID_SIZE
 
@@ -139,8 +141,8 @@ class OperatorFactors:
     = M @ f(nodes, u(nodes)).
 
     ``head`` and ``tail`` hold the rank-one term head(s_i) * tail_j.
-    ``memory`` holds the weights of the order-alpha integral up to each
-    node in consecutive row blocks; block b spans the next
+    ``memory`` holds the memory term mu * (phi(s_i) - phi(s_j))_+**(alpha-1)
+    / scale * w_j in consecutive row blocks; block b spans the next
     ``block.shape[0]`` rows and the first ``block.shape[1]`` columns, and
     the entries outside every block are 0.
     """
@@ -164,32 +166,25 @@ class OperatorFactors:
 
 def _memory_layout(n: int) -> list[tuple[int, int]]:
     """(first row, end row) of each memory block: blocks of
-    ceil(n / _MEMORY_BLOCKS) rows rounded up to a multiple of 4, so that
-    a row's weights, which reach its super-panel's last node, end at its
-    block's end row, its number of columns; at least _MIN_BLOCK_ROWS, the
-    last one possibly shorter."""
-    rows = max(-(-n // (4 * _MEMORY_BLOCKS)) * 4, _MIN_BLOCK_ROWS)
+    ceil(n / _MEMORY_BLOCKS) rows, but at least _MIN_BLOCK_ROWS, the last
+    one possibly shorter.  The nodes ascend, so the memory term of a
+    block ends at its last row's column: the end row is also its number
+    of columns."""
+    rows = max(-(-n // _MEMORY_BLOCKS), _MIN_BLOCK_ROWS)
     return [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
 
 
 def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactors:
-    """The factored operator M = head (x) tail - memory of the
-    product-integration rule of ``calculus.frac_integral``.
+    """The factored operator M with M[i, j] = G(s_i, s_j) * w_j =
+    head(s_i) * tail_j - memory[i, j].
 
-    With F = f(s, u(s)) and I^p the order-p integral in y = phi(s),
-
-        A u(t) = head(t) / mu * [phi'(1) I^(alpha-1) F(phi(1)) - beta I^alpha F(phi(eta))]
-                 - I^alpha F(phi(t)),
-
-    head(t) = (phi(t) - phi(0))**(alpha-1); Gamma(alpha) and the
-    kernel's scale cancel.  ``tail`` is the bracket's row of weights over
-    mu, and the memory blocks hold the weights of I^alpha at the nodes,
-    with 4 far points, not the 6 of ``frac_integral``: that moves A u by
-    about 1e-13 relative, and each entry costs about one power.  With 16
-    blocks it stores about 0.53 * 8 N**2 bytes, written in place into one
-    flat buffer, so the peak is about the stored bytes.  A grid of more
-    than 16384 nodes (grid_size above 8192) raises ConfigurationError
-    before phi is evaluated on it.
+    tail = (full - eta_part) / scale * w and the memory term is kept only
+    on each row block's columns below its last node (it is 0 where
+    phi(s_j) >= phi(s_i)), so with 16 blocks it stores about
+    0.53 * 8 N**2 bytes.  The blocks are views of one flat
+    buffer, filled in sub-blocks of about 2**16 entries, so the peak is
+    about the stored bytes.  A grid of more than 16384 nodes (grid_size
+    above 8192) raises ConfigurationError before phi is evaluated on it.
 
     The grid must come from the kernel's phi map: phi at the grid nodes
     has to reproduce the grid's y nodes.
@@ -202,27 +197,28 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
             f"{least / 2**20:.0f} MiB, over the {_MAX_NODES}-node limit; "
             f"the largest accepted grid_size is {_MAX_NODES * grid.panels // n}")
     y = np.asarray(kernel.params.phi(grid.nodes), dtype=float)
+    layout = _memory_layout(n)
     gap = np.max(np.abs(y - grid.y_nodes))
     if not gap <= 1e-9 * kernel.shifted_one:
         raise ConfigurationError(
             f"grid was built for a different phi map than the kernel's (node gap {gap:.3g})")
-    p = kernel.params
-    head = np.maximum(y - kernel.phi_zero, 0.0) ** (p.alpha - 1.0)
-    layout = _memory_layout(n)
+    head, full, eta_part = _separable(kernel, y, y)
+    tail = (full - eta_part) / kernel.scale * grid.weights
     flat = np.empty(sum((i1 - i0) * i1 for i0, i1 in layout))
     memory = []
     offset = 0
     for i0, i1 in layout:
         # rows i0..i1-1 on columns 0..i1-1
-        memory.append(flat[offset:offset + (i1 - i0) * i1].reshape(i1 - i0, i1))
-        offset += memory[-1].size
-    # the row at phi(1) has the least smooth weight, (phi(1) - y)**(alpha -
-    # 2), on the finest panels, and takes frac_integral's 6 far points
-    eta_part = np.empty((1, n))
-    _integral_weights(p.alpha, grid, np.append(grid.y_nodes, kernel.phi_eta), 4,
-                      out=[*memory, eta_part])
-    full = _integral_weights(p.alpha - 1.0, grid, np.array([p.phi.image[1]]), 6)
-    tail = (kernel.deriv_one * full[0] - p.beta * eta_part[0]) / kernel.mu
+        block = flat[offset:offset + (i1 - i0) * i1].reshape(i1 - i0, i1)
+        offset += block.size
+        step = max(1, _BLOCK_ELEMENTS // i1)
+        for r0 in range(i0, i1, step):
+            r1 = min(r0 + step, i1)
+            sub = block[r0 - i0:r1 - i0]
+            sub[...] = _memory(kernel, y[r0:r1, None], y[None, :i1])
+            sub /= kernel.scale
+            sub *= grid.weights[:i1]
+        memory.append(block)
     return OperatorFactors(head=head, tail=tail, memory=tuple(memory))
 
 
@@ -306,10 +302,10 @@ class Certificate:
     """Machine-checkable record of which certificate hypotheses hold.
 
     ``spec``, ``kernel`` and ``grid`` record what it was built for, so
-    that ``picard_solve`` refuses it for another problem.  A
-    positive-existence certificate also keeps the ``operator`` it
-    applied, for the solve it certifies; uniqueness needs none.  These
-    fields take no part in ``repr`` or comparison.
+    that ``picard_solve`` refuses it for another problem; a
+    positive-existence certificate keeps the ``operator`` it applied for
+    the solve it certifies.  None of them take part in ``repr`` or
+    comparison.
     """
 
     mode: str
@@ -409,10 +405,7 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
 
     g_sup = None
     lam = None
-    contraction = None
-    geraghty = None
-    admissibility = None
-    op = None
+    contraction = geraghty = admissibility = op = None
 
     if mode == "uniqueness":
         if spec.g is None:
@@ -523,9 +516,8 @@ def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
     diverged, and the run ends at the last iterate whose step was finite,
     reported as not converged.  Runs without a passing certificate are
     labeled best-effort; a certificate built for another spec, kernel or
-    grid raises ConfigurationError.  Without ``operator``, the solve
-    applies the certificate's operator when it has one, else assembles
-    its own.
+    grid raises ConfigurationError.  Without ``operator``, the solve applies
+    the certificate's operator if it has one, else assembles its own.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigurationError(f"tol must be finite and positive, got {tol!r}")
@@ -535,9 +527,8 @@ def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
     if certificate is not None and not _built_for(certificate, spec, kernel, grid):
         raise ConfigurationError(
             "certificate was built for a different problem, kernel or grid")
-    if operator is None and certificate is not None:
-        operator = certificate.operator
-    op = Operator(spec, kernel, grid) if operator is None else operator.check(spec, kernel, grid)
+    op = operator or (certificate.operator if certificate else None)
+    op = Operator(spec, kernel, grid) if op is None else op.check(spec, kernel, grid)
     values = u0.values
     ratios: list[float] = []
     prev_step = None

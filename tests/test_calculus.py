@@ -7,8 +7,7 @@ import pytest
 
 import fracbvp as fb
 from fracbvp.calculus import (_STENCIL_REACH, _STEP_FRACTION, TOL_DERIVATIVE_IDENTITY,
-                              TOL_INTEGRAL_IDENTITY, _gauss_rule, _integral_weights, _integral_y,
-                              _on_map, _reference)
+                              TOL_INTEGRAL_IDENTITY, _gauss_rule, _integral_y, _on_map)
 from fracbvp.errors import ConfigurationError, DomainError, GridMismatchError, NumericError
 from fracbvp.special import PHI_KINDS
 
@@ -27,6 +26,9 @@ def test_grid_invariants(kind):
     assert grid.size == 512
     assert np.all(np.diff(grid.nodes) > 0.0)
     assert grid.nodes[0] > 0.0 and grid.nodes[-1] < 1.0
+    assert np.all(grid.weights >= 0.0)
+    # the phi-weighted rule integrates constants to phi(1) - phi(0)
+    assert abs(float(grid.weights.sum()) - (phi.image[1] - phi.image[0])) <= 1e-10
 
 
 def test_grid_rejects_odd_panels(phi_identity):
@@ -39,6 +41,7 @@ def test_grid_invariants_for_table_map():
     phi = fb.phi_catalog("table", samples=np.column_stack([ts, np.sqrt(0.25 + 0.5 * ts)]))
     grid = fb.build_grid(phi, 128)
     assert np.all(np.diff(grid.nodes) > 0.0)
+    assert abs(float(grid.weights.sum()) - (phi.image[1] - phi.image[0])) <= 1e-10
     # nodes really are the preimages of the transformed abscissae
     assert np.max(np.abs(phi(grid.nodes) - grid.y_nodes)) <= 1e-12
 
@@ -169,8 +172,7 @@ def test_frac_integral_exact_on_cubics_in_phi(kind, alpha):
     y0 = float(phi(0.0))
     grid = fb.build_grid(phi, 64)
     u = fb.GridFunction(grid, (grid.y_nodes - y0) ** 3)
-    bounds = y0 + (phi.image[1] - y0) * _reference(64)[1]
-    ts = np.concatenate([[0.0], phi.inverse(bounds), [1.0]])
+    ts = np.concatenate([[0.0], phi.inverse(grid._super_panels[0]), [1.0]])
     exact = 6.0 / math.gamma(4.0 + alpha) * (phi(ts) - y0) ** (3.0 + alpha)
     got = fb.frac_integral(alpha, phi, u, ts)
     assert got[0] == 0.0
@@ -379,25 +381,3 @@ def test_frac_derivative_matches_scalar_stencil(phi_sin, alpha):
             reference = (F(y + 2.0 * h) - 2.0 * F(y + h) + 2.0 * F(y - h)
                          - F(y - 2.0 * h)) / (2.0 * h**3)
         assert abs(fb.frac_derivative(alpha, phi_sin, u, t) - reference) <= 1e-15
-
-
-@pytest.mark.parametrize("order", [1.3, 2.5])
-@pytest.mark.parametrize("kind", PHI_KINDS)
-def test_integral_weights_are_the_matrix_of_the_rule(kind, order):
-    # one row per limit, one column per node: with frac_integral's 6 far
-    # points, W @ u is _integral_y's value; every column past a limit's
-    # near zone is 0; row blocks written in place are the same rows
-    phi = catalog_map(kind)
-    grid = fb.build_grid(phi, 64)
-    u = fb.GridFunction.sample(grid, lambda s: np.exp(s) * np.cos(3.0 * s))
-    limits = np.concatenate([[phi.image[0]], grid.y_nodes, [phi.image[1]]])
-    weights = _integral_weights(order, grid, limits, 6)
-    assert weights.shape == (limits.size, grid.size)
-    applied = _integral_y(order, u, limits)
-    assert np.max(np.abs(weights @ u.values - applied)) <= 1e-14 * np.max(np.abs(applied))
-    bounds = phi.image[0] + (phi.image[1] - phi.image[0]) * _reference(64)[1]
-    ends = 4 * (np.searchsorted(bounds, limits, side="right") + 1)
-    assert all(np.all(row[end:] == 0.0) for row, end in zip(weights, ends))
-    blocks = [np.empty((40, grid.size)), np.empty((limits.size - 40, grid.size))]
-    _integral_weights(order, grid, limits, 6, out=blocks)
-    assert np.array_equal(np.vstack(blocks), weights)

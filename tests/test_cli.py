@@ -1,7 +1,6 @@
 """Black-box command-line tests: exit codes, CSV schemas, determinism."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -413,7 +412,7 @@ def test_json_writes_non_finite_numbers_as_null(tmp_path, capsys):
     assert payload["converged"] is False
     assert payload["fixed_point_residual"] is None
     b0, b1, b2 = payload["boundary_residuals"]
-    assert isinstance(b0, float) and b1 > 1e3 and math.isfinite(b2)
+    assert isinstance(b0, float) and b1 > 1e3 and b2 > 10.0
 
 
 def test_solve_oversized_grid_exits_1_before_allocating(tmp_path):

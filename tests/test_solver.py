@@ -109,69 +109,39 @@ def _dense_parts(factors):
     return factors.head[:, None] * factors.tail[None, :], memory
 
 
-def _three_integrals(kernel, F, ts):
-    """A u at ts from F = f(s, u(s)) by the formula
-
-        head(t) / mu * [phi'(1) I^(alpha-1) F(phi(1)) - beta I^alpha F(phi(eta))]
-            - I^alpha F(phi(t)),
-
-    head(t) = (phi(t) - phi(0))**(alpha - 1), each integral a
-    ``frac_integral`` of the grid function F."""
-    p = kernel.params
-    head = (p.phi(ts) - p.phi(0.0)) ** (p.alpha - 1.0)
-    bracket = (p.phi.deriv(1.0) * fb.frac_integral(p.alpha - 1.0, p.phi, F, 1.0)
-               - p.beta * fb.frac_integral(p.alpha, p.phi, F, p.eta))
-    return head / kernel.mu * bracket - fb.frac_integral(p.alpha, p.phi, F, ts)
+def _assert_factors_match_formula(kernel, grid):
+    factors = solver.operator_matrix(kernel, grid)
+    rank_one, memory = _dense_parts(factors)
+    reference = fb.green_values(kernel, grid.nodes[:, None], grid.nodes[None, :]) * grid.weights
+    # 8 ulp of the two summed parts: the factors round apart, so the
+    # entries are not bitwise those of the formula
+    slack = 8 * np.finfo(float).eps * (np.abs(rank_one) + np.abs(memory))
+    assert np.all(np.abs(rank_one - memory - reference) <= slack)
+    return factors
 
 
-# the panel counts give one memory block; several of equal rows; and
-# several with a last block shorter than the others
+# the panel counts give one memory block; several, the widest filled in
+# more than one sub-block of _BLOCK_ELEMENTS entries; and several with a
+# last block shorter than the others
 @pytest.mark.parametrize("panels", [64, 640, 300],
                          ids=["one-block", "many-blocks", "partial-last-block"])
 @pytest.mark.parametrize("case", ["example41", "example42", "alpha3", "eta1",
                                   "mu_negative", "table"])
 def test_operator_matrix_equals_single_formula(case, panels):
-    # the operator is the product rule of frac_integral: its values at the
-    # nodes are the three integrals of F, to the 4 far points it uses in
-    # place of frac_integral's 6
     kernel = _kernel_case(case)
     assert case != "mu_negative" or kernel.mu < 0.0
     grid = fb.build_grid(kernel.params.phi, panels)
-    spec = fb.ProblemSpec(params=kernel.params,
-                          f=lambda t, u: np.cos(3.0 * t) + 0.5 * u * u)
-    values = np.sin(2.0 * grid.nodes) + grid.nodes**2
-    op = fb.Operator(spec, kernel, grid)
-    formula = _three_integrals(kernel, fb.GridFunction(grid, op._forcing(values)), grid.nodes)
-    assert np.max(np.abs(op.apply(values) - formula)) <= 1e-13 * np.max(np.abs(formula))
-    shapes = [block.shape for block in op.factors.memory]
-    # each block stops at its own last row's column, a multiple of 4
+    factors = _assert_factors_match_formula(kernel, grid)
+    shapes = [block.shape for block in factors.memory]
+    # each block stops at its own last row's column
     assert [cols for _, cols in shapes] == list(np.cumsum([rows for rows, _ in shapes]))
-    assert all(cols % 4 == 0 for _, cols in shapes)
     if panels == 64:
         assert shapes == [(grid.size, grid.size)]
     elif panels == 640:
         assert len(shapes) > 2 and len({rows for rows, _ in shapes}) == 1
+        assert shapes[-2][0] * shapes[-2][1] > solver._BLOCK_ELEMENTS
     else:
         assert len(shapes) > 2 and shapes[-1][0] < shapes[0][0]
-
-
-def test_operator_is_fourth_order(problem42):
-    # the Nystrom values of example42's solution, the three-integral
-    # formula at 101 points, against those of a 1024-panel solve: the
-    # error falls about 16x per doubling of the panels
-    ts = np.linspace(0.0, 1.0, 101)
-
-    def nystrom(panels):
-        grid = problem42.grid(panels)
-        report = fb.picard_solve(problem42.spec, problem42.kernel,
-                                 fb.GridFunction.constant(grid, 0.0), tol=1e-30)
-        assert report.converged
-        forcing = problem42.spec.f(grid.nodes, report.solution.values)
-        return _three_integrals(problem42.kernel, fb.GridFunction(grid, forcing), ts)
-
-    reference = nystrom(1024)
-    errors = [np.max(np.abs(nystrom(panels) - reference)) for panels in (64, 128, 256)]
-    assert errors[0] / errors[1] >= 12.0 and errors[1] / errors[2] >= 12.0
 
 
 def test_operator_matrix_on_descending_nodes(kernel42):
@@ -179,7 +149,8 @@ def test_operator_matrix_on_descending_nodes(kernel42):
     # (interpolation, fractional integral, operator) ever sees one
     grid = fb.build_grid(kernel42.params.phi, 300)
     with pytest.raises(ConfigurationError, match="strictly ascending"):
-        dataclasses.replace(grid, nodes=grid.nodes[::-1], y_nodes=grid.y_nodes[::-1])
+        dataclasses.replace(grid, nodes=grid.nodes[::-1], weights=grid.weights[::-1],
+                            y_nodes=grid.y_nodes[::-1])
     repeated = grid.nodes.copy()
     repeated[7] = repeated[6]
     with pytest.raises(ConfigurationError, match="strictly ascending"):
@@ -215,6 +186,15 @@ def test_factored_product_matches_dense(kernel42, panels):
     assert np.all(np.abs(factors.product(stack[3]) - dense[3]) <= 1e-13 * scale[3])
 
 
+def test_operator_refuses_oversized_grid(kernel41):
+    grid = fb.build_grid(kernel41.params.phi, 8194)
+    spec = fb.ProblemSpec(params=kernel41.params, f=lambda t, u: u)
+    with pytest.raises(ConfigurationError,
+                       match="grid_size 8194 has 16388 nodes and its operator would take at least 1089 MiB"
+                             ".*largest accepted grid_size is 8192"):
+        fb.Operator(spec, kernel41, grid)
+
+
 _RANK_ONE_PRODUCT = """
 import sys
 import numpy as np
@@ -242,15 +222,6 @@ def test_rank_one_product_independent_of_blas_threads():
         outputs.append(proc.stdout)
     assert len(outputs[0]) == 2 * 8 * 4 * 40_000
     assert outputs[0] == outputs[1]
-
-
-def test_operator_refuses_oversized_grid(kernel41):
-    grid = fb.build_grid(kernel41.params.phi, 8194)
-    spec = fb.ProblemSpec(params=kernel41.params, f=lambda t, u: u)
-    with pytest.raises(ConfigurationError,
-                       match="grid_size 8194 has 16388 nodes and its operator would take at least 1089 MiB"
-                             ".*largest accepted grid_size is 8192"):
-        fb.Operator(spec, kernel41, grid)
 
 
 def test_operator_size_limit_is_inclusive(kernel41, monkeypatch):
