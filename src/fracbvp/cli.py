@@ -232,17 +232,10 @@ def _cmd_solve(args) -> int:
     sidecar = out.with_name(out.stem + ".report.txt")
     _atomic_write(sidecar, _solve_report_text(problem, report, cert, seed))
     if args.json:
-        payload = {
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "label": report.label,
-            "final_step_distance": report.final_step_distance,
-            "fixed_point_residual": report.fixed_point_residual,
-            "boundary_residuals": list(report.boundary_residuals),
-            "solution_min": report.solution_min,
-            "csv": str(out),
-            "report": str(sidecar),
-        }
+        payload = {key: getattr(report, key) for key in (
+            "converged", "iterations", "label", "tol", "final_step_distance", "step_distances",
+            "observed_ratios", "fixed_point_residual", "boundary_residuals", "solution_min")}
+        payload.update(csv=str(out), report=str(sidecar))
         if cert is not None:
             payload["certificate"] = _certificate_json(cert)
         _print_json(payload)

@@ -67,15 +67,17 @@ class BvpParams:
             raise ConfigurationError(f"eta must lie in (0, 1], got {self.eta!r}")
 
 
-def _pow_pos(base, exponent: float):
-    """base**exponent with nonpositive bases short-circuited to 0.
+def _pow_pos(base, exponent: float, out=None):
+    """base**exponent with nonpositive (and NaN) bases short-circuited to
+    +0, written into ``out`` when given; out may be base itself.
 
     Exponents here are always positive, so this matches the continuous
     extension of the kernel pieces.
     """
     arr = np.asarray(base, dtype=float)
-    out = np.zeros_like(arr)
     positive = arr > 0.0
+    out = np.zeros_like(arr) if out is None else out
+    np.copyto(out, 0.0, where=~positive)
     np.power(arr, exponent, out=out, where=positive)
     return out
 
@@ -139,10 +141,12 @@ def _separable(kernel: GreenKernel, y_t, y_s):
     return head, full, eta_part
 
 
-def _memory(kernel: GreenKernel, y_t, y_s):
+def _memory(kernel: GreenKernel, y_t, y_s, out=None):
     """The memory term mu * (y_t - y_s)_+**(alpha-1) at broadcast
-    phi-values; 0 wherever y_s >= y_t."""
-    return kernel.mu * _pow_pos(y_t - y_s, kernel.params.alpha - 1.0)
+    phi-values; 0 wherever y_s >= y_t.  Given ``out``, every step runs
+    in it, and the only temporaries are two boolean masks of its shape."""
+    diff = np.subtract(y_t, y_s, out=out)
+    return np.multiply(kernel.mu, _pow_pos(diff, kernel.params.alpha - 1.0, out=out), out=out)
 
 
 def green_values(kernel: GreenKernel, t, s):

@@ -85,9 +85,9 @@ VERDICT_NONE = "no-certificate"
 # operator assembly: row blocks of the memory term (16 ran the Picard
 # loop at 2048 panels faster than 32 or 64) and their fewest rows (below
 # 128 the Python cost per block outweighs the bytes saved on grids of
-# 64-256 panels), entries per sub-block filled at once (0.5 MiB per
-# sub-block-sized temporary, the fastest of 2**14..2**18 at 1024 and 2048
-# panels), and the most nodes it assembles (two per panel of the largest
+# 64-256 panels), entries per sub-block filled at once (0.5 MiB, which
+# the fill's passes keep in cache; the fastest of 2**14..2**18 at 1024 and
+# 2048 panels), and the most nodes it assembles (two per panel of the largest
 # grid_size, 8192, whose factored operator takes about 1.1 GiB)
 _MEMORY_BLOCKS = 16
 _MIN_BLOCK_ROWS = 128
@@ -182,8 +182,8 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
     on each row block's columns below its last node (it is 0 where
     phi(s_j) >= phi(s_i)), so with 16 blocks it stores about
     0.53 * 8 N**2 bytes.  The blocks are views of one flat
-    buffer, filled in sub-blocks of about 2**16 entries, so the peak is
-    about the stored bytes.  A grid of more than 16384 nodes (grid_size
+    buffer, filled in place in sub-blocks of about 2**16 entries, so the
+    peak is the stored bytes plus under 0.5 MiB.  A grid of more than 16384 nodes (grid_size
     above 8192) raises ConfigurationError before phi is evaluated on it.
 
     The grid must come from the kernel's phi map: phi at the grid nodes
@@ -214,8 +214,7 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
         step = max(1, _BLOCK_ELEMENTS // i1)
         for r0 in range(i0, i1, step):
             r1 = min(r0 + step, i1)
-            sub = block[r0 - i0:r1 - i0]
-            sub[...] = _memory(kernel, y[r0:r1, None], y[None, :i1])
+            sub = _memory(kernel, y[r0:r1, None], y[None, :i1], out=block[r0 - i0:r1 - i0])
             sub /= kernel.scale
             sub *= grid.weights[:i1]
         memory.append(block)
@@ -483,9 +482,9 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
 class SolveReport:
     """Outcome of a Picard run plus its a-posteriori diagnostics.
 
-    ``final_step_distance`` is the squared sup distance between the last
-    two iterates; ``observed_ratios`` are consecutive step-distance
-    quotients; ``boundary_residuals`` are |u(0)|, |u'(0)| and
+    ``step_distances`` are the squared sup distances between consecutive
+    iterates, one per iteration, ``final_step_distance`` the last of them;
+    ``observed_ratios`` are their consecutive quotients; ``boundary_residuals`` are |u(0)|, |u'(0)| and
     |u'(1) - beta*u(eta)| of the reported ``solution``, whose local
     cubics are evaluated and differentiated exactly.  ``solution_min``
     records the smallest nodal value so strict positivity can be judged
@@ -499,6 +498,7 @@ class SolveReport:
     fixed_point_residual: float
     boundary_residuals: tuple[float, float, float]
     observed_ratios: tuple[float, ...]
+    step_distances: tuple[float, ...]
     label: str
     tol: float
     solution_min: float
@@ -530,8 +530,7 @@ def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
     op = operator or (certificate.operator if certificate else None)
     op = Operator(spec, kernel, grid) if op is None else op.check(spec, kernel, grid)
     values = u0.values
-    ratios: list[float] = []
-    prev_step = None
+    steps: list[float] = []
     step = math.inf
     converged = False
     iterations = 0
@@ -551,9 +550,7 @@ def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
                 break
             iterations += 1
             step = next_step
-            if prev_step is not None and prev_step > 0.0:
-                ratios.append(step / prev_step)
-            prev_step = step
+            steps.append(step)
             values = nxt
             if step < tol:
                 converged = True
@@ -571,7 +568,8 @@ def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
         final_step_distance=step,
         fixed_point_residual=residual,
         boundary_residuals=boundary,
-        observed_ratios=tuple(ratios),
+        observed_ratios=tuple(b / a for a, b in zip(steps, steps[1:])),
+        step_distances=tuple(steps),
         label=label,
         tol=tol,
         solution_min=float(np.min(values)),
