@@ -181,10 +181,11 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
     tail = (full - eta_part) / scale * w and the memory term is kept only
     on each row block's columns below its last node (it is 0 where
     phi(s_j) >= phi(s_i)), so with 16 blocks it stores about
-    0.53 * 8 N**2 bytes.  The blocks are views of one flat
-    buffer, filled in place in sub-blocks of about 2**16 entries, so the
-    peak is the stored bytes plus under 0.5 MiB.  A grid of more than 16384 nodes (grid_size
-    above 8192) raises ConfigurationError before phi is evaluated on it.
+    0.53 * 8 N**2 bytes.  The blocks are views of one flat buffer, filled
+    in place in sub-blocks of about 2**16 entries, so the peak is the
+    stored bytes plus under 0.5 MiB.  A grid of more than 16384 nodes
+    (grid_size above 8192) raises ConfigurationError before phi is
+    evaluated on it.
 
     The grid must come from the kernel's phi map: phi at the grid nodes
     has to reproduce the grid's y nodes.
@@ -483,8 +484,9 @@ class SolveReport:
     """Outcome of a Picard run plus its a-posteriori diagnostics.
 
     ``step_distances`` are the squared sup distances between consecutive
-    iterates, one per iteration, ``final_step_distance`` the last of them;
-    ``observed_ratios`` are their consecutive quotients; ``boundary_residuals`` are |u(0)|, |u'(0)| and
+    iterates, one per iteration, and ``final_step_distance`` the last of
+    them; ``observed_ratios`` are their consecutive quotients;
+    ``boundary_residuals`` are |u(0)|, |u'(0)| and
     |u'(1) - beta*u(eta)| of the reported ``solution``, whose local
     cubics are evaluated and differentiated exactly.  ``solution_min``
     records the smallest nodal value so strict positivity can be judged

@@ -297,6 +297,13 @@ def test_solve_json_payload(tmp_path, capsys):
     assert payload["converged"] is True
     assert payload["certificate"]["verdict"] == "unique-solution"
     assert payload["fixed_point_residual"] <= 1e-6
+    # the iteration's history: one squared step per iteration, a ratio per
+    # pair of consecutive steps
+    steps, ratios = payload["step_distances"], payload["observed_ratios"]
+    assert payload["tol"] == 1e-16
+    assert len(steps) == payload["iterations"] and len(ratios) == len(steps) - 1
+    assert steps[-1] == payload["final_step_distance"]
+    assert ratios == [b / a for a, b in zip(steps, steps[1:])]
 
 
 def test_verify_paper_passes_and_is_deterministic(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 import fracbvp as fb
 from fracbvp.errors import ConfigurationError, DomainError
+from fracbvp.green import _pow_pos
 from fracbvp.oracles import oracle_classical_green, oracle_grid_max
 
 from conftest import paper_green
@@ -32,6 +33,20 @@ def test_params_validation(phi_identity):
         fb.BvpParams(alpha=2.5, beta=1.0, eta=0.0, phi=phi_identity)
     with pytest.raises(ConfigurationError):
         fb.BvpParams(alpha=2.5, beta=1.0, eta=1.1, phi=phi_identity)
+
+
+@pytest.mark.parametrize("exponent", [1.0, 1.5])
+def test_pow_pos_in_place_matches_fresh(exponent):
+    # nonpositive and NaN bases give +0 in place as in a fresh array; -0.0
+    # runs of every length up to 17 reach both the SIMD body and the
+    # scalar tail of a ufunc loop
+    specials = [np.nan, -1.0, -0.0, 0.0, 1e-300, 2.0, np.inf]
+    for base in [np.array(specials * 5)] + [np.full(n, -0.0) for n in range(1, 18)]:
+        fresh = _pow_pos(base, exponent)
+        in_place = base.copy()
+        assert _pow_pos(in_place, exponent, out=in_place) is in_place
+        assert in_place.tobytes() == fresh.tobytes()
+        assert not np.any(np.signbit(fresh))
 
 
 def test_mu_reference_values(kernel41, kernel42):
