@@ -15,16 +15,20 @@ limit Y sums
 
 * a fixed Gauss-Legendre rule over the super-panels at least _NEAR
   widths below Y, where (Y - y)**(a-1) is smooth;
-* exact Gauss-Jacobi moments for the weight (Y - y)**(a-1) over the
-  _NEAR super-panels below the one that holds Y, and over that one up
-  to Y (Golub & Welsch, Math. Comp. 23, 1969).
+* closed-form moments over the _NEAR super-panels below the one that
+  holds Y, and over that one up to Y.  A cubic with Taylor
+  coefficients b_j at a bound e < Y integrates against the kernel
+  over [e, Y] to w**a * sum_j b_j B_j w**j, w = Y - e, with
+  B_j = j! / (a (a+1) ... (a+j)), so a super-panel is the difference
+  of that sum at its two bounds.
 
 So the singular kernel needs no special case for a < 1, no step
 inverts phi or interpolates u, and the error is smooth in Y.  The
 tables behind it are built on first use: per grid the super-panel
-geometry and far points, per grid function the cubics, per order the
-Jacobi rule.  ``frac_integral`` takes one upper limit t or an array of
-them; an array is evaluated in row blocks, one upper limit per row.
+bounds and far points, per grid function the Taylor coefficients at
+every bound and the far values, per order Gamma(a) and the B_j.
+``frac_integral`` takes one upper limit t or an array of them; an
+array is evaluated in row blocks, one upper limit per row.
 
 The fractional derivative of order ``a`` is
 
@@ -44,6 +48,7 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DomainError, GridMismatchError, NumericError
 from .special import PhiMap, gamma
@@ -74,10 +79,9 @@ _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 # product integration on super-panels (grid panels 2k and 2k + 1, whose
 # 4 nodes carry one cubic): a fixed Gauss-Legendre rule of _FAR_POINTS
 # on the super-panels at least _NEAR widths below the upper limit,
-# exact moments by a _JACOBI_POINTS Gauss-Jacobi rule on the rest
+# closed-form moments on the rest
 _FAR_POINTS = 6
 _NEAR = 6
-_JACOBI_POINTS = 3
 
 # far points per row block of _integral_y: about 0.5 MiB per float64
 # temporary, whatever the number of upper limits
@@ -112,35 +116,25 @@ def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return breaks, nodes, weights
 
 
-@lru_cache(maxsize=64)
-def _gauss_rule(alpha: float, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule for the weight (1 - z)**(alpha - 1) on [0, 1].
+def _gauss_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [0, 1], exact up to degree 2 * points - 1.
 
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
-    the recurrence for the Jacobi polynomials P^(alpha - 1, 0), mapped
-    from [-1, 1]; the weights are the squared first eigenvector
-    components times the weight's mass 1/alpha.  Exact for polynomials
-    of degree up to 2 * points - 1; alpha = 1 gives Gauss-Legendre.
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues
+    of the Jacobi matrix of the Legendre recurrence, mapped from
+    [-1, 1]; the weights are the squared first eigenvector components.
     """
-    p = alpha - 1.0
     n = np.arange(1, points)
-    s = 2.0 * n + p
-    diag = np.concatenate([[-p / (p + 2.0)], -p * p / (s * (s + 2.0))])
-    off = 2.0 * n * (n + p) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
-    nodes, vectors = np.linalg.eigh(np.diag(1.0 + diag) + np.diag(off, 1) + np.diag(off, -1))
-    nodes, weights = 0.5 * nodes, vectors[0] ** 2 / alpha
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    off = n / np.sqrt(4.0 * n * n - 1.0)
+    nodes, vectors = np.linalg.eigh(np.eye(points) + np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * nodes, vectors[0] ** 2
 
 
-# one Lanczos sum per order, not per call
-_gamma = lru_cache(maxsize=64)(gamma)
-
-
-def _cubic_at(x0, x1, x2, v0, d1, d2, d3, y):
-    """The Newton-form cubic with nodes x0, x1, x2 and coefficients v0, d1..d3 at y."""
-    return v0 + (y - x0) * (d1 + (y - x1) * (d2 + (y - x2) * d3))
+@lru_cache(maxsize=64)
+def _order_constants(alpha: float) -> tuple[float, np.ndarray]:
+    """Gamma(alpha) and the moments B_j = j! / (alpha (alpha+1) ... (alpha+j)),
+    j = 0..3, shaped to scale the stacked b_j; one Lanczos sum per order."""
+    moments = np.cumprod([1.0 / alpha] + [j / (alpha + j) for j in (1, 2, 3)])
+    return gamma(alpha), moments.reshape(4, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -178,21 +172,20 @@ class QuadratureGrid:
     def _super_panels(self) -> tuple[np.ndarray, ...]:
         """Super-panel geometry in y, built on first use.
 
-        Returns the interior super-panel bounds, the bounds (lower,
-        upper) and first three nodes of every super-panel after _NEAR
-        empty ones at phi(0), and the far Gauss-Legendre points and
-        weights in ascending order.
+        Returns the interior super-panel bounds, the (lower, upper)
+        bounds of every super-panel after _NEAR empty ones at phi(0),
+        and the far Gauss-Legendre points and weights in ascending
+        order.
         """
         y0, y1 = self.phi.image
         bounds = y0 + (y1 - y0) * _unit_rule(self.panels)[0][0::2]
         lo, hi = bounds[:-1], bounds[1:]
-        x, w = _gauss_rule(1.0, _FAR_POINTS)
+        x, w = _gauss_rule(_FAR_POINTS)
         width = (hi - lo)[:, None]
         y_far = (lo[:, None] + width * x).ravel()
         w_far = (width * w).ravel()
-        geometry = np.vstack([lo, hi, self.y_nodes.reshape(-1, 4)[:, :3].T])
-        geometry = np.concatenate([np.full((5, _NEAR), y0), geometry], axis=1)
-        return bounds[1:-1], geometry, y_far, w_far
+        ends = np.concatenate([np.full((_NEAR, 2), y0), np.column_stack([lo, hi])])
+        return bounds[1:-1], ends, y_far, w_far
 
 
 def build_grid(phi: PhiMap, panels: int = DEFAULT_PANELS) -> QuadratureGrid:
@@ -297,21 +290,32 @@ class GridFunction:
     def _panel_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The cubic in y through the 4 nodes of each super-panel.
 
-        Returns the grid's super-panel geometry stacked over each
-        cubic's Newton coefficients (v0, d1, d2, d3), after _NEAR zero
-        cubics, and the far weights times the cubics at the far points.
+        Returns a table read as windows of _NEAR + 1 super-panels, shape
+        (super-panels, 5, 2, _NEAR + 1), and the far weights times the
+        cubics at the far points.  Window k ends at super-panel k, after
+        _NEAR empty ones at phi(0).  Columns are a super-panel's lower and
+        upper bound e, rows e and the Taylor coefficients b_0..b_3 of the
+        cubic sum_j b_j (y - e)**j, negated at the upper bound.
         """
-        _, geometry, y_far, w_far = self.grid._super_panels
+        _, ends, y_far, w_far = self.grid._super_panels
         xs = self.grid.y_nodes.reshape(-1, 4)
         vs = self.values.reshape(-1, 4)
         d1 = np.diff(vs, axis=1) / np.diff(xs, axis=1)
         d2 = (d1[:, 1:] - d1[:, :-1]) / (xs[:, 2:] - xs[:, :-2])
-        d3 = (d2[:, 1] - d2[:, 0]) / (xs[:, 3] - xs[:, 0])
-        coeffs = np.vstack([vs[:, 0], d1[:, 0], d2[:, 0], d3])
-        panel = np.concatenate([xs[:, :3].T, coeffs])[:, :, None]
-        w_u = w_far * _cubic_at(*panel, y_far.reshape(xs.shape[0], -1)).ravel()
-        table = np.vstack([geometry, np.pad(coeffs, ((0, 0), (_NEAR, 0)))])
-        return table, w_u
+        d3 = (d2[:, 1:] - d2[:, :1]) / (xs[:, 3:] - xs[:, :1])
+        # the Newton form v0 + (y-x0)(d1 + (y-x1)(d2 + (y-x2) d3)),
+        # once at the far points and once expanded in powers of y - e
+        newton = [(xs[:, k:k + 1], c[:, :1]) for k, c in enumerate((vs, d1, d2))]
+        y = y_far.reshape(xs.shape[0], -1)
+        cubic, taylor = d3, [d3]
+        for x, c in reversed(newton):
+            cubic = c + (y - x) * cubic
+            s = ends[_NEAR:] - x
+            taylor = ([c + s * taylor[0]]
+                      + [a + s * b for a, b in zip(taylor, taylor[1:])] + taylor[-1:])
+        taylor = np.stack(np.broadcast_arrays(*taylor), axis=1) * [1.0, -1.0]
+        table = np.concatenate([ends[:, None], np.pad(taylor, ((_NEAR, 0), (0, 0), (0, 0)))], axis=1)
+        return sliding_window_view(table, _NEAR + 1, axis=0), w_far * cubic.ravel()
 
 
 @lru_cache(maxsize=16)
@@ -344,32 +348,28 @@ def _integral_y(alpha: float, u: GridFunction, c: np.ndarray) -> np.ndarray:
     ``c`` is a 1-D array in [phi(0), phi(1)].  Each limit sums the far
     super-panels by the fixed Gauss-Legendre rule and integrates the
     super-panel that holds it, plus the _NEAR below that one, exactly by
-    Gauss-Jacobi moments.  The limits go in row blocks of about
-    ``_BLOCK_POINTS`` far points, and every row runs the same arithmetic
-    whatever the block, so an array of limits gives the values of one
-    call per limit.  The long far sum is numpy's own reduction, not a
-    BLAS product, so results do not depend on the BLAS thread count.
+    closed-form moments at their bounds.  The limits go in row blocks of
+    about ``_BLOCK_POINTS`` far points, and every row runs the same
+    arithmetic whatever the block, so an array of limits gives the
+    values of one call per limit.  The long far sum is numpy's own
+    reduction, not a BLAS product, so results do not depend on the BLAS
+    thread count.
     """
-    z, lam = _gauss_rule(alpha, _JACOBI_POINTS)
-    g = _gamma(alpha)
+    g, moments = _order_constants(alpha)
     bounds, _, y_far, _ = u.grid._super_panels
-    table, w_u = u._panel_table
-    window = np.arange(_NEAR + 1)
+    windows, w_u = u._panel_table
     out = np.empty(c.shape)
     block = max(1, _BLOCK_POINTS // y_far.size)
     for start in range(0, c.size, block):
         top = c[start:start + block, None]
-        # rows k .. k + _NEAR of the padded table: the _NEAR super-panels
-        # below the one that holds the limit, then that one
-        k = np.searchsorted(bounds, top[:, 0], side="right")
-        rows = table[:, k[:, None] + window, None]
-        ends = np.minimum(rows[:2], top[:, :, None])
-        width = top[:, :, None] - ends
-        cubic = _cubic_at(*rows[2:], ends + width * z)
-        moments = width[..., 0] ** alpha * (cubic @ lam)
-        near = np.add.reduce(moments[0] - moments[1], axis=1)
+        # the window of super-panel k, which holds the limit: the _NEAR
+        # below it, then k, at both bounds; a bound above the limit gives w = 0
+        rows = windows[np.searchsorted(bounds, top[:, 0], side="right")]
+        ends, (b0, b1, b2, b3) = rows[:, 0], (rows[:, 1:] * moments).swapaxes(0, 1)
+        w = top[:, :, None] - np.minimum(ends, top[:, :, None])
+        near = np.add.reduce(w**alpha * (b0 + w * (b1 + w * (b2 + w * b3))), axis=(1, 2))
         far = np.power(top - y_far, alpha - 1.0, out=np.zeros((top.size, y_far.size)),
-                       where=y_far < rows[0, :, :1, 0])
+                       where=y_far < ends[:, 0, :1])
         out[start:start + block] = (np.einsum("ij,j->i", far, w_u) + near) / g
     return out
 
@@ -388,11 +388,14 @@ def frac_integral(alpha: float, phi: PhiMap, u, t: float | np.ndarray) -> float 
     if not alpha > 0.0:
         raise DomainError(f"integral order must be positive, got {alpha!r}")
     t_arr = np.asarray(t, dtype=float)
-    outside = ~((t_arr >= 0.0) & (t_arr <= 1.0))
-    if outside.any():
-        raise DomainError(f"t must lie in [0, 1], got {float(t_arr[outside].flat[0])!r}")
+    flat = t_arr.reshape(-1)
+    # one limit inside [0, 1] passes on Python comparisons, which NaN fails
+    if t_arr.ndim or not 0.0 <= float(t_arr) <= 1.0:
+        outside = ~((flat >= 0.0) & (flat <= 1.0))
+        if outside.any():
+            raise DomainError(f"t must lie in [0, 1], got {float(flat[outside][0])!r}")
     u = _on_map(u, phi)
-    values = _integral_y(alpha, u, np.asarray(phi(t_arr), dtype=float).reshape(-1))
+    values = _integral_y(alpha, u, np.asarray(phi(flat), dtype=float))
     return float(values[0]) if t_arr.ndim == 0 else values.reshape(t_arr.shape)
 
 
@@ -413,8 +416,8 @@ def frac_derivative(alpha: float, phi: PhiMap, u, t: float) -> float:
     n = int(math.floor(alpha)) + 1
     if n > 3:
         raise DomainError(f"derivative order must satisfy floor(alpha)+1 <= 3, got {alpha!r}")
-    if not 0.0 < t < 1.0:
-        raise DomainError(f"t must lie strictly inside (0, 1), got {t!r}")
+    if np.ndim(t) != 0 or not 0.0 < t < 1.0:
+        raise DomainError(f"t must be one point strictly inside (0, 1), got {t!r}")
     u = _on_map(u, phi)
     y0, y1 = phi.image
     y = float(phi(t))

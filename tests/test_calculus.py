@@ -1,13 +1,16 @@
 """Quadrature grid, grid functions, and the fractional operators."""
 
 import math
+from itertools import repeat
+from operator import mul, sub
 
 import numpy as np
 import pytest
 
 import fracbvp as fb
 from fracbvp.calculus import (_STENCIL_REACH, _STEP_FRACTION, TOL_DERIVATIVE_IDENTITY,
-                              TOL_INTEGRAL_IDENTITY, _gauss_rule, _integral_y, _on_map)
+                              TOL_INTEGRAL_IDENTITY, _gauss_rule, _integral_y, _on_map,
+                              _order_constants)
 from fracbvp.errors import ConfigurationError, DomainError, GridMismatchError, NumericError
 from fracbvp.special import PHI_KINDS
 
@@ -152,15 +155,60 @@ def test_grid_function_deriv_is_the_cubics_derivative(phi_identity):
     assert np.max(np.abs(wavy.deriv(mid) - central)) <= 1e-6
 
 
-@pytest.mark.parametrize("p, points", [(-0.5, 3), (-0.2, 3), (0.2, 3), (1.0, 3), (1.5, 3),
-                                       (0.0, 6)])
+@pytest.mark.parametrize("p, points", [(0.0, 6)])
 def test_gauss_rule_moments(p, points):
-    # n points integrate (1 - x)**p * x**k exactly up to k = 2n - 1
-    nodes, weights = _gauss_rule(p + 1.0, points)
+    # n Gauss-Legendre points integrate x**k exactly up to k = 2n - 1
+    nodes, weights = _gauss_rule(points)
     assert np.all(np.diff(nodes) > 0.0) and nodes[0] > 0.0 and nodes[-1] < 1.0
     for k in range(2 * points):
         beta_fn = math.gamma(k + 1.0) * math.gamma(p + 1.0) / math.gamma(k + p + 2.0)
         assert abs(float(np.sum(weights * nodes**k)) - beta_fn) <= 1e-14 * beta_fn
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5, 3.5])
+def test_order_constants_are_beta_moments(alpha):
+    # B_j = j! / (alpha (alpha+1) ... (alpha+j)) = Gamma(alpha) j! / Gamma(alpha+j+1)
+    g, moments = _order_constants(alpha)
+    assert g == pytest.approx(math.gamma(alpha), rel=1e-13)
+    for j, b_j in enumerate(moments.ravel()):
+        exact = math.gamma(alpha) * math.factorial(j) / math.gamma(alpha + j + 1.0)
+        assert abs(b_j - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("panels", [64, 512])
+@pytest.mark.parametrize("kind", PHI_KINDS)
+def test_integral_exact_on_a_random_cubic_per_super_panel(kind, panels):
+    # super-panel i carries sum_j a_ij (c0 - y)**j, whose integral up to
+    # c0 is sum_ij a_ij [(c0 - lo)**e - (c0 - min(hi, c0))**e] / (e Gamma(alpha)),
+    # e = alpha + j, in math alone; c0 at every super-panel bound, every
+    # midpoint and phi(1), so the near zone meets every bound
+    phi = catalog_map(kind)
+    grid = fb.build_grid(phi, panels)
+    y0, y1 = phi.image
+    bounds = [y0, *map(float, grid._super_panels[0]), y1]
+    coeffs = np.random.default_rng(7).uniform(-1.0, 1.0, (panels // 2, 4))
+    columns = [list(map(float, a_j)) for a_j in coeffs.T]
+    mids = [0.5 * (lo + hi) for lo, hi in zip(bounds, bounds[1:])]
+    y = grid.y_nodes.reshape(-1, 4)
+    a = coeffs[:, :, None]
+    worst = 0.0
+    for c0 in bounds[1:] + mids + [float(phi(1.0))]:
+        d = c0 - y
+        u = fb.GridFunction(grid, (a[:, 0] + d * (a[:, 1] + d * (a[:, 2] + d * a[:, 3]))).ravel())
+        # c0 - lo of every super-panel below c0; c0 - min(hi, c0) is the
+        # next one's, and 0 for the one that holds c0
+        gaps = [c0 - lo for lo in bounds[:-1] if lo < c0]
+        for alpha in (0.3, 0.8, 1.7, 2.5, 3.5):
+            exact = scale = 0.0
+            for j, a_j in enumerate(columns):
+                e = alpha + j
+                powers = list(map(pow, gaps, repeat(e))) + [0.0]
+                terms = list(map(mul, a_j, map(sub, powers, powers[1:])))
+                exact += math.fsum(terms) / (e * math.gamma(alpha))
+                scale += sum(map(abs, terms)) / (e * math.gamma(alpha))
+            got = float(_integral_y(alpha, u, np.array([c0]))[0])
+            worst = max(worst, abs(got - exact) / scale)
+    assert worst <= 1e-14
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7, 2.5])
@@ -211,6 +259,17 @@ def test_frac_integral_domain_errors(phi_identity):
         fb.frac_integral(0.0, phi_identity, u, 0.5)
 
 
+def test_frac_integral_refuses_orders_without_a_finite_gamma(phi_identity):
+    # Gamma(alpha) overflows above about 171.6: a DomainError, not
+    # numpy's or the Lanczos sum's own error
+    u = fb.GridFunction.constant(fb.build_grid(phi_identity, 64), 1.0)
+    for bad in (math.inf, 400.0, 172.0):
+        with pytest.raises(DomainError):
+            fb.frac_integral(bad, phi_identity, u, 0.5)
+    assert fb.frac_integral(150.0, phi_identity, u, 1.0) == pytest.approx(1.0 / math.gamma(151.0),
+                                                                        rel=1e-10)
+
+
 def test_frac_integral_linearity(phi_sqrt):
     grid = fb.build_grid(phi_sqrt, 256)
     u = fb.GridFunction.sample(grid, lambda s: np.exp(s))
@@ -255,6 +314,14 @@ def test_frac_derivative_domain_errors(phi_identity):
         fb.frac_derivative(3.0, phi_identity, u, 0.5)  # floor+1 = 4 stencil unavailable
     with pytest.raises(DomainError):
         fb.frac_derivative(-1.0, phi_identity, u, 0.5)
+
+
+def test_frac_derivative_refuses_an_array_of_points(phi_identity):
+    u = fb.GridFunction.constant(fb.build_grid(phi_identity, 64), 1.0)
+    for t in (np.array([0.3, 0.6]), np.array([0.5]), [0.5]):
+        with pytest.raises(DomainError):
+            fb.frac_derivative(0.5, phi_identity, u, t)
+    assert type(fb.frac_derivative(0.5, phi_identity, u, np.float64(0.5))) is float
 
 
 @pytest.mark.parametrize("kind", ["identity", "sqrt_half"])
@@ -337,14 +404,14 @@ def test_frac_integral_array_of_limits_matches_scalar_calls(kind, alpha):
     ts = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 601)])
     batched = fb.frac_integral(alpha, phi, u, ts)
     looped = np.array([fb.frac_integral(alpha, phi, u, float(t)) for t in ts])
-    assert isinstance(fb.frac_integral(alpha, phi, u, 0.5), float)
     assert batched[0] == 0.0
-    np.testing.assert_allclose(batched, looped, rtol=1e-14, atol=0.0)
+    assert batched.tobytes() == looped.tobytes()
+    for t in (0.5, np.float64(0.5), np.array(0.5)):
+        assert type(fb.frac_integral(alpha, phi, u, t)) is float
     assert fb.frac_integral(alpha, phi, u, ts[:6].reshape(2, 3)).shape == (2, 3)
-    with pytest.raises(DomainError):
-        fb.frac_integral(alpha, phi, u, np.array([0.5, 1.5]))
-    with pytest.raises(DomainError):
-        fb.frac_integral(alpha, phi, u, np.array([math.nan]))
+    for bad in (np.array([0.5, 1.5]), np.array([math.nan]), math.nan, np.float64(-0.1)):
+        with pytest.raises(DomainError):
+            fb.frac_integral(alpha, phi, u, bad)
 
 
 @pytest.mark.parametrize("kind", ["sin_quarter_pi", "sqrt_half"])

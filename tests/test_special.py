@@ -54,6 +54,16 @@ def test_gamma_domain_errors():
             fb.gamma(bad)
 
 
+def test_gamma_up_to_its_overflow_point():
+    # the Lanczos power alone overflows from x = 143 on; Gamma itself
+    # only above about 171.62, where a DomainError says so
+    for x in (142.0, 143.0, 150.5, 171.0, 171.6):
+        assert fb.gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
+    for bad in (171.7, 400.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            fb.gamma(bad)
+
+
 def test_gamma_below_half_reflection():
     assert fb.gamma(0.25) == pytest.approx(math.gamma(0.25), rel=1e-12)
 
