@@ -13,22 +13,26 @@ Freed, Nonlinear Dyn. 29, 2002): panels 2k and 2k + 1 form a
 super-panel, u is the cubic in y through its 4 nodes, and each upper
 limit Y sums
 
-* a fixed Gauss-Legendre rule over the super-panels at least _NEAR
-  widths below Y, where (Y - y)**(a-1) is smooth;
-* closed-form moments over the _NEAR super-panels below the one that
-  holds Y, and over that one up to Y.  A cubic with Taylor
+* closed-form moments over its window: the super-panel k that holds
+  Y, up to Y, and the _NEAR below it.  A cubic with Taylor
   coefficients b_j at a bound e < Y integrates against the kernel
   over [e, Y] to w**a * sum_j b_j B_j w**j, w = Y - e, with
   B_j = j! / (a (a+1) ... (a+j)), so a super-panel is the difference
-  of that sum at its two bounds.
+  of that sum at its two bounds;
+* a fixed Gauss-Legendre rule over the super-panels below the window,
+  where (Y - y)**(a-1) is smooth: only their _FAR_POINTS * (k - _NEAR)
+  points, the first of the grid's far points.
 
 So the singular kernel needs no special case for a < 1, no step
-inverts phi or interpolates u, and the error is smooth in Y.  The
-tables behind it are built on first use: per grid the super-panel
-bounds and far points, per grid function the Taylor coefficients at
-every bound and the far values, per order Gamma(a) and the B_j.
-``frac_integral`` takes one upper limit t or an array of them; an
-array is evaluated in row blocks, one upper limit per row.
+inverts phi or interpolates u, the error is smooth in Y, and a limit
+costs only the far points below it.  The tables behind it are built on
+first use: per grid the super-panel bounds and far points; per grid
+function the Taylor coefficients at every bound and the far weights
+times the cubic; per grid function and order (the last _ORDERS_KEPT
+orders) the coefficients b_j B_j, read as windows; per order Gamma(a)
+and the B_j.  ``frac_integral`` takes one upper limit t or an array of
+them; an array is sorted by window, and each row runs the arithmetic
+of a one-limit call.
 
 The fractional derivative of order ``a`` is
 
@@ -36,8 +40,9 @@ The fractional derivative of order ``a`` is
 
 realized by central finite differences in y on a small auxiliary
 stencil.  It is a verification-side operation with documented looser
-accuracy (nothing in the solver differentiates), and accuracy degrades
-near the endpoints where the stencil must shrink.
+accuracy (nothing in the solver differentiates).  Accuracy degrades
+near the endpoints, where the stencil must shrink, and a point whose
+step would fall below a tenth of its nominal length is refused.
 """
 
 from __future__ import annotations
@@ -77,15 +82,18 @@ TOL_DERIVATIVE_IDENTITY = 1e-4
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
 # product integration on super-panels (grid panels 2k and 2k + 1, whose
-# 4 nodes carry one cubic): a fixed Gauss-Legendre rule of _FAR_POINTS
-# on the super-panels at least _NEAR widths below the upper limit,
-# closed-form moments on the rest
+# 4 nodes carry one cubic): closed-form moments on the window of the
+# upper limit (its super-panel and the _NEAR below), a fixed
+# Gauss-Legendre rule of _FAR_POINTS on every super-panel below that
 _FAR_POINTS = 6
 _NEAR = 6
 
 # far points per row block of _integral_y: about 0.5 MiB per float64
 # temporary, whatever the number of upper limits
 _BLOCK_POINTS = 1 << 16
+
+# orders whose scaled window table a grid function keeps
+_ORDERS_KEPT = 4
 
 _unit_rules: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -132,9 +140,10 @@ def _gauss_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=64)
 def _order_constants(alpha: float) -> tuple[float, np.ndarray]:
     """Gamma(alpha) and the moments B_j = j! / (alpha (alpha+1) ... (alpha+j)),
-    j = 0..3, shaped to scale the stacked b_j; one Lanczos sum per order."""
+    j = 0..3, shaped to scale the rows b_j of a panel table; one Lanczos
+    sum per order."""
     moments = np.cumprod([1.0 / alpha] + [j / (alpha + j) for j in (1, 2, 3)])
-    return gamma(alpha), moments.reshape(4, 1, 1)
+    return gamma(alpha), moments.reshape(4, 1)
 
 
 @dataclass(frozen=True)
@@ -290,12 +299,12 @@ class GridFunction:
     def _panel_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The cubic in y through the 4 nodes of each super-panel.
 
-        Returns a table read as windows of _NEAR + 1 super-panels, shape
-        (super-panels, 5, 2, _NEAR + 1), and the far weights times the
-        cubics at the far points.  Window k ends at super-panel k, after
-        _NEAR empty ones at phi(0).  Columns are a super-panel's lower and
-        upper bound e, rows e and the Taylor coefficients b_0..b_3 of the
-        cubic sum_j b_j (y - e)**j, negated at the upper bound.
+        Returns a table of shape (5, 2 * (_NEAR + super-panels)), and the
+        far weights times the cubics at the far points.  After _NEAR
+        empty super-panels at phi(0), columns 2i and 2i + 1 are super-panel
+        i's lower and upper bound e, rows e and the Taylor coefficients
+        b_0..b_3 of the cubic sum_j b_j (y - e)**j, negated at the upper
+        bound.
         """
         _, ends, y_far, w_far = self.grid._super_panels
         xs = self.grid.y_nodes.reshape(-1, 4)
@@ -313,9 +322,29 @@ class GridFunction:
             s = ends[_NEAR:] - x
             taylor = ([c + s * taylor[0]]
                       + [a + s * b for a, b in zip(taylor, taylor[1:])] + taylor[-1:])
-        taylor = np.stack(np.broadcast_arrays(*taylor), axis=1) * [1.0, -1.0]
-        table = np.concatenate([ends[:, None], np.pad(taylor, ((_NEAR, 0), (0, 0), (0, 0)))], axis=1)
-        return sliding_window_view(table, _NEAR + 1, axis=0), w_far * cubic.ravel()
+        taylor = np.stack(np.broadcast_arrays(*taylor)) * [1.0, -1.0]
+        table = np.concatenate([ends[None], np.pad(taylor, ((0, 0), (_NEAR, 0), (0, 0)))])
+        return table.reshape(5, -1), w_far * cubic.ravel()
+
+    @cached_property
+    def _order_windows(self) -> dict[float, np.ndarray]:
+        return {}
+
+    def _windows(self, alpha: float) -> np.ndarray:
+        """The panel table with rows 1-4 scaled by the order-alpha B_j,
+        as windows of _NEAR + 1 super-panels, shape (5, super-panels,
+        2 * (_NEAR + 1)): window k, each row contiguous, ends at
+        super-panel k.  Kept for the last _ORDERS_KEPT orders."""
+        kept = self._order_windows
+        windows = kept.get(alpha)
+        if windows is None:
+            if len(kept) >= _ORDERS_KEPT:
+                del kept[next(iter(kept))]
+            table = self._panel_table[0].copy()
+            table[1:] *= _order_constants(alpha)[1]
+            windows = sliding_window_view(table, 2 * (_NEAR + 1), axis=1)[:, ::2]
+            kept[alpha] = windows
+        return windows
 
 
 @lru_cache(maxsize=16)
@@ -345,33 +374,53 @@ def _on_map(u, phi: PhiMap) -> GridFunction:
 def _integral_y(alpha: float, u: GridFunction, c: np.ndarray) -> np.ndarray:
     """Order-alpha integrals of u's panel cubics at the limits c in y.
 
-    ``c`` is a 1-D array in [phi(0), phi(1)].  Each limit sums the far
-    super-panels by the fixed Gauss-Legendre rule and integrates the
-    super-panel that holds it, plus the _NEAR below that one, exactly by
-    closed-form moments at their bounds.  The limits go in row blocks of
-    about ``_BLOCK_POINTS`` far points, and every row runs the same
-    arithmetic whatever the block, so an array of limits gives the
-    values of one call per limit.  The long far sum is numpy's own
-    reduction, not a BLAS product, so results do not depend on the BLAS
-    thread count.
+    ``c`` is a 1-D array in [phi(0), phi(1)].  A limit in super-panel k
+    integrates its window, k and the _NEAR super-panels below, exactly
+    by closed-form moments at their bounds, and sums by the fixed
+    Gauss-Legendre rule only the _FAR_POINTS * (k - _NEAR) far points
+    below the window.  The limits are sorted by window; the windows go
+    in row blocks, the far sums one window at a time in row blocks of
+    about ``_BLOCK_POINTS`` points.  Each row runs the arithmetic of a
+    one-limit call, whatever its block.  The far sum is numpy's own
+    pairwise reduction, not a BLAS product, so results do not depend
+    on the BLAS thread count.
     """
-    g, moments = _order_constants(alpha)
+    g = _order_constants(alpha)[0]
     bounds, _, y_far, _ = u.grid._super_panels
-    windows, w_u = u._panel_table
-    out = np.empty(c.shape)
-    block = max(1, _BLOCK_POINTS // y_far.size)
+    windows, w_u = u._windows(alpha), u._panel_table[1]
+    # k, the super-panel that holds each limit, names its window
+    k = np.searchsorted(bounds, c, side="right")
+    # sorted by window, the limits that share one form a run
+    order, starts = None, [0]
+    if c.size != 1:
+        order = np.argsort(k)
+        c, k = c[order], k[order]
+        starts = np.flatnonzero(np.diff(k, prepend=-1)).tolist()
+    near = np.empty(c.shape)
+    # a gathered window holds 5 rows of 2 * (_NEAR + 1) floats
+    block = _BLOCK_POINTS // windows[:, 0].size
     for start in range(0, c.size, block):
         top = c[start:start + block, None]
-        # the window of super-panel k, which holds the limit: the _NEAR
-        # below it, then k, at both bounds; a bound above the limit gives w = 0
-        rows = windows[np.searchsorted(bounds, top[:, 0], side="right")]
-        ends, (b0, b1, b2, b3) = rows[:, 0], (rows[:, 1:] * moments).swapaxes(0, 1)
-        w = top[:, :, None] - np.minimum(ends, top[:, :, None])
-        near = np.add.reduce(w**alpha * (b0 + w * (b1 + w * (b2 + w * b3))), axis=(1, 2))
-        far = np.power(top - y_far, alpha - 1.0, out=np.zeros((top.size, y_far.size)),
-                       where=y_far < ends[:, 0, :1])
-        out[start:start + block] = (np.einsum("ij,j->i", far, w_u) + near) / g
-    return out
+        ends, b0, b1, b2, b3 = windows[:, k[start:start + block]]
+        # a bound above the limit gives z = 0
+        z = top - np.minimum(ends, top)
+        near[start:start + block] = np.add.reduce(
+            z**alpha * (b0 + z * (b1 + z * (b2 + z * b3))), axis=1)
+    far_sum = np.empty(c.shape)
+    for lo, hi in zip(starts, [*starts[1:], c.size]):
+        far = _FAR_POINTS * max(int(k[lo]) - _NEAR, 0)
+        y, w = y_far[:far], w_u[:far]
+        block = max(1, _BLOCK_POINTS // max(far, 1))
+        for start in range(lo, hi, block):
+            end = min(start + block, hi)
+            terms = c[start:end, None] - y
+            np.power(terms, alpha - 1.0, out=terms)
+            terms *= w
+            np.add.reduce(terms, axis=1, out=far_sum[start:end])
+    values = (far_sum + near) / g
+    if order is not None:
+        values[order] = values.copy()
+    return values
 
 
 def frac_integral(alpha: float, phi: PhiMap, u, t: float | np.ndarray) -> float | np.ndarray:
@@ -387,29 +436,36 @@ def frac_integral(alpha: float, phi: PhiMap, u, t: float | np.ndarray) -> float 
     """
     if not alpha > 0.0:
         raise DomainError(f"integral order must be positive, got {alpha!r}")
-    t_arr = np.asarray(t, dtype=float)
-    flat = t_arr.reshape(-1)
-    # one limit inside [0, 1] passes on Python comparisons, which NaN fails
-    if t_arr.ndim or not 0.0 <= float(t_arr) <= 1.0:
+    # one float inside [0, 1] passes on Python comparisons, which NaN fails
+    if isinstance(t, float) and 0.0 <= t <= 1.0:
+        shape, flat = (), np.array([t])
+    else:
+        t_arr = np.asarray(t, dtype=float)
+        shape, flat = t_arr.shape, t_arr.reshape(-1)
         outside = ~((flat >= 0.0) & (flat <= 1.0))
         if outside.any():
             raise DomainError(f"t must lie in [0, 1], got {float(flat[outside][0])!r}")
     u = _on_map(u, phi)
     values = _integral_y(alpha, u, np.asarray(phi(flat), dtype=float))
-    return float(values[0]) if t_arr.ndim == 0 else values.reshape(t_arr.shape)
+    return values.reshape(shape) if shape else float(values[0])
 
 
 _STEP_FRACTION = {1: 1e-3, 2: 3e-3, 3: 5e-3}
 _STENCIL_REACH = {1: 1, 2: 1, 3: 2}
+# the shortest step frac_derivative takes, as a share of the nominal one
+_MIN_STEP_SHARE = 0.1
 
 
 def frac_derivative(alpha: float, phi: PhiMap, u, t: float) -> float:
     """Fractional derivative of order alpha of u at an interior point.
 
     Applies the n-th central difference in y = phi(t) to the
-    order-(n - alpha) integral, n = floor(alpha) + 1 <= 3.  Endpoints
-    are rejected (no stencil room) and accuracy degrades as t
-    approaches them.
+    order-(n - alpha) integral, n = floor(alpha) + 1 <= 3.  The step is
+    ``_STEP_FRACTION[n] * (phi(1) - phi(0))``, shortened so the stencil
+    stays inside the image of phi; accuracy degrades as it shrinks, and
+    a point that would need less than ``_MIN_STEP_SHARE`` (a tenth) of
+    that nominal step is rejected with DomainError, since there the
+    result is rounding noise.
     """
     if not alpha > 0.0:
         raise DomainError(f"derivative order must be positive, got {alpha!r}")
@@ -422,9 +478,10 @@ def frac_derivative(alpha: float, phi: PhiMap, u, t: float) -> float:
     y0, y1 = phi.image
     y = float(phi(t))
     span = y1 - y0
-    reach = _STENCIL_REACH[n]
-    h = min(_STEP_FRACTION[n] * span, 0.45 * min(y - y0, y1 - y) / reach)
-    if not h > 0.0:
+    nominal = _STEP_FRACTION[n] * span
+    h = min(nominal, 0.45 * min(y - y0, y1 - y) / _STENCIL_REACH[n])
+    # on a shorter step rounding swamps the difference quotient
+    if not h >= _MIN_STEP_SHARE * nominal:
         raise DomainError("stencil does not fit: t too close to an endpoint")
 
     def F(*ys: float) -> np.ndarray:

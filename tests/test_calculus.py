@@ -1,6 +1,7 @@
 """Quadrature grid, grid functions, and the fractional operators."""
 
 import math
+import tracemalloc
 from itertools import repeat
 from operator import mul, sub
 
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 import fracbvp as fb
-from fracbvp.calculus import (_STENCIL_REACH, _STEP_FRACTION, TOL_DERIVATIVE_IDENTITY,
-                              TOL_INTEGRAL_IDENTITY, _gauss_rule, _integral_y, _on_map,
-                              _order_constants)
+from fracbvp.calculus import (_MIN_STEP_SHARE, _ORDERS_KEPT, _STENCIL_REACH, _STEP_FRACTION,
+                              TOL_DERIVATIVE_IDENTITY, TOL_INTEGRAL_IDENTITY, _gauss_rule,
+                              _integral_y, _on_map, _order_constants)
 from fracbvp.errors import ConfigurationError, DomainError, GridMismatchError, NumericError
 from fracbvp.special import PHI_KINDS
 
@@ -316,6 +317,27 @@ def test_frac_derivative_domain_errors(phi_identity):
         fb.frac_derivative(-1.0, phi_identity, u, 0.5)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+def test_frac_derivative_refuses_a_step_below_a_tenth_of_nominal(phi_sin, phi_identity, alpha):
+    # 1e-6 from an endpoint the step would be about 1e-4 of its nominal
+    # length, and the difference quotient rounding noise
+    u = fb.GridFunction.sample(fb.build_grid(phi_sin, 128), np.exp)
+    for t in (1e-6, 1.0 - 1e-6):
+        with pytest.raises(DomainError, match="too close to an endpoint"):
+            fb.frac_derivative(alpha, phi_sin, u, t)
+    for t in (0.02, 0.1, 0.5, 0.9, 0.98):
+        assert math.isfinite(fb.frac_derivative(alpha, phi_sin, u, t))
+    # on the identity map the step is 0.45 t / reach, so the edge is sharp
+    n = int(alpha) + 1
+    edge = _MIN_STEP_SHARE * _STEP_FRACTION[n] * _STENCIL_REACH[n] / 0.45
+    one = fb.GridFunction.constant(fb.build_grid(phi_identity, 64), 1.0)
+    for t in (1.01 * edge, 1.0 - 1.01 * edge):
+        assert math.isfinite(fb.frac_derivative(alpha, phi_identity, one, t))
+    for t in (0.99 * edge, 1.0 - 0.99 * edge):
+        with pytest.raises(DomainError):
+            fb.frac_derivative(alpha, phi_identity, one, t)
+
+
 def test_frac_derivative_refuses_an_array_of_points(phi_identity):
     u = fb.GridFunction.constant(fb.build_grid(phi_identity, 64), 1.0)
     for t in (np.array([0.3, 0.6]), np.array([0.5]), [0.5]):
@@ -400,8 +422,11 @@ def test_frac_integral_array_of_limits_matches_scalar_calls(kind, alpha):
     phi = catalog_map(kind)
     grid = fb.build_grid(phi, 64)
     u = fb.GridFunction.sample(grid, lambda s: np.exp(s))
-    # more limits than one row block holds at 64 panels (341)
-    ts = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 601)])
+    # more limits than one block of windows holds (936), the
+    # super-panel bounds, repeated limits, and all of them shuffled
+    bounds = np.asarray(phi.inverse(grid._super_panels[0]), dtype=float)
+    ts = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 601), bounds, bounds[::3], [0.5] * 5])
+    ts = np.concatenate([ts, np.random.default_rng(11).permutation(ts)])
     batched = fb.frac_integral(alpha, phi, u, ts)
     looped = np.array([fb.frac_integral(alpha, phi, u, float(t)) for t in ts])
     assert batched[0] == 0.0
@@ -412,6 +437,50 @@ def test_frac_integral_array_of_limits_matches_scalar_calls(kind, alpha):
     for bad in (np.array([0.5, 1.5]), np.array([math.nan]), math.nan, np.float64(-0.1)):
         with pytest.raises(DomainError):
             fb.frac_integral(alpha, phi, u, bad)
+
+
+@pytest.mark.parametrize("alpha", [0.6, 2.5])
+def test_frac_integral_reads_no_super_panel_above_its_limit(phi_sqrt, alpha):
+    # the far zone stops below the limit's window: values on the
+    # super-panels above the one that holds the limit change nothing
+    grid = fb.build_grid(phi_sqrt, 64)
+    u = fb.GridFunction.sample(grid, np.exp)
+    bounds = grid._super_panels[0]
+    for t in (0.01, 0.2, 0.5, 0.77, 0.95):
+        k = int(np.searchsorted(bounds, phi_sqrt(t), side="right"))
+        hot = u.values.copy()
+        hot[4 * (k + 1):] = 1e6
+        hot = fb.GridFunction(grid, hot)
+        ts = np.linspace(0.0, t, 40)
+        for limits in (t, ts, ts[::-1]):
+            assert (np.asarray(fb.frac_integral(alpha, phi_sqrt, hot, limits)).tobytes()
+                    == np.asarray(fb.frac_integral(alpha, phi_sqrt, u, limits)).tobytes())
+
+
+def test_frac_integral_memory_is_bounded_in_one_window(phi_sin):
+    # 20 000 limits in one super-panel at 512 panels share one window;
+    # its far zone goes in row blocks, not in one 20 000-row array
+    grid = fb.build_grid(phi_sin, 512)
+    u = fb.GridFunction.sample(grid, np.exp)
+    ts = np.full(20_000, 0.9)
+    single = fb.frac_integral(2.5, phi_sin, u, 0.9)
+    tracemalloc.start()
+    try:
+        values = fb.frac_integral(2.5, phi_sin, u, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert np.all(values == single)
+
+
+def test_grid_function_keeps_window_tables_of_the_last_orders(phi_sin):
+    u = fb.GridFunction.sample(fb.build_grid(phi_sin, 64), np.exp)
+    orders = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    for alpha in orders:
+        first = fb.frac_integral(alpha, phi_sin, u, 0.7)
+        assert fb.frac_integral(alpha, phi_sin, u, 0.7) == first
+    assert list(u._order_windows) == orders[-_ORDERS_KEPT:]
 
 
 @pytest.mark.parametrize("kind", ["sin_quarter_pi", "sqrt_half"])
