@@ -8,10 +8,8 @@ iteration on the equivalent integral operator.
 
 from .bmetric import (
     AdmissibilityVerdict,
-    ContractionVerdict,
     GeraghtyVerdict,
     admissibility_check,
-    contraction_certificate,
     distance,
     geraghty_inequality_check,
     psi,
@@ -71,8 +69,7 @@ __all__ = [
     "green", "green_values", "green_max_bound",
     "KernelPropertyReport", "check_kernel_properties",
     # metric machinery
-    "distance", "psi", "theta", "tau", "ContractionVerdict",
-    "contraction_certificate", "GeraghtyVerdict", "geraghty_inequality_check",
+    "distance", "psi", "theta", "tau", "GeraghtyVerdict", "geraghty_inequality_check",
     "AdmissibilityVerdict", "admissibility_check",
     # solver
     "ProblemSpec", "Certificate", "Hypothesis", "SolveReport", "Operator",

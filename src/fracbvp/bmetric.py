@@ -1,12 +1,12 @@
-"""Relaxed-triangle metric machinery and fixed-point certificates.
+"""Relaxed-triangle metric machinery and the sampled existence checks.
 
 The solver's ambient space is continuous functions on [0, 1] carrying
 the squared sup distance d(x, y) = sup (x - y)^2, which satisfies the
 relaxed triangle inequality d(x, z) <= R * (d(x, y) + d(y, z)) with
 the metric's constant R = 2.  The positive-existence route uses the
 paper's gauge psi, shrink function theta and sign relation tau.
-Certificates are plain verdict objects: mathematical failures are
-data, only structural misuse (grid mismatch, bad arguments) raises.  The sampled checks take the sampled
+The checks return plain verdict objects: mathematical failures are
+data, only a grid mismatch raises.  The sampled checks take the sampled
 pairs and their images under the operator as (k, N) arrays of nodal
 values, row k holding pair k; the caller computes the images once for
 both checks.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import GridFunction
-from .errors import ConfigurationError, GridMismatchError
+from .errors import GridMismatchError
 
 __all__ = [
     "R",
@@ -27,8 +27,6 @@ __all__ = [
     "psi",
     "theta",
     "tau",
-    "ContractionVerdict",
-    "contraction_certificate",
     "GeraghtyVerdict",
     "geraghty_inequality_check",
     "AdmissibilityVerdict",
@@ -67,29 +65,6 @@ def tau(x, y):
     """The sign relation tau(x, y) = x * y: a pair (u, v) is admissible
     when tau(u(t), v(t)) >= 0 at every node."""
     return np.multiply(x, y)
-
-
-@dataclass(frozen=True)
-class ContractionVerdict:
-    """Outcome of the contraction-factor test 0 <= lam < 1/R; lam = 0
-    (an envelope g = 0) is a contraction with any factor below 1/R."""
-
-    passed: bool
-    lam: float
-    limit: float
-    margin: float
-
-
-def contraction_certificate(lam: float) -> ContractionVerdict:
-    if not lam >= 0.0:
-        raise ConfigurationError(f"contraction factor must be nonnegative, got {lam!r}")
-    limit = 1.0 / R
-    return ContractionVerdict(
-        passed=bool(lam < limit),
-        lam=float(lam),
-        limit=limit,
-        margin=limit - float(lam),
-    )
 
 
 def _admissible(u: np.ndarray, v: np.ndarray) -> np.ndarray:

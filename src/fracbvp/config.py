@@ -49,9 +49,9 @@ MODES = ("uniqueness", "positive-existence", "solve-only")
 
 _KNOWN_KEYS = {
     "alpha", "beta", "eta",
-    "phi", "phi.kind", "phi.table",
-    "f", "f.kind", "f.expr", "f.domain",
-    "g", "g.kind", "g.expr",
+    "phi", "phi.table",
+    "f", "f.expr", "f.domain",
+    "g", "g.expr",
     "grid_size", "tol", "max_iter", "mode",
 }
 
@@ -134,9 +134,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> Config:
     beta = _float(req("beta"), "beta")
     eta = _float(req("eta"), "eta")
 
-    phi_kind = values.get("phi.kind", values.get("phi"))
-    if phi_kind is None:
-        raise ConfigurationError("missing required key 'phi'")
+    phi_kind = req("phi")
     if phi_kind not in PHI_KINDS:
         raise ConfigurationError(f"key 'phi': unknown kind {phi_kind!r} (expected one of {PHI_KINDS})")
     phi_table = values.get("phi.table")
@@ -146,9 +144,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> Config:
         if base_dir is not None and not Path(phi_table).is_absolute():
             phi_table = str(base_dir / phi_table)
 
-    f_kind = values.get("f.kind", values.get("f"))
-    if f_kind is None:
-        raise ConfigurationError("missing required key 'f'")
+    f_kind = req("f")
     if f_kind not in F_KINDS:
         raise ConfigurationError(f"key 'f': unknown kind {f_kind!r} (expected one of {F_KINDS})")
     f_expr = values.get("f.expr")
@@ -161,7 +157,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> Config:
     if f_domain is not None and f_domain not in ("real", "nonnegative"):
         raise ConfigurationError(f"key 'f.domain': expected real|nonnegative, got {f_domain!r}")
 
-    g_kind = values.get("g.kind", values.get("g"))
+    g_kind = values.get("g")
     g_expr = values.get("g.expr")
     if g_kind is not None and g_kind != "custom-expression":
         raise ConfigurationError(f"key 'g': only custom-expression is supported, got {g_kind!r}")
@@ -260,5 +256,5 @@ def build_problem(config: Config) -> Problem:
         g_expr = compile_expression(g_text)
         g = lambda t: g_expr(t, 0.0)  # noqa: E731  (envelope depends on t only)
 
-    spec = ProblemSpec(params=params, f=f, g=g, f_domain=domain)
+    spec = ProblemSpec(f=f, g=g, f_domain=domain)
     return Problem(config=config, params=params, kernel=kernel, spec=spec)

@@ -18,19 +18,22 @@ block's last node only (``operator_matrix``).  One product serves a
 vector and a (k, N) stack, and its results do not depend on the BLAS
 thread count.
 
-Two certificates are available.  The uniqueness certificate needs a
-Lipschitz envelope g for f and checks
-
-    sup g < mu * Gamma(alpha) / (sqrt(2) * S1**(alpha-1) * phi'(1)),
-
-which is exactly the statement that the contraction factor
+Two certificates are available, and both pass exactly when every
+required hypothesis that is checked passes.  The uniqueness certificate
+needs a Lipschitz envelope g for f and checks that the contraction
+factor
 
     lam = (sup g * phi'(1) * S1**(alpha-1) / (mu * Gamma(alpha)))**2
 
-of A in the squared sup distance stays below 1/2.  The existence
-certificate samples the shrink inequality and sign-preservation of A
-on a reproducible random suite and witnesses the starting hypothesis
-with u0 = 0.
+of A in the squared sup distance stays below 1/R = 1/2, together with
+
+    sup g < mu * Gamma(alpha) / (sqrt(2) * S1**(alpha-1) * phi'(1)).
+
+When mu > 0 the two are the same inequality; when mu < 0 the threshold
+is negative and fails while lam, a square, may still pass, so the
+certificate fails.  The existence certificate samples the shrink
+inequality and sign-preservation of A on a reproducible random suite and
+witnesses the starting hypothesis with u0 = 0.
 
 Note the iteration tolerance is a squared-scale quantity (it bounds the
 squared sup distance between consecutive iterates): tol = 1e-16 means
@@ -48,16 +51,15 @@ import numpy as np
 
 from .bmetric import (
     AdmissibilityVerdict,
-    ContractionVerdict,
     GeraghtyVerdict,
+    R,
     admissibility_check,
-    contraction_certificate,
     geraghty_inequality_check,
     tau,
 )
 from .calculus import GridFunction, QuadratureGrid
 from .errors import ConfigurationError, NumericError
-from .green import BvpParams, GreenKernel, _memory, _separable
+from .green import GreenKernel, _memory, _separable
 
 __all__ = [
     "ProblemSpec",
@@ -98,7 +100,7 @@ _MAX_NODES = 2 * _MAX_GRID_SIZE
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full problem statement: kernel parameters plus the nonlinearity.
+    """The nonlinearity of a problem, whose parameters belong to its kernel.
 
     ``f(t, u)`` and the optional Lipschitz envelope ``g(t)`` must accept
     numpy arrays.  ``f_domain`` is "real" for the uniqueness route and
@@ -106,7 +108,6 @@ class ProblemSpec:
     (required by the positive-existence route).
     """
 
-    params: BvpParams
     f: Callable
     g: Callable | None = None
     f_domain: str = "real"
@@ -222,11 +223,6 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
     return OperatorFactors(head=head, tail=tail, memory=tuple(memory))
 
 
-def _built_for(obj, spec: ProblemSpec, kernel: GreenKernel, grid: QuadratureGrid) -> bool:
-    """Whether an operator or certificate was built for spec, kernel and grid."""
-    return obj.spec is spec and obj.kernel is kernel and grid.same_as(obj.grid)
-
-
 class Operator:
     """The discrete integral operator A of one problem on one grid; its
     ``factors`` are assembled once, by ``operator_matrix``."""
@@ -236,13 +232,6 @@ class Operator:
         self.kernel = kernel
         self.grid = grid
         self.factors = operator_matrix(kernel, grid)
-
-    def check(self, spec: ProblemSpec, kernel: GreenKernel, grid: QuadratureGrid) -> "Operator":
-        """This operator, if built for spec, kernel and grid; else ConfigurationError."""
-        if not _built_for(self, spec, kernel, grid):
-            raise ConfigurationError(
-                "operator was built for a different problem, kernel or grid")
-        return self
 
     def _forcing(self, values: np.ndarray) -> np.ndarray:
         fv = np.asarray(self.spec.f(self.grid.nodes, values), dtype=float)
@@ -314,7 +303,6 @@ class Certificate:
     uniqueness_threshold: float
     g_sup: float | None
     lam: float | None
-    contraction: ContractionVerdict | None
     geraghty: GeraghtyVerdict | None
     admissibility: AdmissibilityVerdict | None
     hypotheses: tuple[Hypothesis, ...]
@@ -337,12 +325,6 @@ def _uniqueness_threshold(kernel: GreenKernel) -> float:
             "uniqueness threshold: phi'(1) * (phi(1) - phi(0))**(alpha - 1) underflows to 0; "
             "rescale phi")
     return kernel.scale / denominator
-
-
-def _lambda_from_gsup(kernel: GreenKernel, g_sup: float) -> float:
-    p = kernel.params
-    return (g_sup * kernel.deriv_one * kernel.shifted_one ** (p.alpha - 1.0)
-            / kernel.scale) ** 2
 
 
 def _g_sup(spec: ProblemSpec, grid: QuadratureGrid) -> float:
@@ -388,8 +370,9 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
 
     Precondition violations (missing envelope, wrong f domain) raise
     ConfigurationError; mathematical failures are recorded in the
-    verdict.  Only the positive-existence route assembles the operator,
-    and its certificate keeps it.
+    verdict, which passes when every required, checked hypothesis does.
+    Only the positive-existence route assembles the operator, and its
+    certificate keeps it.
     """
     if mode not in ("uniqueness", "positive-existence"):
         raise ConfigurationError(f"unknown certificate mode {mode!r}")
@@ -405,29 +388,22 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
 
     g_sup = None
     lam = None
-    contraction = geraghty = admissibility = op = None
+    geraghty = admissibility = op = None
 
     if mode == "uniqueness":
         if spec.g is None:
             raise ConfigurationError("uniqueness certificate requires a Lipschitz envelope g")
         g_sup = _g_sup(spec, grid)
-        lam = _lambda_from_gsup(kernel, g_sup)
-        contraction = contraction_certificate(lam)
+        lam = (g_sup * kernel.deriv_one * kernel.shifted_one ** (p.alpha - 1.0)
+               / kernel.scale) ** 2
         lip_ok, lip_excess = _lipschitz_sampled(spec, seed)
         hyps.append(Hypothesis("lipschitz_envelope_sampled", lip_ok,
                                f"sampled hypothesis (400 triples), worst excess {lip_excess:.3g}"))
-        bound_ok = g_sup < threshold
-        hyps.append(Hypothesis("g_sup_below_threshold", bound_ok,
+        hyps.append(Hypothesis("g_sup_below_threshold", g_sup < threshold,
                                f"sup g = {g_sup:.6g}, threshold = {threshold:.6g}"))
-        hyps.append(Hypothesis("lambda_below_half", contraction.passed,
-                               f"lambda = {lam:.6g}, limit = {contraction.limit:.6g}"))
-        # the threshold inequality is exactly lam < 1/2 rewritten; a
-        # disagreement can only happen within rounding of the knife edge
-        consistent = (bound_ok == (lam < 0.5)) or abs(g_sup - threshold) <= 1e-12 * threshold
-        if not consistent:
-            raise NumericError("threshold and contraction factor disagree beyond rounding")
-        required_ok = all(h.ok for h in hyps if h.required and h.ok is not None)
-        verdict = VERDICT_UNIQUE if (required_ok and bound_ok and contraction.passed) else VERDICT_NONE
+        hyps.append(Hypothesis("lambda_below_half", lam < 1.0 / R,
+                               f"lambda = {lam:.6g}, limit = {1.0 / R:.6g}"))
+        claim = VERDICT_UNIQUE
     else:
         if spec.f_domain != "nonnegative":
             raise ConfigurationError(
@@ -457,8 +433,8 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
         hyps.append(Hypothesis("sequential_closure", None,
                                "assumed by construction for the product relation "
                                "with nonnegative iterates", required=False))
-        required_ok = all(h.ok for h in hyps if h.required and h.ok is not None)
-        verdict = VERDICT_EXISTS if required_ok else VERDICT_NONE
+        claim = VERDICT_EXISTS
+    verdict = claim if all(h.ok for h in hyps if h.required and h.ok is not None) else VERDICT_NONE
 
     return Certificate(
         mode=mode,
@@ -467,7 +443,6 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
         uniqueness_threshold=threshold,
         g_sup=g_sup,
         lam=lam,
-        contraction=contraction,
         geraghty=geraghty,
         admissibility=admissibility,
         hypotheses=tuple(hyps),
@@ -508,8 +483,7 @@ class SolveReport:
 
 def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
                  tol: float = 1e-16, max_iter: int = 100,
-                 certificate: Certificate | None = None,
-                 operator: Operator | None = None) -> SolveReport:
+                 certificate: Certificate | None = None) -> SolveReport:
     """Iterate u <- A u from u0 until the squared sup step drops below tol.
 
     Non-convergence within ``max_iter`` is reported, not raised.  A
@@ -518,19 +492,19 @@ def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
     diverged, and the run ends at the last iterate whose step was finite,
     reported as not converged.  Runs without a passing certificate are
     labeled best-effort; a certificate built for another spec, kernel or
-    grid raises ConfigurationError.  Without ``operator``, the solve applies
-    the certificate's operator if it has one, else assembles its own.
+    grid raises ConfigurationError.  The solve applies the certificate's
+    operator if it has one, else assembles its own.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigurationError(f"tol must be finite and positive, got {tol!r}")
     if max_iter < 1:
         raise ConfigurationError(f"max_iter must be at least 1, got {max_iter!r}")
     grid = u0.grid
-    if certificate is not None and not _built_for(certificate, spec, kernel, grid):
+    if certificate is not None and not (certificate.spec is spec and certificate.kernel is kernel
+                                        and grid.same_as(certificate.grid)):
         raise ConfigurationError(
             "certificate was built for a different problem, kernel or grid")
-    op = operator or (certificate.operator if certificate else None)
-    op = Operator(spec, kernel, grid) if op is None else op.check(spec, kernel, grid)
+    op = (certificate and certificate.operator) or Operator(spec, kernel, grid)
     values = u0.values
     steps: list[float] = []
     step = math.inf

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracbvp as fb
-from fracbvp.errors import ConfigurationError, GridMismatchError
+from fracbvp.errors import GridMismatchError
 
 from conftest import assert_paper_families
 
@@ -69,19 +69,6 @@ def test_default_psi_scaling_pointwise(x, c):
     psi = fb.psi
     assert float(psi(c * x)) <= c * float(psi(x)) + 1e-12 * (1 + x)
     assert c * float(psi(x)) <= c * x + 1e-12 * (1 + x)
-
-
-def test_contraction_certificate_cases():
-    assert fb.contraction_certificate(0.3).passed
-    assert not fb.contraction_certificate(0.6).passed
-    # lam = 0 (envelope g = 0): d(Au, Av) = 0 <= lam' d(u, v) for any lam'
-    assert fb.contraction_certificate(0.0).passed
-    # the contraction factor of the second bundled example
-    verdict = fb.contraction_certificate(0.1052)
-    assert verdict.passed
-    assert verdict.margin == pytest.approx(0.5 - 0.1052, abs=1e-12)
-    with pytest.raises(ConfigurationError):
-        fb.contraction_certificate(-0.1)
 
 
 def test_geraghty_equal_pairs_hold(grid):

@@ -57,14 +57,27 @@ def test_check_json_structure(capsys):
 
 
 def test_check_beta_above_bound_exits_2(tmp_path, capsys):
-    text = open(E42).read().replace("beta = 4", "beta = 6")
-    cfg = tmp_path / "beta6.cfg"
-    cfg.write_text(text)
-    code = main(["check", str(cfg), "--grid", "256"])
-    out = capsys.readouterr().out
-    assert code == 2
-    assert "no-certificate" in out
-    assert "beta_below_bound" in out
+    # beta above its bound makes mu < 0, where the threshold fails while
+    # lambda, a square, may pass: the certificate fails, it does not raise
+    text = open(E42).read()
+    for name, old, new in (("beta6", "beta = 4", "beta = 6"),
+                           ("beta8", "beta = 4", "beta = 8"),
+                           ("beta12", "beta = 4", "beta = 12"),
+                           ("beta20", "beta = 4", "beta = 20"),
+                           ("alpha205", "alpha = 2.5", "alpha = 2.05")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text.replace(old, new))
+        code = main(["check", str(cfg), "--grid", "256"])
+        captured = capsys.readouterr()
+        assert code == 2, (name, captured.err)
+        assert "no-certificate" in captured.out
+        assert "[FAIL    ] beta_below_bound" in captured.out
+    # the solve of such a config is best-effort and writes its outputs
+    code = main(["solve", str(tmp_path / "beta8.cfg"), "--grid", "256",
+                 "-o", str(tmp_path / "beta8.csv")])
+    assert code in (0, 3)
+    assert (tmp_path / "beta8.csv").exists()
+    assert "label                 best-effort" in (tmp_path / "beta8.report.txt").read_text()
 
 
 def test_check_solve_only_mode_rejected(tmp_path, capsys):

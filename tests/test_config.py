@@ -44,6 +44,10 @@ def test_parse_defaults():
     # expression keys that the builtin f or the missing g would ignore
     ("f.expr = 100*u", "'f.expr'"),
     ("g.expr = 1", "'g.expr'"),
+    # the kind keys are spelled phi, f and g, with no aliases
+    ("phi.kind = identity", "unknown key 'phi.kind'"),
+    ("f.kind = zero", "unknown key 'f.kind'"),
+    ("g.kind = custom-expression", "unknown key 'g.kind'"),
 ])
 def test_parse_diagnostics_name_the_key(line, fragment):
     with pytest.raises(ConfigurationError, match=fragment):

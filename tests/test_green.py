@@ -9,9 +9,9 @@ import pytest
 import fracbvp as fb
 from fracbvp.errors import ConfigurationError, DomainError
 from fracbvp.green import _pow_pos
-from fracbvp.oracles import oracle_classical_green, oracle_grid_max
 
 from conftest import paper_green
+from oracles import oracle_classical_green, oracle_grid_max
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import fracbvp as fb
-from fracbvp.oracles import (
+
+from oracles import (
     oracle_classical_green,
     oracle_frac_integral,
     oracle_grid_max,

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fracbvp as fb
 from fracbvp import solver
@@ -18,18 +20,18 @@ from fracbvp.config import build_problem, load_config
 from fracbvp.errors import ConfigurationError, NumericError
 from fracbvp.solver import (DEFAULT_SAMPLE_SEED, VERDICT_EXISTS, VERDICT_NONE, VERDICT_UNIQUE,
                             resolve_seed)
+from fracbvp.special import PHI_KINDS
 
 from conftest import catalog_map
 
 
-def test_problem_spec_domain_validation(kernel42):
+def test_problem_spec_domain_validation():
     with pytest.raises(ConfigurationError):
-        fb.ProblemSpec(params=kernel42.params, f=lambda t, u: u, f_domain="positive")
+        fb.ProblemSpec(f=lambda t, u: u, f_domain="positive")
 
 
 def test_apply_operator_zero_f(kernel42, grid256_42):
-    spec = fb.ProblemSpec(params=kernel42.params,
-                          f=lambda t, u: np.zeros_like(np.asarray(u, dtype=float)))
+    spec = fb.ProblemSpec(f=lambda t, u: np.zeros_like(np.asarray(u, dtype=float)))
     u = fb.GridFunction.sample(grid256_42, lambda s: np.sin(5 * s))
     out = fb.Operator(spec, kernel42, grid256_42).apply(u.values)
     assert np.all(out == 0.0)
@@ -44,8 +46,7 @@ def test_apply_operator_zero_is_fixed_point_of_linear_f(grid256_41, operator256_
 
 def test_apply_operator_classical_closed_form(classical_kernel):
     grid = fb.build_grid(classical_kernel.params.phi, 512)
-    spec = fb.ProblemSpec(params=classical_kernel.params,
-                          f=lambda t, u: np.ones_like(np.asarray(u, dtype=float)))
+    spec = fb.ProblemSpec(f=lambda t, u: np.ones_like(np.asarray(u, dtype=float)))
     out = fb.Operator(spec, classical_kernel, grid).apply(np.zeros(grid.size))
     closed = grid.nodes**2 / 4.0 - grid.nodes**3 / 6.0
     assert np.max(np.abs(out - closed)) <= 1e-10
@@ -54,11 +55,10 @@ def test_apply_operator_classical_closed_form(classical_kernel):
 def test_picard_fixed_point_matches_dense_quadrature_oracle(classical_kernel):
     # unit forcing: the fixed point is the plain kernel integral, which
     # the independent hand-simplified kernel integrates by trapezoid
-    from fracbvp.oracles import oracle_classical_green
+    from oracles import oracle_classical_green
 
     grid = fb.build_grid(classical_kernel.params.phi, 512)
-    spec = fb.ProblemSpec(params=classical_kernel.params,
-                          f=lambda t, u: np.ones_like(np.asarray(u, dtype=float)))
+    spec = fb.ProblemSpec(f=lambda t, u: np.ones_like(np.asarray(u, dtype=float)))
     report = fb.picard_solve(spec, classical_kernel,
                              fb.GridFunction.constant(grid, 0.0),
                              tol=1e-16, max_iter=10)
@@ -214,7 +214,7 @@ def test_factored_product_matches_dense(kernel42, panels):
 
 def test_operator_refuses_oversized_grid(kernel41):
     grid = fb.build_grid(kernel41.params.phi, 8194)
-    spec = fb.ProblemSpec(params=kernel41.params, f=lambda t, u: u)
+    spec = fb.ProblemSpec(f=lambda t, u: u)
     with pytest.raises(ConfigurationError,
                        match="grid_size 8194 has 16388 nodes and its operator would take at least 1089 MiB"
                              ".*largest accepted grid_size is 8192"):
@@ -261,8 +261,7 @@ def test_operator_size_limit_is_inclusive(kernel41, monkeypatch):
 
 
 def test_apply_operator_nonfinite_f(kernel42, grid256_42):
-    spec = fb.ProblemSpec(params=kernel42.params,
-                          f=lambda t, u: np.where(np.asarray(t) > 0.5, np.nan, 0.0))
+    spec = fb.ProblemSpec(f=lambda t, u: np.where(np.asarray(t) > 0.5, np.nan, 0.0))
     op = fb.Operator(spec, kernel42, grid256_42)
     with pytest.raises(NumericError):
         op.apply(np.zeros(grid256_42.size))
@@ -288,22 +287,20 @@ def test_certificate_unique_solution(problem42, grid256_42):
            / (problem42.kernel.mu * fb.gamma(p.alpha))) ** 2
     assert cert.lam == pytest.approx(lam, rel=1e-14)
     assert cert.g_sup < cert.uniqueness_threshold and cert.lam < 0.5
-    assert cert.contraction is not None and cert.contraction.passed
 
 
 def test_certificate_scaled_envelope_fails(problem42, grid256_42):
     base_g = problem42.spec.g
-    spec = fb.ProblemSpec(params=problem42.params, f=problem42.spec.f,
-                          g=lambda t: 10.0 * base_g(t), f_domain="real")
+    spec = fb.ProblemSpec(f=problem42.spec.f, g=lambda t: 10.0 * base_g(t), f_domain="real")
     cert = fb.build_certificate(spec, problem42.kernel, "uniqueness", grid=grid256_42)
     assert cert.verdict == VERDICT_NONE
+    # a hundredfold contraction factor, above 1/2
     failing = {h.name for h in cert.hypotheses if h.ok is False}
-    assert "g_sup_below_threshold" in failing
+    assert failing == {"g_sup_below_threshold", "lambda_below_half"}
 
 
 def test_certificate_requires_envelope(problem41, grid256_41):
-    spec = fb.ProblemSpec(params=problem41.params, f=problem41.spec.f, g=None,
-                          f_domain="nonnegative")
+    spec = fb.ProblemSpec(f=problem41.spec.f, g=None, f_domain="nonnegative")
     with pytest.raises(ConfigurationError):
         fb.build_certificate(spec, problem41.kernel, "uniqueness", grid=grid256_41)
 
@@ -331,8 +328,7 @@ def test_certificate_unknown_mode(problem42, grid256_42):
 
 
 def test_picard_zero_f_converges_immediately(kernel42, grid256_42):
-    spec = fb.ProblemSpec(params=kernel42.params,
-                          f=lambda t, u: np.zeros_like(np.asarray(u, dtype=float)))
+    spec = fb.ProblemSpec(f=lambda t, u: np.zeros_like(np.asarray(u, dtype=float)))
     report = fb.picard_solve(spec, kernel42, fb.GridFunction.constant(grid256_42, 1.0),
                              tol=1e-16, max_iter=10)
     assert report.converged
@@ -353,13 +349,12 @@ def test_picard_example41_reaches_zero(problem41, grid256_41):
     assert report.label == "certified:exists-positive"
 
 
-def test_picard_example42_certified(problem42, grid256_42, operator256_42):
+def test_picard_example42_certified(problem42, grid256_42):
     cert = fb.build_certificate(problem42.spec, problem42.kernel, "uniqueness",
                                 grid=grid256_42)
     report = fb.picard_solve(problem42.spec, problem42.kernel,
                              fb.GridFunction.constant(grid256_42, 0.0),
-                             tol=1e-16, max_iter=100, certificate=cert,
-                             operator=operator256_42)
+                             tol=1e-16, max_iter=100, certificate=cert)
     assert report.converged
     assert report.final_step_distance < 1e-16
     assert report.fixed_point_residual <= 1e-6
@@ -385,8 +380,7 @@ def test_example42_boundary_slope_falls_with_refinement(problem42):
 
 
 def test_picard_nonconvergence_reported(kernel42, grid256_42):
-    spec = fb.ProblemSpec(params=kernel42.params,
-                          f=lambda t, u: 200.0 * np.asarray(u, dtype=float) + 1.0)
+    spec = fb.ProblemSpec(f=lambda t, u: 200.0 * np.asarray(u, dtype=float) + 1.0)
     report = fb.picard_solve(spec, kernel42, fb.GridFunction.constant(grid256_42, 0.0),
                              tol=1e-16, max_iter=15)
     assert not report.converged
@@ -394,15 +388,14 @@ def test_picard_nonconvergence_reported(kernel42, grid256_42):
     assert report.observed_ratios[-1] > 1.0
 
 
-def test_step_distances_are_the_squared_steps(problem42, grid256_42, operator256_42):
+def test_step_distances_are_the_squared_steps(problem42, grid256_42):
     # one run of 5 steps against runs stopped after 1..5 steps: step k is
     # the squared sup distance between iterates k-1 and k
     spec, kernel = problem42.spec, problem42.kernel
     u0 = fb.GridFunction.constant(grid256_42, 0.0)
 
     def solve(max_iter):
-        return fb.picard_solve(spec, kernel, u0, tol=1e-300, max_iter=max_iter,
-                               operator=operator256_42)
+        return fb.picard_solve(spec, kernel, u0, tol=1e-300, max_iter=max_iter)
 
     report = solve(5)
     steps = report.step_distances
@@ -417,7 +410,7 @@ def test_step_distances_are_the_squared_steps(problem42, grid256_42, operator256
 
 
 def test_picard_bad_arguments(kernel42, grid256_42):
-    spec = fb.ProblemSpec(params=kernel42.params, f=lambda t, u: u)
+    spec = fb.ProblemSpec(f=lambda t, u: u)
     u0 = fb.GridFunction.constant(grid256_42, 0.0)
     with pytest.raises(ConfigurationError):
         fb.picard_solve(spec, kernel42, u0, tol=0.0)
@@ -448,8 +441,7 @@ def test_picard_refuses_certificate_of_another_problem(problem41, problem42):
 
 
 def test_residual_report_zero_case(kernel42, grid256_42):
-    spec = fb.ProblemSpec(params=kernel42.params,
-                          f=lambda t, u: np.zeros_like(np.asarray(u, dtype=float)))
+    spec = fb.ProblemSpec(f=lambda t, u: np.zeros_like(np.asarray(u, dtype=float)))
     zero = fb.GridFunction.constant(grid256_42, 0.0)
     resid, (b0, b1, b2) = fb.Operator(spec, kernel42, grid256_42).residuals(zero)
     assert resid == 0.0 and b0 == 0.0 and b1 == 0.0 and b2 == 0.0
@@ -459,7 +451,7 @@ def test_residual_report_converged_solution(problem42, grid256_42, operator256_4
     tol = 1e-12
     report = fb.picard_solve(problem42.spec, problem42.kernel,
                              fb.GridFunction.constant(grid256_42, 0.0),
-                             tol=tol, max_iter=100, operator=operator256_42)
+                             tol=tol, max_iter=100)
     resid, _ = operator256_42.residuals(report.solution)
     # contraction with small factor keeps the residual near the last step
     assert resid <= 10.0 * math.sqrt(tol)
@@ -509,8 +501,7 @@ def test_sample_suite_reproducible(grid256_41, monkeypatch):
 
 
 def test_picard_divergence_stops_at_last_finite_iterate(kernel42, grid256_42):
-    spec = fb.ProblemSpec(params=kernel42.params,
-                          f=lambda t, u: 1e6 * np.asarray(u, dtype=float) + 1.0)
+    spec = fb.ProblemSpec(f=lambda t, u: 1e6 * np.asarray(u, dtype=float) + 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         report = fb.picard_solve(spec, kernel42, fb.GridFunction.constant(grid256_42, 0.0),
@@ -523,8 +514,7 @@ def test_picard_divergence_stops_at_last_finite_iterate(kernel42, grid256_42):
 
 
 def test_picard_nonfinite_f_at_start_raises(kernel42, grid256_42):
-    spec = fb.ProblemSpec(params=kernel42.params,
-                          f=lambda t, u: np.full_like(np.asarray(u, dtype=float), np.inf))
+    spec = fb.ProblemSpec(f=lambda t, u: np.full_like(np.asarray(u, dtype=float), np.inf))
     with pytest.raises(NumericError, match="f returned non-finite values"):
         fb.picard_solve(spec, kernel42, fb.GridFunction.constant(grid256_42, 0.0))
 
@@ -534,26 +524,22 @@ def test_operator_rejects_grid_of_another_table_map():
     phi_a = fb.phi_catalog("table", samples=np.column_stack([ts, ts]))
     phi_b = fb.phi_catalog("table", samples=np.column_stack([ts, 0.5 * (ts + ts**2)]))
     kernel = fb.build_kernel(fb.BvpParams(alpha=2.5, beta=0.5, eta=0.5, phi=phi_a))
-    spec = fb.ProblemSpec(params=kernel.params, f=lambda t, u: u)
+    spec = fb.ProblemSpec(f=lambda t, u: u)
     fb.Operator(spec, kernel, fb.build_grid(phi_a, 64))
     with pytest.raises(ConfigurationError, match="different phi map"):
         fb.Operator(spec, kernel, fb.build_grid(phi_b, 64))
 
 
-def test_operator_checked_against_its_use(problem42, grid256_42, operator256_42):
-    other_grid = problem42.grid(128)
-    with pytest.raises(ConfigurationError, match="operator was built"):
-        fb.picard_solve(problem42.spec, problem42.kernel,
-                        fb.GridFunction.constant(other_grid, 0.0), operator=operator256_42)
-    # an operator passed with a certificate is checked too, not the
-    # certificate's own operator
-    other_spec = fb.ProblemSpec(params=problem42.params, f=problem42.spec.f,
-                                f_domain="nonnegative")
-    cert = fb.build_certificate(other_spec, problem42.kernel, "positive-existence",
-                                grid=grid256_42)
-    with pytest.raises(ConfigurationError, match="operator was built"):
-        fb.picard_solve(other_spec, problem42.kernel, fb.GridFunction.constant(grid256_42, 0.0),
-                        certificate=cert, operator=operator256_42)
+def test_operator_checked_against_its_use(problem42, grid256_42):
+    # an operator reaches a solve only inside the certificate that applied
+    # it, which is refused for another spec or grid
+    spec = fb.ProblemSpec(f=problem42.spec.f, f_domain="nonnegative")
+    cert = fb.build_certificate(spec, problem42.kernel, "positive-existence", grid=grid256_42)
+    assert cert.operator is not None
+    for other_spec, grid in ((problem42.spec, grid256_42), (spec, problem42.grid(128))):
+        with pytest.raises(ConfigurationError, match="certificate was built for a different"):
+            fb.picard_solve(other_spec, problem42.kernel, fb.GridFunction.constant(grid, 0.0),
+                            certificate=cert)
 
 
 def test_certificate_hands_its_operator_to_the_solve(problem41, problem42, monkeypatch):
@@ -606,8 +592,21 @@ def test_seed_resolver(grid256_41, monkeypatch):
         resolve_seed(-1)
 
 
-def test_threshold_lambda_disagreement_raises(problem42, grid256_42, monkeypatch):
-    # lambda above 1/2 while sup g sits well below the threshold
-    monkeypatch.setattr(solver, "_lambda_from_gsup", lambda kernel, g_sup: 0.9)
-    with pytest.raises(NumericError, match="disagree"):
-        fb.build_certificate(problem42.spec, problem42.kernel, "uniqueness", grid=grid256_42)
+@settings(max_examples=100, deadline=None)
+@given(st.floats(2.01, 3.0), st.floats(0.0, 0.99), st.floats(0.05, 1.0),
+       st.sampled_from(PHI_KINDS),
+       st.one_of(st.floats(0.25, 4.0), st.floats(1.0 - 1e-9, 1.0 + 1e-9)))
+def test_threshold_and_lambda_agree_off_the_knife_edge(alpha, beta_share, eta, kind, g_share):
+    # with mu > 0, sup g < threshold is lam < 1/2 rewritten: the two rows
+    # agree everywhere but within rounding of the knife edge
+    phi = catalog_map(kind)
+    bound = fb.build_kernel(fb.BvpParams(alpha, 0.0, eta, phi)).beta_bound
+    kernel = fb.build_kernel(fb.BvpParams(alpha, beta_share * bound, eta, phi))
+    assert kernel.mu > 0.0
+    c = g_share * solver._uniqueness_threshold(kernel)
+    spec = fb.ProblemSpec(f=lambda t, u: np.zeros_like(u), g=lambda t: c)
+    cert = fb.build_certificate(spec, kernel, "uniqueness", grid=fb.build_grid(phi, 64), seed=1)
+    rows = {h.name: h.ok for h in cert.hypotheses}
+    assume(abs(cert.g_sup - cert.uniqueness_threshold) > 1e-12 * cert.uniqueness_threshold)
+    assert rows["g_sup_below_threshold"] == rows["lambda_below_half"] == (cert.lam < 0.5)
+    assert cert.passed == rows["g_sup_below_threshold"]
