@@ -140,8 +140,7 @@ def _certificate_json(cert: Certificate) -> dict:
         "g_sup": cert.g_sup,
         "lambda": cert.lam,
         "hypotheses": [
-            {"name": h.name, "ok": h.ok, "note": h.note, "required": h.required}
-            for h in cert.hypotheses
+            {"name": h.name, "ok": h.ok, "note": h.note} for h in cert.hypotheses
         ],
         "verdict": cert.verdict,
     }

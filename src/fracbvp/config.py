@@ -68,7 +68,6 @@ class Config:
     f_kind: str
     f_expr: str | None
     f_domain: str | None
-    g_kind: str | None
     g_expr: str | None
     grid_size: int
     tol: float
@@ -177,7 +176,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> Config:
         alpha=alpha, beta=beta, eta=eta,
         phi_kind=phi_kind, phi_table=phi_table,
         f_kind=f_kind, f_expr=f_expr, f_domain=f_domain,
-        g_kind=g_kind, g_expr=g_expr,
+        g_expr=g_expr,
         grid_size=grid_size, tol=tol, max_iter=max_iter, mode=mode,
         items=tuple(items),
     )
@@ -218,9 +217,12 @@ class Problem:
     """Everything a command needs: parsed config plus built objects."""
 
     config: Config
-    params: BvpParams
     kernel: GreenKernel
     spec: ProblemSpec
+
+    @property
+    def params(self) -> BvpParams:
+        return self.kernel.params
 
     def grid(self, panels: int | None = None):
         return build_grid(self.params.phi, panels if panels is not None else self.config.grid_size)
@@ -245,7 +247,7 @@ def build_problem(config: Config) -> Problem:
         f_text, g_text, domain = config.f_expr, None, "real"
     else:
         f_text, g_text, domain = _BUILTIN_TEXTS[config.f_kind]
-    if config.g_kind is not None:
+    if config.g_expr is not None:
         g_text = config.g_expr
     if config.f_domain is not None:
         domain = config.f_domain
@@ -257,4 +259,4 @@ def build_problem(config: Config) -> Problem:
         g = lambda t: g_expr(t, 0.0)  # noqa: E731  (envelope depends on t only)
 
     spec = ProblemSpec(f=f, g=g, f_domain=domain)
-    return Problem(config=config, params=params, kernel=kernel, spec=spec)
+    return Problem(config=config, kernel=kernel, spec=spec)

@@ -1,21 +1,30 @@
-"""Tiny arithmetic expression language for user-supplied nonlinearities.
+"""Arithmetic expressions of (t, u) for user-supplied nonlinearities.
 
-Grammar over the variables ``t`` and ``u`` (and the constant ``pi``):
+Grammar, a subset of Python's expression grammar, over the variables
+``t`` and ``u`` and the constant ``pi``:
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
     unary  := ('+' | '-') unary | power
-    power  := atom ('^' unary)?          (right-associative)
-    atom   := NUMBER | 't' | 'u' | 'pi' | NAME '(' expr (',' expr)* ')'
+    power  := atom (('^' | '**') unary)?          (right-associative)
+    atom   := NUMBER | 't' | 'u' | 'pi' | FUNC '(' expr (',' expr)* ')'
             | '(' expr ')'
 
-Functions: sin, cos, tan, exp, abs, pow.  Compiled expressions are
+FUNC is sin, cos, tan, exp, abs (one argument) or pow (two); NUMBER is
+a decimal literal (``2``, ``0.5``, ``.5``, ``1e-3``).  The text, with
+``^`` read as ``**``, is parsed by ``ast.parse`` and refused unless every
+node lies in the grammar: comments, ``_``, hexadecimal and complex
+literals, keyword arguments, trailing commas and all other Python-only
+syntax raise ``ConfigurationError``.  Compiled expressions are
 numpy-vectorized callables of (t, u).
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
+import warnings
 from typing import Callable
 
 import numpy as np
@@ -24,145 +33,57 @@ from .errors import ConfigurationError
 
 __all__ = ["compile_expression"]
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-                    r"|\d+(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*)|([-+*/^(),]))")
+_ALPHABET = re.compile(r"[A-Za-z0-9_. +\-*/(),]*")
+_TRAILING_COMMA = re.compile(r",\s*\)")
+_DECIMAL = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+# Python refuses the integer literal 01; the grammar reads it as 1
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
 
-_FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "abs": np.abs,
-    "pow": np.power,
-}
-
-_FUNCTION_ARITY = {"sin": 1, "cos": 1, "tan": 1, "exp": 1, "abs": 1, "pow": 2}
-
-
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ConfigurationError(
-                f"expression syntax error at position {pos}: {text[pos:pos + 10]!r}")
-        number, name, dstar, op = m.groups()
-        if number is not None:
-            tokens.append(("num", float(number)))
-        elif name is not None:
-            tokens.append(("name", name))
-        elif dstar is not None:
-            tokens.append(("op", "^"))
-        else:
-            tokens.append(("op", op))
-        pos = m.end()
-    tokens.append(("end", ""))
-    return tokens
+_NAMES = {"t": lambda t, u: np.asarray(t, dtype=float),
+          "u": lambda t, u: np.asarray(u, dtype=float), "pi": lambda t, u: np.pi}
+_FUNCTIONS = {"sin": (np.sin, 1), "cos": (np.cos, 1), "tan": (np.tan, 1),
+              "exp": (np.exp, 1), "abs": (np.abs, 1), "pow": (np.power, 2)}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: np.power}
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ConfigurationError(f"expected {op!r} in expression {self.text!r}")
-
-    def parse(self) -> Callable:
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ConfigurationError(
-                f"unexpected trailing token {self.peek()[1]!r} in expression {self.text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            node = (lambda a, b: lambda t, u: a(t, u) + b(t, u))(node, rhs) if op == "+" \
-                else (lambda a, b: lambda t, u: a(t, u) - b(t, u))(node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take()[1]
-            rhs = self.unary()
-            node = (lambda a, b: lambda t, u: a(t, u) * b(t, u))(node, rhs) if op == "*" \
-                else (lambda a, b: lambda t, u: a(t, u) / b(t, u))(node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            inner = self.unary()
-            return lambda t, u: -inner(t, u)
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            exponent = self.unary()
-            return lambda t, u: np.power(base(t, u), exponent(t, u))
-        return base
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            const = float(val)
-            return lambda t, u: const
-        if kind == "name":
-            if val == "t":
-                return lambda t, u: np.asarray(t, dtype=float)
-            if val == "u":
-                return lambda t, u: np.asarray(u, dtype=float)
-            if val == "pi":
-                return lambda t, u: np.pi
-            if val in _FUNCTIONS:
-                self.expect_op("(")
-                args = [self.expr()]
-                while self.peek() == ("op", ","):
-                    self.take()
-                    args.append(self.expr())
-                self.expect_op(")")
-                if len(args) != _FUNCTION_ARITY[val]:
-                    raise ConfigurationError(
-                        f"function {val!r} takes {_FUNCTION_ARITY[val]} argument(s)")
-                fn = _FUNCTIONS[val]
-                if len(args) == 1:
-                    a0 = args[0]
-                    return lambda t, u: fn(a0(t, u))
-                a0, a1 = args
-                return lambda t, u: fn(a0(t, u), a1(t, u))
-            raise ConfigurationError(f"unknown name {val!r} in expression")
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ConfigurationError(f"unexpected token {val!r} in expression")
+def _build(node: ast.AST, source: str) -> Callable:
+    """Return the callable of one node of the grammar; refuse any other node."""
+    if isinstance(node, ast.Constant):
+        literal = source[node.col_offset:node.end_col_offset]
+        if not _DECIMAL.fullmatch(literal):
+            raise ConfigurationError(f"{literal!r} in expression is not a decimal number")
+        const = float(literal)
+        return lambda t, u: const
+    if isinstance(node, ast.Name) and node.id in _NAMES:
+        return _NAMES[node.id]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        inner = _build(node.operand, source)
+        return inner if isinstance(node.op, ast.UAdd) else lambda t, u: -inner(t, u)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        fn = _BINARY[type(node.op)]
+        a, b = _build(node.left, source), _build(node.right, source)
+        return lambda t, u: fn(a(t, u), b(t, u))
+    if (isinstance(node, ast.Call) and getattr(node.func, "id", None) in _FUNCTIONS
+            and not node.keywords):
+        fn, arity = _FUNCTIONS[node.func.id]
+        if len(node.args) != arity:
+            raise ConfigurationError(f"function {node.func.id!r} takes {arity} argument(s)")
+        args = [_build(arg, source) for arg in node.args]
+        if arity == 1:
+            return lambda t, u: fn(args[0](t, u))
+        return lambda t, u: fn(args[0](t, u), args[1](t, u))
+    raise ConfigurationError(f"{ast.unparse(node)!r} in expression is outside the grammar")
 
 
 def compile_expression(text: str) -> Callable:
     """Compile an expression of (t, u) into a vectorized callable."""
-    if not text or not text.strip():
-        raise ConfigurationError("empty expression")
-    return _Parser(text).parse()
+    source = _LEADING_ZEROS.sub("", " ".join(text.replace("^", "**").split()))
+    if not source or not _ALPHABET.fullmatch(source) or _TRAILING_COMMA.search(source):
+        raise ConfigurationError(f"expression {text!r}: empty or outside the grammar")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a SyntaxWarning ('1if') refuses the text
+            return _build(ast.parse(source, mode="eval").body, source)
+    except (SyntaxError, RecursionError) as exc:
+        raise ConfigurationError(f"expression {text[:80]!r}: {getattr(exc, 'msg', exc)}") from None

@@ -19,7 +19,7 @@ vector and a (k, N) stack, and its results do not depend on the BLAS
 thread count.
 
 Two certificates are available, and both pass exactly when every
-required hypothesis that is checked passes.  The uniqueness certificate
+hypothesis that is checked passes.  The uniqueness certificate
 needs a Lipschitz envelope g for f and checks that the contraction
 factor
 
@@ -30,8 +30,8 @@ of A in the squared sup distance stays below 1/R = 1/2, together with
     sup g < mu * Gamma(alpha) / (sqrt(2) * S1**(alpha-1) * phi'(1)).
 
 When mu > 0 the two are the same inequality; when mu < 0 the threshold
-is negative and fails while lam, a square, may still pass, so the
-certificate fails.  The existence certificate samples the shrink
+is negative and fails, and lam, which bounds A only where G >= 0, is
+recorded, not checked.  The existence certificate samples the shrink
 inequality and sign-preservation of A on a reproducible random suite and
 witnesses the starting hypothesis with u0 = 0.
 
@@ -283,7 +283,6 @@ class Hypothesis:
     name: str
     ok: bool | None
     note: str
-    required: bool = True
 
 
 @dataclass(frozen=True)
@@ -370,7 +369,7 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
 
     Precondition violations (missing envelope, wrong f domain) raise
     ConfigurationError; mathematical failures are recorded in the
-    verdict, which passes when every required, checked hypothesis does.
+    verdict, which passes when every checked hypothesis does.
     Only the positive-existence route assembles the operator, and its
     certificate keeps it.
     """
@@ -401,8 +400,11 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
                                f"sampled hypothesis (400 triples), worst excess {lip_excess:.3g}"))
         hyps.append(Hypothesis("g_sup_below_threshold", g_sup < threshold,
                                f"sup g = {g_sup:.6g}, threshold = {threshold:.6g}"))
-        hyps.append(Hypothesis("lambda_below_half", lam < 1.0 / R,
-                               f"lambda = {lam:.6g}, limit = {1.0 / R:.6g}"))
+        # lambda bounds A in the squared sup distance only where G >= 0, i.e. mu > 0
+        contraction = kernel.mu > 0.0
+        hyps.append(Hypothesis("lambda_below_half", lam < 1.0 / R if contraction else None,
+                               f"lambda = {lam:.6g}, limit = {1.0 / R:.6g}" if contraction
+                               else "not a contraction factor: mu < 0"))
         claim = VERDICT_UNIQUE
     else:
         if spec.f_domain != "nonnegative":
@@ -432,9 +434,9 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
                                "tau(u0, A u0) >= 0 for u0 = 0"))
         hyps.append(Hypothesis("sequential_closure", None,
                                "assumed by construction for the product relation "
-                               "with nonnegative iterates", required=False))
+                               "with nonnegative iterates"))
         claim = VERDICT_EXISTS
-    verdict = claim if all(h.ok for h in hyps if h.required and h.ok is not None) else VERDICT_NONE
+    verdict = claim if all(h.ok for h in hyps if h.ok is not None) else VERDICT_NONE
 
     return Certificate(
         mode=mode,

@@ -57,8 +57,8 @@ def test_check_json_structure(capsys):
 
 
 def test_check_beta_above_bound_exits_2(tmp_path, capsys):
-    # beta above its bound makes mu < 0, where the threshold fails while
-    # lambda, a square, may pass: the certificate fails, it does not raise
+    # beta above its bound makes mu < 0, where the threshold fails and
+    # lambda is only recorded: the certificate fails, it does not raise
     text = open(E42).read()
     for name, old, new in (("beta6", "beta = 4", "beta = 6"),
                            ("beta8", "beta = 4", "beta = 8"),
@@ -72,6 +72,8 @@ def test_check_beta_above_bound_exits_2(tmp_path, capsys):
         assert code == 2, (name, captured.err)
         assert "no-certificate" in captured.out
         assert "[FAIL    ] beta_below_bound" in captured.out
+        # with mu < 0, lambda is no contraction factor: recorded, not passed
+        assert "[recorded] lambda_below_half: not a contraction factor: mu < 0" in captured.out
     # the solve of such a config is best-effort and writes its outputs
     code = main(["solve", str(tmp_path / "beta8.cfg"), "--grid", "256",
                  "-o", str(tmp_path / "beta8.csv")])

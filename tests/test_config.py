@@ -106,15 +106,28 @@ def test_expression_operators():
     assert float(expr(2.0, 3.0)) == pytest.approx(-4.0 + 27.0 - 12.0 + 1.0, abs=1e-14)
     assert float(compile_expression("2**3")(0.0, 0.0)) == 8.0
     assert float(compile_expression("sin(pi/2)")(0.0, 0.0)) == pytest.approx(1.0, abs=1e-15)
+    # '^' keeps the grammar's precedence over unary minus and its right-associativity;
+    # surrounding whitespace and line breaks between tokens are ignored
+    for text, t, u, expected in (("-2^2", 0.0, 0.0, -4.0), ("2^3^2", 0.0, 0.0, 512.0),
+                                 ("2^-1", 0.0, 0.0, 0.5), ("8/2/2", 0.0, 0.0, 2.0),
+                                 ("2*-t", 3.0, 0.0, -6.0), ("  t\n + u \n", 2.0, 3.0, 5.0),
+                                 ("\t01 + .5e1", 0.0, 0.0, 6.0)):
+        assert float(compile_expression(text)(t, u)) == expected, text
 
 
 @pytest.mark.parametrize("text", [
     "", "t +", "sin()", "sin(t, u)", "pow(t)", "t ? u", "q + 1", "log(t)", "(t",
     "1 2",
+    # Python-only syntax that ast.parse accepts or silently drops
+    "u # c", "abs(pi,)", "1_0", "0x10", "1j", "True", "None", "__import__('os')",
+    "sin(x=1)", "pow(t, u=2)", "sin(t, **u)", "t if u else 1", "t < u", "t @ u", "~t",
+    "t % u", "t // u", "t[0]", "t.real", "(t, u)", "sin(*t)", "1if t else 0",
+    pytest.param("-" * 3000 + "t", id="nested-too-deeply"),
 ])
-def test_expression_rejections(text):
+def test_expression_rejections(text, recwarn):
     with pytest.raises(ConfigurationError):
         compile_expression(text)
+    assert not recwarn.list  # Python's SyntaxWarning ('1if') does not leak
 
 
 def test_build_problem_example41_slope(problem41):
