@@ -56,7 +56,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DomainError, GridMismatchError, NumericError
-from .special import PhiMap, gamma
+from .special import PhiMap, _piecewise_cubic, gamma
 
 __all__ = [
     "DEFAULT_PANELS",
@@ -95,18 +95,14 @@ _BLOCK_POINTS = 1 << 16
 # orders whose scaled window table a grid function keeps
 _ORDERS_KEPT = 4
 
-_unit_rules: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-
+@lru_cache(maxsize=None)
 def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Breakpoints and two-point Gauss nodes/weights of a graded mesh on [0, 1].
 
     Breakpoints are 0.5*(2k/m)**2 mirrored about 1/2, so panels shrink
     quadratically toward both endpoints.
     """
-    cached = _unit_rules.get(panels)
-    if cached is not None:
-        return cached
     if panels < 2 or panels % 2:
         raise ConfigurationError(f"panel count must be even and >= 2, got {panels}")
     half = np.linspace(0.0, 1.0, panels // 2 + 1)
@@ -120,7 +116,6 @@ def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     weights = np.repeat(halfwidths, 2)
     for arr in (breaks, nodes, weights):
         arr.setflags(write=False)
-    _unit_rules[panels] = (breaks, nodes, weights)
     return breaks, nodes, weights
 
 
@@ -203,7 +198,7 @@ def build_grid(phi: PhiMap, panels: int = DEFAULT_PANELS) -> QuadratureGrid:
     y0, y1 = phi.image
     span = y1 - y0
     y_nodes = y0 + span * ref_nodes
-    nodes = np.asarray(phi.inverse(y_nodes), dtype=float)
+    nodes = phi.inverse(y_nodes)
     weights = span * ref_weights
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -261,7 +256,7 @@ class GridFunction:
     def _cubics(self) -> tuple[np.ndarray, ...]:
         """Breakpoints, centres and coefficients of the local cubics.
 
-        Stencil k (nodes k..k+3) serves queries between xs[k+1] and
+        Stencil k (nodes k..k+3) serves queries from xs[k+1] up to
         xs[k+2]; its cubic is c0 + z*(c1 + z*(c2 + z*c3)), z = q - xs[k+1],
         from divided differences, so constants give c1 = c2 = c3 = 0.
         """
@@ -275,24 +270,14 @@ class GridFunction:
         c2 = d2[:-1] + (h0 - h1) * d3
         return xs[2:-2], xs[1:-2], vs[1:-2], c1, c2, d3
 
-    def _local(self, t) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The offset z of each query from its stencil's centre, and the
-        coefficients c0..c3 of the cubic that serves it."""
-        breaks, centres, *coeffs = self._cubics
-        q = np.asarray(t, dtype=float)
-        k = np.searchsorted(breaks, q)
-        return q - centres[k], [c[k] for c in coeffs]
-
     def __call__(self, t):
-        z, (c0, c1, c2, c3) = self._local(t)
-        out = c0 + z * (c1 + z * (c2 + z * c3))
+        out = _piecewise_cubic(self._cubics, t)
         return float(out) if np.ndim(t) == 0 else out
 
     def deriv(self, t):
         """The t-derivative of the cubic that ``__call__`` evaluates at t;
         a scalar gives a float, an array an array of the same shape."""
-        z, (_, c1, c2, c3) = self._local(t)
-        out = c1 + z * (2.0 * c2 + 3.0 * z * c3)
+        out = _piecewise_cubic(self._cubics, t, deriv=True)
         return float(out) if np.ndim(t) == 0 else out
 
     @cached_property
@@ -446,12 +431,19 @@ def frac_integral(alpha: float, phi: PhiMap, u, t: float | np.ndarray) -> float 
         if outside.any():
             raise DomainError(f"t must lie in [0, 1], got {float(flat[outside][0])!r}")
     u = _on_map(u, phi)
-    values = _integral_y(alpha, u, np.asarray(phi(flat), dtype=float))
+    values = _integral_y(alpha, u, phi(flat))
     return values.reshape(shape) if shape else float(values[0])
 
 
-_STEP_FRACTION = {1: 1e-3, 2: 3e-3, 3: 5e-3}
-_STENCIL_REACH = {1: 1, 2: 1, 3: 2}
+# the central difference of order n: its nominal step as a share of
+# phi(1) - phi(0), the offsets o of its points y + o*h (the first is the
+# reach), their weights, and the divisor of the weighted sum; h * h,
+# not h**2, which differs from it in the last bit now and then
+_STENCILS = {
+    1: (1e-3, (1.0, -1.0), (1.0, -1.0), lambda h: 2.0 * h),
+    2: (3e-3, (1.0, 0.0, -1.0), (1.0, -2.0, 1.0), lambda h: h * h),
+    3: (5e-3, (2.0, 1.0, -1.0, -2.0), (1.0, -2.0, 2.0, -1.0), lambda h: 2.0 * h**3),
+}
 # the shortest step frac_derivative takes, as a share of the nominal one
 _MIN_STEP_SHARE = 0.1
 
@@ -461,11 +453,11 @@ def frac_derivative(alpha: float, phi: PhiMap, u, t: float) -> float:
 
     Applies the n-th central difference in y = phi(t) to the
     order-(n - alpha) integral, n = floor(alpha) + 1 <= 3.  The step is
-    ``_STEP_FRACTION[n] * (phi(1) - phi(0))``, shortened so the stencil
-    stays inside the image of phi; accuracy degrades as it shrinks, and
-    a point that would need less than ``_MIN_STEP_SHARE`` (a tenth) of
-    that nominal step is rejected with DomainError, since there the
-    result is rounding noise.
+    the stencil's share (``_STENCILS``) of phi(1) - phi(0), shortened so
+    the stencil stays inside the image of phi; accuracy degrades as it
+    shrinks, and a point that would need less than ``_MIN_STEP_SHARE``
+    (a tenth) of that nominal step is rejected with DomainError, since
+    there the result is rounding noise.
     """
     if not alpha > 0.0:
         raise DomainError(f"derivative order must be positive, got {alpha!r}")
@@ -476,25 +468,15 @@ def frac_derivative(alpha: float, phi: PhiMap, u, t: float) -> float:
         raise DomainError(f"t must be one point strictly inside (0, 1), got {t!r}")
     u = _on_map(u, phi)
     y0, y1 = phi.image
-    y = float(phi(t))
-    span = y1 - y0
-    nominal = _STEP_FRACTION[n] * span
-    h = min(nominal, 0.45 * min(y - y0, y1 - y) / _STENCIL_REACH[n])
+    y = phi(t)
+    share, offsets, weights, divisor = _STENCILS[n]
+    nominal = share * (y1 - y0)
+    h = min(nominal, 0.45 * min(y - y0, y1 - y) / offsets[0])
     # on a shorter step rounding swamps the difference quotient
     if not h >= _MIN_STEP_SHARE * nominal:
         raise DomainError("stencil does not fit: t too close to an endpoint")
-
-    def F(*ys: float) -> np.ndarray:
-        return _integral_y(n - alpha, u, np.array(ys))
-
-    if n == 1:
-        f = F(y + h, y - h)
-        return float((f[0] - f[1]) / (2.0 * h))
-    if n == 2:
-        f = F(y + h, y, y - h)
-        return float((f[0] - 2.0 * f[1] + f[2]) / (h * h))
-    f = F(y + 2.0 * h, y + h, y - h, y - 2.0 * h)
-    return float((f[0] - 2.0 * f[1] + 2.0 * f[2] - f[3]) / (2.0 * h**3))
+    f = _integral_y(n - alpha, u, np.array([y + o * h for o in offsets]))
+    return float(sum(w * v for w, v in zip(weights, f)) / divisor(h))
 
 
 def semigroup_defect(alpha: float, beta: float, phi: PhiMap, u) -> float:

@@ -228,6 +228,14 @@ class Problem:
         return build_grid(self.params.phi, panels if panels is not None else self.config.grid_size)
 
 
+def _compile_key(key: str, text: str):
+    """compile_expression(text), its diagnostic prefixed with the key."""
+    try:
+        return compile_expression(text)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"key {key!r}: {exc}") from None
+
+
 def build_problem(config: Config) -> Problem:
     """Materialize a parsed configuration into library objects."""
     if config.phi_kind == "table":
@@ -252,10 +260,10 @@ def build_problem(config: Config) -> Problem:
     if config.f_domain is not None:
         domain = config.f_domain
 
-    f = compile_expression(f_text)
+    f = _compile_key("f.expr", f_text)
     g = None
     if g_text is not None:
-        g_expr = compile_expression(g_text)
+        g_expr = _compile_key("g.expr", g_text)
         g = lambda t: g_expr(t, 0.0)  # noqa: E731  (envelope depends on t only)
 
     spec = ProblemSpec(f=f, g=g, f_domain=domain)

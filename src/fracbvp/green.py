@@ -112,8 +112,8 @@ def build_kernel(params: BvpParams) -> GreenKernel:
     for positivity; ConfigurationError when mu = 0."""
     p = params
     phi_zero, phi_one = p.phi.image
-    phi_eta = float(p.phi(p.eta))
-    deriv_one = float(p.phi.deriv(1.0))
+    phi_eta = p.phi(p.eta)
+    deriv_one = p.phi.deriv(1.0)
     s1 = phi_one - phi_zero
     se = phi_eta - phi_zero
     lead = (p.alpha - 1.0) * deriv_one * s1 ** (p.alpha - 2.0)
@@ -156,8 +156,7 @@ def green_values(kernel: GreenKernel, t, s):
     reproduces all four of the paper's branches.
     """
     phi = kernel.params.phi
-    y_t = np.asarray(phi(np.asarray(t, dtype=float)), dtype=float)
-    y_s = np.asarray(phi(np.asarray(s, dtype=float)), dtype=float)
+    y_t, y_s = phi(t), phi(s)
     head, full, eta_part = _separable(kernel, y_t, y_s)
     return (head * (full - eta_part) - _memory(kernel, y_t, y_s)) / kernel.scale
 
@@ -174,7 +173,7 @@ def green_max_bound(kernel: GreenKernel, s: float):
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0.0) or np.any(s_arr > 1.0):
         raise DomainError("s must lie in [0, 1]")
-    y_s = np.asarray(kernel.params.phi(s_arr), dtype=float)
+    y_s = kernel.params.phi(s_arr)
     out = _separable(kernel, y_s, y_s)[1] / kernel.scale
     return float(out) if np.ndim(s) == 0 else out
 

@@ -198,7 +198,7 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
             f"grid_size {grid.panels} has {n} nodes and its operator would take at least "
             f"{least / 2**20:.0f} MiB, over the {_MAX_NODES}-node limit; "
             f"the largest accepted grid_size is {_MAX_NODES * grid.panels // n}")
-    y = np.asarray(kernel.params.phi(grid.nodes), dtype=float)
+    y = kernel.params.phi(grid.nodes)
     layout = _memory_layout(n)
     gap = np.max(np.abs(y - grid.y_nodes))
     if not gap <= 1e-9 * kernel.shifted_one:

@@ -2,9 +2,10 @@
 
 Everything downstream is built on a strictly increasing coordinate map
 ``phi`` on [0, 1] with a nonvanishing derivative.  A :class:`PhiMap`
-bundles the map, its derivative and its inverse; ``gamma`` is a plain
-function.  All objects here are immutable and safe to share between
-threads.
+bundles the map, its derivative and its inverse under one contract: a
+float gives a float, an array an array whose elements equal the float
+calls.  ``gamma`` is a plain function.  All objects here are immutable
+and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -67,13 +68,22 @@ def gamma(x: float) -> float:
     return math.sqrt(2.0 * math.pi) * half * math.exp(-t) * half * acc
 
 
-@dataclass(frozen=True)
+def _as_float(fn: Callable, x):
+    """fn on x as a float array: a Python float for a 0-d argument."""
+    x = np.asarray(x, dtype=float)
+    out = np.asarray(fn(x), dtype=float)
+    return out if x.ndim else float(out)
+
+
+@dataclass(frozen=True, eq=False)
 class PhiMap:
     """Strictly increasing coordinate map on [0, 1].
 
-    ``fn``, ``deriv_fn`` and ``inverse_fn`` accept floats or numpy
-    arrays and are vectorized.  The inverse is defined on
-    [fn(0), fn(1)].
+    The map, ``deriv`` and ``inverse`` (defined on [phi(0), phi(1)])
+    give a float for a float and, for an array, a float array whose
+    elements equal the float calls; ``fn``, ``deriv_fn`` and
+    ``inverse_fn`` see and return float arrays only.  Maps compare by
+    identity, so each keeps its own cached grids.
     """
 
     kind: str
@@ -82,10 +92,10 @@ class PhiMap:
     inverse_fn: Callable
 
     def __call__(self, t):
-        return self.fn(t)
+        return _as_float(self.fn, t)
 
     def deriv(self, t):
-        return self.deriv_fn(t)
+        return _as_float(self.deriv_fn, t)
 
     def inverse(self, y):
         """phi^-1(y) for y in [phi(0), phi(1)].
@@ -105,32 +115,44 @@ class PhiMap:
             raise DomainError("inverse argument outside the image interval")
         if low < lo or high > hi:
             y_arr = np.clip(y_arr, lo, hi)
-        return self.inverse_fn(y_arr if np.ndim(y) else float(y_arr))
+        return _as_float(self.inverse_fn, y_arr)
 
     @cached_property
     def image(self) -> tuple[float, float]:
         """The image interval (phi(0), phi(1)), computed once per map."""
-        return float(self.fn(0.0)), float(self.fn(1.0))
+        return self(0.0), self(1.0)
+
+
+def _piecewise_cubic(pieces: tuple[np.ndarray, ...], t, deriv: bool = False) -> np.ndarray:
+    """The piecewise cubic ``pieces`` = (breaks, centres, c0, c1, c2, c3),
+    or its derivative, at t: piece k, c0 + z*(c1 + z*(c2 + z*c3)) with
+    z = t - centres[k], serves breaks[k-1] <= t < breaks[k], end pieces beyond."""
+    breaks, centres, c0, c1, c2, c3 = pieces
+    t = np.asarray(t, dtype=float)
+    k = np.searchsorted(breaks, t, side="right")
+    z = t - centres[k]
+    if deriv:
+        return c1[k] + z * (2.0 * c2[k] + 3.0 * z * c3[k])
+    return c0[k] + z * (c1[k] + z * (c2[k] + z * c3[k]))
 
 
 def _bisect_newton_inverse(fn, deriv_fn, y, seed_table):
     """Invert a strictly increasing map on [0, 1] by bisection plus Newton.
 
-    Vectorized over ``y``, which must lie in [fn(0), fn(1)].
-    ``seed_table`` is a precomputed (abscissae, values) pair that starts
-    every root from a tight bracket; a few bisections shrink it well
-    below 1e-12 and safeguarded Newton steps sharpen the result to
-    rounding level.  The root always stays bracketed, so the seeding
-    cannot change which value is found.
+    Vectorized over the float array ``y``, which must lie in
+    [fn(0), fn(1)].  ``seed_table`` is a precomputed (abscissae, values)
+    pair that starts every root from a tight bracket; a few bisections
+    shrink it well below 1e-12 and safeguarded Newton steps sharpen the
+    result to rounding level.  The root always stays bracketed, so the
+    seeding cannot change which value is found.
     """
-    yc = np.asarray(y, dtype=float)
     ts_tab, ys_tab = seed_table
-    idx = np.clip(np.searchsorted(ys_tab, yc), 1, ys_tab.size - 1)
+    idx = np.clip(np.searchsorted(ys_tab, y), 1, ys_tab.size - 1)
     a = ts_tab[idx - 1].copy()
     b = ts_tab[idx].copy()
     for _ in range(8):
         m = 0.5 * (a + b)
-        below = fn(m) < yc
+        below = fn(m) < y
         a = np.where(below, m, a)
         b = np.where(below, b, m)
     # Newton with bisection fallback; every evaluation tightens the
@@ -140,7 +162,7 @@ def _bisect_newton_inverse(fn, deriv_fn, y, seed_table):
     # to the domain.
     x = 0.5 * (a + b)
     for _ in range(6):
-        fx = fn(x) - yc
+        fx = fn(x) - y
         negative = fx < 0.0
         a = np.where(negative, x, a)
         b = np.where(negative, b, x)
@@ -150,8 +172,6 @@ def _bisect_newton_inverse(fn, deriv_fn, y, seed_table):
         width = b - a
         inside = (xn >= a - width) & (xn <= b + width)
         x = np.where(inside, xn, 0.5 * (a + b))
-    if np.ndim(y) == 0:
-        return float(x)
     return x
 
 
@@ -213,23 +233,13 @@ def _table_map(samples) -> PhiMap:
     ts[0], ts[-1] = 0.0, 1.0
     vs = vs.copy()
     d, c, b = _monotone_cubic_coefficients(ts, vs)
-
-    def _segment(t):
-        t_arr = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(ts, t_arr, side="right") - 1, 0, ts.size - 2)
-        return t_arr, i
+    pieces = (ts[1:-1], ts[:-1], vs[:-1], d[:-1], c, b)
 
     def fn(t):
-        t_arr, i = _segment(t)
-        s = t_arr - ts[i]
-        out = vs[i] + s * (d[i] + s * (c[i] + s * b[i]))
-        return float(out) if np.ndim(t) == 0 else out
+        return _piecewise_cubic(pieces, t)
 
     def deriv_fn(t):
-        t_arr, i = _segment(t)
-        s = t_arr - ts[i]
-        out = d[i] + s * (2.0 * c[i] + 3.0 * s * b[i])
-        return float(out) if np.ndim(t) == 0 else out
+        return _piecewise_cubic(pieces, t, deriv=True)
 
     seed_ts = np.linspace(0.0, 1.0, 4097)
     seed_table = (seed_ts, fn(seed_ts))
@@ -240,45 +250,19 @@ def _table_map(samples) -> PhiMap:
     return PhiMap(kind="table", fn=fn, deriv_fn=deriv_fn, inverse_fn=inverse_fn)
 
 
-def _identity_map() -> PhiMap:
-    return PhiMap(
-        kind="identity",
-        fn=lambda t: np.multiply(t, 1.0),
-        deriv_fn=lambda t: np.multiply(t, 0.0) + 1.0,
-        inverse_fn=lambda y: np.multiply(y, 1.0),
-    )
+_Q = math.pi / 4.0
 
+# (phi, phi', phi^-1) of each closed-form kind, on float arrays
+_CLOSED_FORMS = {
+    "identity": (lambda t: np.multiply(t, 1.0), lambda t: np.multiply(t, 0.0) + 1.0,
+                 lambda y: np.multiply(y, 1.0)),
+    "sin_quarter_pi": (lambda t: np.sin(_Q * t), lambda t: _Q * np.cos(_Q * t),
+                       lambda y: np.arcsin(y) / _Q),
+    "sqrt_half": (lambda t: 0.5 * np.sqrt(1.0 + t), lambda t: 0.25 / np.sqrt(1.0 + t),
+                  lambda y: 4.0 * np.square(y) - 1.0),
+}
 
-def _sin_quarter_pi_map() -> PhiMap:
-    q = math.pi / 4.0
-
-    def fn(t):
-        return np.sin(q * np.asarray(t, dtype=float)) if np.ndim(t) else math.sin(q * t)
-
-    def deriv_fn(t):
-        return q * np.cos(q * np.asarray(t, dtype=float)) if np.ndim(t) else q * math.cos(q * t)
-
-    def inverse_fn(y):
-        return np.arcsin(y) / q if np.ndim(y) else math.asin(y) / q
-
-    return PhiMap(kind="sin_quarter_pi", fn=fn, deriv_fn=deriv_fn, inverse_fn=inverse_fn)
-
-
-def _sqrt_half_map() -> PhiMap:
-    def fn(t):
-        return 0.5 * np.sqrt(1.0 + np.asarray(t, dtype=float)) if np.ndim(t) else 0.5 * math.sqrt(1.0 + t)
-
-    def deriv_fn(t):
-        return 0.25 / np.sqrt(1.0 + np.asarray(t, dtype=float)) if np.ndim(t) else 0.25 / math.sqrt(1.0 + t)
-
-    def inverse_fn(y):
-        out = 4.0 * np.square(np.asarray(y, dtype=float)) - 1.0
-        return float(out) if np.ndim(y) == 0 else out
-
-    return PhiMap(kind="sqrt_half", fn=fn, deriv_fn=deriv_fn, inverse_fn=inverse_fn)
-
-
-PHI_KINDS = ("identity", "sin_quarter_pi", "sqrt_half", "table")
+PHI_KINDS = (*_CLOSED_FORMS, "table")
 
 
 def phi_catalog(kind: str, samples: Sequence | None = None) -> PhiMap:
@@ -291,12 +275,8 @@ def phi_catalog(kind: str, samples: Sequence | None = None) -> PhiMap:
     identity, sin_quarter_pi ((4/pi)*arcsin) and sqrt_half, and a seeded
     safeguarded bisection+Newton for tables.
     """
-    if kind == "identity":
-        return _identity_map()
-    if kind == "sin_quarter_pi":
-        return _sin_quarter_pi_map()
-    if kind == "sqrt_half":
-        return _sqrt_half_map()
+    if kind in _CLOSED_FORMS:
+        return PhiMap(kind, *_CLOSED_FORMS[kind])
     if kind == "table":
         if samples is None:
             raise ConfigurationError("phi kind 'table' requires samples")

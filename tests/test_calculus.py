@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fracbvp as fb
-from fracbvp.calculus import (_MIN_STEP_SHARE, _ORDERS_KEPT, _STENCIL_REACH, _STEP_FRACTION,
+from fracbvp.calculus import (_MIN_STEP_SHARE, _ORDERS_KEPT, _STENCILS,
                               TOL_DERIVATIVE_IDENTITY, TOL_INTEGRAL_IDENTITY, _gauss_rule,
                               _integral_y, _on_map, _order_constants)
 from fracbvp.errors import ConfigurationError, DomainError, GridMismatchError, NumericError
@@ -115,6 +115,8 @@ def test_grid_function_reproduces_cubics_and_constants(phi_sin):
 
     u = fb.GridFunction.sample(grid, cubic)
     assert np.max(np.abs(u(qs) - cubic(qs))) <= 1e-13
+    # a node that centres a stencil reads it at z = 0: its own value
+    assert np.array_equal(u(grid.nodes[1:-2]), u.values[1:-2])
     # bit for bit: the Lagrange form gave v * (1 +- eps) here
     for v in (1.0, -0.7, 3.3e5):
         const = fb.GridFunction.constant(grid, v)
@@ -329,7 +331,7 @@ def test_frac_derivative_refuses_a_step_below_a_tenth_of_nominal(phi_sin, phi_id
         assert math.isfinite(fb.frac_derivative(alpha, phi_sin, u, t))
     # on the identity map the step is 0.45 t / reach, so the edge is sharp
     n = int(alpha) + 1
-    edge = _MIN_STEP_SHARE * _STEP_FRACTION[n] * _STENCIL_REACH[n] / 0.45
+    edge = _MIN_STEP_SHARE * _STENCILS[n][0] * _STENCILS[n][1][0] / 0.45
     one = fb.GridFunction.constant(fb.build_grid(phi_identity, 64), 1.0)
     for t in (1.01 * edge, 1.0 - 1.01 * edge):
         assert math.isfinite(fb.frac_derivative(alpha, phi_identity, one, t))
@@ -504,7 +506,7 @@ def test_frac_derivative_matches_scalar_stencil(phi_sin, alpha):
     y0, y1 = float(phi_sin(0.0)), float(phi_sin(1.0))
     for t in (0.02, 0.3, 0.7, 0.98):
         y = float(phi_sin(t))
-        h = min(_STEP_FRACTION[n] * (y1 - y0), 0.45 * min(y - y0, y1 - y) / _STENCIL_REACH[n])
+        h = min(_STENCILS[n][0] * (y1 - y0), 0.45 * min(y - y0, y1 - y) / _STENCILS[n][1][0])
 
         def F(yy):
             return _integral_at(n - alpha, u, yy)

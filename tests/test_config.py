@@ -188,6 +188,17 @@ def test_build_problem_zero_and_custom():
     assert prob.spec.f_domain == "nonnegative"
 
 
+@pytest.mark.parametrize("key", ["f.expr", "g.expr"])
+def test_build_problem_expression_diagnostics_name_the_key(key):
+    exprs = {"f.expr": "u", "g.expr": "1", key: "log(t)"}
+    cfg = parse_config(
+        "alpha = 2.5\nbeta = 0.5\neta = 0.5\nphi = identity\n"
+        "f = custom-expression\ng = custom-expression\n"
+        + "".join(f"{k} = {v}\n" for k, v in exprs.items()))
+    with pytest.raises(ConfigurationError, match=rf"^key '{key}': 'log\(t\)'"):
+        build_problem(cfg)
+
+
 def test_load_phi_table(tmp_path):
     path = tmp_path / "tab.csv"
     path.write_text("# comment\n0,0\n0.25,0.3\n0.75,0.8\n1,1\n")

@@ -156,6 +156,19 @@ def test_inverse_checks_the_image_interval_for_every_kind(kind):
                           phi.inverse(np.array([lo, hi])))
 
 
+@pytest.mark.parametrize("kind", PHI_KINDS)
+def test_array_call_equals_float_call_bit_for_bit(kind):
+    # a float gives a float, and each element of an array call equals
+    # the float call of that element, for the map, phi' and the inverse
+    phi = catalog_map(kind)
+    ts = np.linspace(0.0, 1.0, 10001)
+    ys = np.linspace(*phi.image, 10001)
+    for method, xs in ((phi, ts), (phi.deriv, ts), (phi.inverse, ys)):
+        floats = [method(float(x)) for x in xs]
+        assert all(type(v) is float for v in floats)
+        assert method(xs).tobytes() == np.array(floats).tobytes()
+
+
 def test_sin_closed_form_inverse_matches_bisection():
     phi = fb.phi_catalog("sin_quarter_pi")
     q = math.pi / 4.0
