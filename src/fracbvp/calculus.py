@@ -27,12 +27,12 @@ So the singular kernel needs no special case for a < 1, no step
 inverts phi or interpolates u, the error is smooth in Y, and a limit
 costs only the far points below it.  The tables behind it are built on
 first use: per grid the super-panel bounds and far points; per grid
-function the Taylor coefficients at every bound and the far weights
-times the cubic; per grid function and order (the last _ORDERS_KEPT
-orders) the coefficients b_j B_j, read as windows; per order Gamma(a)
-and the B_j.  ``frac_integral`` takes one upper limit t or an array of
-them; an array is sorted by window, and each row runs the arithmetic
-of a one-limit call.
+function the Taylor coefficients at every bound, read as windows, and
+the far weights times the cubic; per order Gamma(a) and the B_j.  A
+limit gathers its window from the function's one table and scales it
+by the order's B_j.  ``frac_integral`` takes one upper limit t or an
+array of them; an array is sorted by window, and each row runs the
+arithmetic of a one-limit call.
 
 The fractional derivative of order ``a`` is
 
@@ -92,9 +92,6 @@ _NEAR = 6
 # temporary, whatever the number of upper limits
 _BLOCK_POINTS = 1 << 16
 
-# orders whose scaled window table a grid function keeps
-_ORDERS_KEPT = 4
-
 
 @lru_cache(maxsize=None)
 def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,10 +132,10 @@ def _gauss_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=64)
 def _order_constants(alpha: float) -> tuple[float, np.ndarray]:
     """Gamma(alpha) and the moments B_j = j! / (alpha (alpha+1) ... (alpha+j)),
-    j = 0..3, shaped to scale the rows b_j of a panel table; one Lanczos
-    sum per order."""
+    j = 0..3, shaped to scale the rows b_j of gathered windows; one
+    Lanczos sum per order."""
     moments = np.cumprod([1.0 / alpha] + [j / (alpha + j) for j in (1, 2, 3)])
-    return gamma(alpha), moments.reshape(4, 1)
+    return gamma(alpha), moments.reshape(4, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -284,12 +281,12 @@ class GridFunction:
     def _panel_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The cubic in y through the 4 nodes of each super-panel.
 
-        Returns a table of shape (5, 2 * (_NEAR + super-panels)), and the
-        far weights times the cubics at the far points.  After _NEAR
-        empty super-panels at phi(0), columns 2i and 2i + 1 are super-panel
-        i's lower and upper bound e, rows e and the Taylor coefficients
-        b_0..b_3 of the cubic sum_j b_j (y - e)**j, negated at the upper
-        bound.
+        Returns windows of _NEAR + 1 super-panels, shape (5, super-panels,
+        2 * (_NEAR + 1)), window k ending at super-panel k, and the far
+        weights times the cubics at the far points.  After _NEAR empty
+        super-panels at phi(0), each super-panel has a column at its lower
+        and its upper bound e: rows e and the Taylor coefficients b_0..b_3
+        of the cubic sum_j b_j (y - e)**j, negated at the upper bound.
         """
         _, ends, y_far, w_far = self.grid._super_panels
         xs = self.grid.y_nodes.reshape(-1, 4)
@@ -309,27 +306,8 @@ class GridFunction:
                       + [a + s * b for a, b in zip(taylor, taylor[1:])] + taylor[-1:])
         taylor = np.stack(np.broadcast_arrays(*taylor)) * [1.0, -1.0]
         table = np.concatenate([ends[None], np.pad(taylor, ((0, 0), (_NEAR, 0), (0, 0)))])
-        return table.reshape(5, -1), w_far * cubic.ravel()
-
-    @cached_property
-    def _order_windows(self) -> dict[float, np.ndarray]:
-        return {}
-
-    def _windows(self, alpha: float) -> np.ndarray:
-        """The panel table with rows 1-4 scaled by the order-alpha B_j,
-        as windows of _NEAR + 1 super-panels, shape (5, super-panels,
-        2 * (_NEAR + 1)): window k, each row contiguous, ends at
-        super-panel k.  Kept for the last _ORDERS_KEPT orders."""
-        kept = self._order_windows
-        windows = kept.get(alpha)
-        if windows is None:
-            if len(kept) >= _ORDERS_KEPT:
-                del kept[next(iter(kept))]
-            table = self._panel_table[0].copy()
-            table[1:] *= _order_constants(alpha)[1]
-            windows = sliding_window_view(table, 2 * (_NEAR + 1), axis=1)[:, ::2]
-            kept[alpha] = windows
-        return windows
+        windows = sliding_window_view(table.reshape(5, -1), 2 * (_NEAR + 1), axis=1)[:, ::2]
+        return windows, w_far * cubic.ravel()
 
 
 @lru_cache(maxsize=16)
@@ -370,9 +348,9 @@ def _integral_y(alpha: float, u: GridFunction, c: np.ndarray) -> np.ndarray:
     pairwise reduction, not a BLAS product, so results do not depend
     on the BLAS thread count.
     """
-    g = _order_constants(alpha)[0]
+    g, moments = _order_constants(alpha)
     bounds, _, y_far, _ = u.grid._super_panels
-    windows, w_u = u._windows(alpha), u._panel_table[1]
+    windows, w_u = u._panel_table
     # k, the super-panel that holds each limit, names its window
     k = np.searchsorted(bounds, c, side="right")
     # sorted by window, the limits that share one form a run
@@ -386,7 +364,10 @@ def _integral_y(alpha: float, u: GridFunction, c: np.ndarray) -> np.ndarray:
     block = _BLOCK_POINTS // windows[:, 0].size
     for start in range(0, c.size, block):
         top = c[start:start + block, None]
-        ends, b0, b1, b2, b3 = windows[:, k[start:start + block]]
+        # the gather is a fresh array: scale its b_j by the B_j in place
+        gathered = windows[:, k[start:start + block]]
+        gathered[1:] *= moments
+        ends, b0, b1, b2, b3 = gathered
         # a bound above the limit gives z = 0
         z = top - np.minimum(ends, top)
         near[start:start + block] = np.add.reduce(

@@ -31,7 +31,7 @@ from .calculus import DEFAULT_PANELS, build_grid
 from .errors import ConfigurationError
 from .expressions import compile_expression
 from .green import BvpParams, GreenKernel, build_kernel
-from .solver import _MAX_GRID_SIZE, ProblemSpec, _uniqueness_threshold
+from .solver import _MAX_GRID_SIZE, ProblemSpec
 from .special import PHI_KINDS, phi_catalog
 
 __all__ = ["Config", "parse_config", "load_config", "Problem", "build_problem",
@@ -129,6 +129,16 @@ def parse_config(text: str, base_dir: Path | None = None) -> Config:
             raise ConfigurationError(f"missing required key {key!r}")
         return values[key]
 
+    def companion(key: str, kind: str | None, selects: str) -> str | None:
+        """values[key], required when the kind is ``selects``, refused otherwise."""
+        kind_key = key.partition(".")[0]
+        if kind == selects and key not in values:
+            raise ConfigurationError(f"key {key!r}: required when {kind_key} = {selects}")
+        if kind != selects and key in values:
+            got = "" if kind is None else f", got {kind_key} = {kind}"
+            raise ConfigurationError(f"key {key!r}: only allowed when {kind_key} = {selects}{got}")
+        return values.get(key)
+
     alpha = _float(req("alpha"), "alpha")
     beta = _float(req("beta"), "beta")
     eta = _float(req("eta"), "eta")
@@ -136,34 +146,22 @@ def parse_config(text: str, base_dir: Path | None = None) -> Config:
     phi_kind = req("phi")
     if phi_kind not in PHI_KINDS:
         raise ConfigurationError(f"key 'phi': unknown kind {phi_kind!r} (expected one of {PHI_KINDS})")
-    phi_table = values.get("phi.table")
-    if phi_kind == "table":
-        if phi_table is None:
-            raise ConfigurationError("key 'phi.table': required when phi = table")
-        if base_dir is not None and not Path(phi_table).is_absolute():
-            phi_table = str(base_dir / phi_table)
+    phi_table = companion("phi.table", phi_kind, "table")
+    if phi_table is not None and base_dir is not None and not Path(phi_table).is_absolute():
+        phi_table = str(base_dir / phi_table)
 
     f_kind = req("f")
     if f_kind not in F_KINDS:
         raise ConfigurationError(f"key 'f': unknown kind {f_kind!r} (expected one of {F_KINDS})")
-    f_expr = values.get("f.expr")
-    if f_kind == "custom-expression" and f_expr is None:
-        raise ConfigurationError("key 'f.expr': required when f = custom-expression")
-    if f_kind != "custom-expression" and f_expr is not None:
-        raise ConfigurationError(f"key 'f.expr': only allowed when f = custom-expression, "
-                                 f"got f = {f_kind}")
+    f_expr = companion("f.expr", f_kind, "custom-expression")
     f_domain = values.get("f.domain")
     if f_domain is not None and f_domain not in ("real", "nonnegative"):
         raise ConfigurationError(f"key 'f.domain': expected real|nonnegative, got {f_domain!r}")
 
     g_kind = values.get("g")
-    g_expr = values.get("g.expr")
     if g_kind is not None and g_kind != "custom-expression":
         raise ConfigurationError(f"key 'g': only custom-expression is supported, got {g_kind!r}")
-    if g_kind == "custom-expression" and g_expr is None:
-        raise ConfigurationError("key 'g.expr': required when g = custom-expression")
-    if g_kind is None and g_expr is not None:
-        raise ConfigurationError("key 'g.expr': only allowed when g = custom-expression")
+    g_expr = companion("g.expr", g_kind, "custom-expression")
 
     grid_size = _int(values.get("grid_size", str(DEFAULT_PANELS)), "grid_size")
     tol = _float(values.get("tol", "1e-16"), "tol")
@@ -247,7 +245,7 @@ def build_problem(config: Config) -> Problem:
 
     if config.f_kind == "example41":
         try:
-            c = _uniqueness_threshold(kernel) / 16.0
+            c = kernel.uniqueness_threshold / 16.0
         except ConfigurationError as exc:
             raise ConfigurationError(f"f = example41: the slope is undefined: {exc}") from None
         f_text, g_text, domain = f"{c!r}*u", repr(c), "nonnegative"

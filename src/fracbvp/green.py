@@ -106,6 +106,17 @@ class GreenKernel:
         """mu * Gamma(alpha), the denominator of the kernel formula."""
         return self.mu * self.gamma_alpha
 
+    @property
+    def uniqueness_threshold(self) -> float:
+        """The bound that the uniqueness certificate sets on sup g:
+        mu Gamma(alpha) / (sqrt 2 phi'(1) (phi(1) - phi(0))**(alpha - 1))."""
+        denominator = math.sqrt(2.0) * self.shifted_one ** (self.params.alpha - 1.0) * self.deriv_one
+        if not denominator > 0.0:
+            raise ConfigurationError(
+                "uniqueness threshold: phi'(1) * (phi(1) - phi(0))**(alpha - 1) underflows to 0; "
+                "rescale phi")
+        return self.scale / denominator
+
 
 def build_kernel(params: BvpParams) -> GreenKernel:
     """The kernel of params, with mu and the strict upper bound on beta
@@ -171,7 +182,7 @@ def green(kernel: GreenKernel, t: float, s: float) -> float:
 def green_max_bound(kernel: GreenKernel, s: float):
     """Upper bound on max over t of G(t, s), as a function of s."""
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0.0) or np.any(s_arr > 1.0):
+    if not np.all((s_arr >= 0.0) & (s_arr <= 1.0)):
         raise DomainError("s must lie in [0, 1]")
     y_s = kernel.params.phi(s_arr)
     out = _separable(kernel, y_s, y_s)[1] / kernel.scale

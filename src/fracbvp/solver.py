@@ -316,16 +316,6 @@ class Certificate:
         return self.verdict != VERDICT_NONE
 
 
-def _uniqueness_threshold(kernel: GreenKernel) -> float:
-    p = kernel.params
-    denominator = math.sqrt(2.0) * kernel.shifted_one ** (p.alpha - 1.0) * kernel.deriv_one
-    if not denominator > 0.0:
-        raise ConfigurationError(
-            "uniqueness threshold: phi'(1) * (phi(1) - phi(0))**(alpha - 1) underflows to 0; "
-            "rescale phi")
-    return kernel.scale / denominator
-
-
 def _g_sup(spec: ProblemSpec, grid: QuadratureGrid) -> float:
     ts = np.concatenate([[0.0], grid.nodes, [1.0]])
     gv = np.asarray(spec.g(ts), dtype=float)
@@ -379,7 +369,7 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
 
     p = kernel.params
     bound = kernel.beta_bound
-    threshold = _uniqueness_threshold(kernel)
+    threshold = kernel.uniqueness_threshold
     hyps: list[Hypothesis] = []
     hyps.append(Hypothesis("mu_nonzero", kernel.mu != 0.0, f"mu = {kernel.mu:.6g}"))
     hyps.append(Hypothesis("beta_below_bound", p.beta < bound,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fracbvp as fb
-from fracbvp.calculus import (_MIN_STEP_SHARE, _ORDERS_KEPT, _STENCILS,
+from fracbvp.calculus import (_MIN_STEP_SHARE, _STENCILS,
                               TOL_DERIVATIVE_IDENTITY, TOL_INTEGRAL_IDENTITY, _gauss_rule,
                               _integral_y, _on_map, _order_constants)
 from fracbvp.errors import ConfigurationError, DomainError, GridMismatchError, NumericError
@@ -63,6 +63,22 @@ def test_grid_function_validation(phi_identity):
         fb.GridFunction(grid, np.full(grid.size, np.nan))
     with pytest.raises(GridMismatchError):
         fb.GridFunction(grid, np.zeros(grid.size - 1))
+
+
+def test_sample_calls_a_float_only_callable_per_node(phi_sin):
+    # float() of the node array raises, so sample falls back to one call per node
+    def scalar_only(s):
+        return 2.0 * float(s)
+
+    def vectorized(s):
+        return 2.0 * s
+
+    grid = fb.build_grid(phi_sin, 64)
+    assert (fb.GridFunction.sample(grid, scalar_only).values.tobytes()
+            == fb.GridFunction.sample(grid, vectorized).values.tobytes())
+    ts = np.linspace(0.0, 1.0, 9)
+    assert (fb.frac_integral(1.5, phi_sin, scalar_only, ts).tobytes()
+            == fb.frac_integral(1.5, phi_sin, vectorized, ts).tobytes())
 
 
 def test_grid_function_interpolation(phi_identity):
@@ -474,15 +490,6 @@ def test_frac_integral_memory_is_bounded_in_one_window(phi_sin):
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert np.all(values == single)
-
-
-def test_grid_function_keeps_window_tables_of_the_last_orders(phi_sin):
-    u = fb.GridFunction.sample(fb.build_grid(phi_sin, 64), np.exp)
-    orders = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-    for alpha in orders:
-        first = fb.frac_integral(alpha, phi_sin, u, 0.7)
-        assert fb.frac_integral(alpha, phi_sin, u, 0.7) == first
-    assert list(u._order_windows) == orders[-_ORDERS_KEPT:]
 
 
 @pytest.mark.parametrize("kind", ["sin_quarter_pi", "sqrt_half"])

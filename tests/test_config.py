@@ -44,6 +44,7 @@ def test_parse_defaults():
     # expression keys that the builtin f or the missing g would ignore
     ("f.expr = 100*u", "'f.expr'"),
     ("g.expr = 1", "'g.expr'"),
+    ("phi.table = t.txt", "'phi.table'"),
     # the kind keys are spelled phi, f and g, with no aliases
     ("phi.kind = identity", "unknown key 'phi.kind'"),
     ("f.kind = zero", "unknown key 'f.kind'"),

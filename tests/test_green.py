@@ -92,6 +92,10 @@ def test_green_domain_errors(kernel41):
         fb.green(kernel41, -0.1, 0.5)
     with pytest.raises(DomainError):
         fb.green(kernel41, 0.5, 1.5)
+    # NaN fails 0 <= s <= 1, as in green and frac_integral
+    for s in (-0.1, 1.5, math.nan, [0.2, math.nan]):
+        with pytest.raises(DomainError):
+            fb.green_max_bound(kernel41, s)
 
 
 def test_green_classical_spot_value(classical_kernel):

@@ -603,7 +603,7 @@ def test_threshold_and_lambda_agree_off_the_knife_edge(alpha, beta_share, eta, k
     bound = fb.build_kernel(fb.BvpParams(alpha, 0.0, eta, phi)).beta_bound
     kernel = fb.build_kernel(fb.BvpParams(alpha, beta_share * bound, eta, phi))
     assert kernel.mu > 0.0
-    c = g_share * solver._uniqueness_threshold(kernel)
+    c = g_share * kernel.uniqueness_threshold
     spec = fb.ProblemSpec(f=lambda t, u: np.zeros_like(u), g=lambda t: c)
     cert = fb.build_certificate(spec, kernel, "uniqueness", grid=fb.build_grid(phi, 64), seed=1)
     rows = {h.name: h.ok for h in cert.hypotheses}
