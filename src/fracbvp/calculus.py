@@ -310,28 +310,11 @@ class GridFunction:
         return windows, w_far * cubic.ravel()
 
 
-@lru_cache(maxsize=16)
-def _shared_grid(phi: PhiMap, panels: int) -> QuadratureGrid:
-    """build_grid(phi, panels), built once per map and panel count, so
-    its phi inverse and super-panel tables are reused across calls."""
-    return build_grid(phi, panels)
-
-
-def _on_map(u, phi: PhiMap) -> GridFunction:
-    """u as a grid function on a grid of ``phi``.
-
-    A grid function on a grid of this very map keeps its values; any
-    other grid function, or a bare callable, is sampled once at the
-    nodes of the shared grid of phi with the panel count of u's grid,
-    or ``DEFAULT_PANELS`` for a callable.
-    """
-    if isinstance(u, GridFunction):
-        if u.grid.phi is phi:
-            return u
-        return GridFunction.sample(_shared_grid(phi, u.grid.panels), u)
-    if callable(u):
-        return GridFunction.sample(_shared_grid(phi, DEFAULT_PANELS), u)
-    raise ConfigurationError("u must be a GridFunction or a callable")
+def _check_on_map(u, phi: PhiMap) -> None:
+    """Refuse u unless it is a grid function on a grid of this very map."""
+    if not (isinstance(u, GridFunction) and u.grid.phi is phi):
+        raise ConfigurationError("u must be a GridFunction on a grid of phi itself; sample a "
+                                 "callable with GridFunction.sample(build_grid(phi, panels), fn)")
 
 
 def _integral_y(alpha: float, u: GridFunction, c: np.ndarray) -> np.ndarray:
@@ -396,9 +379,9 @@ def frac_integral(alpha: float, phi: PhiMap, u, t: float | np.ndarray) -> float 
     float, an array an array of the same shape, each element computed
     as the scalar call computes it.  The integrand is the piecewise
     cubic in y = phi(s) through u's values at the nodes of its grid, 4
-    nodes per super-panel; a bare callable, or a grid function on
-    another map, is first sampled on a grid of ``phi`` with as many
-    panels as ``u``'s grid, or ``DEFAULT_PANELS`` (1024).
+    nodes per super-panel.  ``u`` must be a grid function on a grid of
+    ``phi`` itself; anything else raises ConfigurationError, and a
+    callable is integrated as ``GridFunction.sample(build_grid(phi, n), fn)``.
     """
     if not alpha > 0.0:
         raise DomainError(f"integral order must be positive, got {alpha!r}")
@@ -411,7 +394,7 @@ def frac_integral(alpha: float, phi: PhiMap, u, t: float | np.ndarray) -> float 
         outside = ~((flat >= 0.0) & (flat <= 1.0))
         if outside.any():
             raise DomainError(f"t must lie in [0, 1], got {float(flat[outside][0])!r}")
-    u = _on_map(u, phi)
+    _check_on_map(u, phi)
     values = _integral_y(alpha, u, phi(flat))
     return values.reshape(shape) if shape else float(values[0])
 
@@ -447,7 +430,7 @@ def frac_derivative(alpha: float, phi: PhiMap, u, t: float) -> float:
         raise DomainError(f"derivative order must satisfy floor(alpha)+1 <= 3, got {alpha!r}")
     if np.ndim(t) != 0 or not 0.0 < t < 1.0:
         raise DomainError(f"t must be one point strictly inside (0, 1), got {t!r}")
-    u = _on_map(u, phi)
+    _check_on_map(u, phi)
     y0, y1 = phi.image
     y = phi(t)
     share, offsets, weights, divisor = _STENCILS[n]
@@ -470,7 +453,7 @@ def semigroup_defect(alpha: float, beta: float, phi: PhiMap, u) -> float:
     """
     if not (alpha > 0.0 and beta > 0.0):
         raise DomainError("semigroup orders must be positive")
-    u = _on_map(u, phi)
+    _check_on_map(u, phi)
     inner = GridFunction(grid=u.grid, values=_integral_y(beta, u, u.grid.y_nodes))
     ts = np.linspace(0.0, 1.0, 33)
     lhs = frac_integral(alpha, phi, inner, ts)

@@ -160,31 +160,34 @@ def _memory(kernel: GreenKernel, y_t, y_s, out=None):
     return np.multiply(kernel.mu, _pow_pos(diff, kernel.params.alpha - 1.0, out=out), out=out)
 
 
+def _phi_on_unit(kernel: GreenKernel, x, name: str):
+    """phi(x); DomainError unless every x satisfies 0 <= x <= 1, which NaN fails."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise DomainError(f"{name} must lie in [0, 1], got {x!r}")
+    return kernel.params.phi(arr)
+
+
 def green_values(kernel: GreenKernel, t, s):
-    """Kernel values at broadcast t, s in [0, 1], by the single formula.
+    """Kernel values at broadcast t, s in [0, 1] (DomainError outside), by
+    the single formula.
 
     Outside its own region each positive part is 0, so the formula
     reproduces all four of the paper's branches.
     """
-    phi = kernel.params.phi
-    y_t, y_s = phi(t), phi(s)
+    y_t, y_s = _phi_on_unit(kernel, t, "t"), _phi_on_unit(kernel, s, "s")
     head, full, eta_part = _separable(kernel, y_t, y_s)
     return (head * (full - eta_part) - _memory(kernel, y_t, y_s)) / kernel.scale
 
 
 def green(kernel: GreenKernel, t: float, s: float) -> float:
     """Kernel value at a single point of [0, 1] x [0, 1]."""
-    if not (0.0 <= t <= 1.0 and 0.0 <= s <= 1.0):
-        raise DomainError(f"(t, s) must lie in the unit square, got ({t!r}, {s!r})")
     return float(green_values(kernel, t, s))
 
 
 def green_max_bound(kernel: GreenKernel, s: float):
     """Upper bound on max over t of G(t, s), as a function of s."""
-    s_arr = np.asarray(s, dtype=float)
-    if not np.all((s_arr >= 0.0) & (s_arr <= 1.0)):
-        raise DomainError("s must lie in [0, 1]")
-    y_s = kernel.params.phi(s_arr)
+    y_s = _phi_on_unit(kernel, s, "s")
     out = _separable(kernel, y_s, y_s)[1] / kernel.scale
     return float(out) if np.ndim(s) == 0 else out
 

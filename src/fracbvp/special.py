@@ -83,7 +83,8 @@ class PhiMap:
     give a float for a float and, for an array, a float array whose
     elements equal the float calls; ``fn``, ``deriv_fn`` and
     ``inverse_fn`` see and return float arrays only.  Maps compare by
-    identity, so each keeps its own cached grids.
+    identity, and a grid function integrates only against the map its
+    grid was built from.
     """
 
     kind: str
@@ -180,7 +181,9 @@ def _monotone_cubic_coefficients(ts: np.ndarray, vs: np.ndarray):
 
     Interior slopes are the weighted harmonic means classically used for
     monotone piecewise-cubic interpolation; endpoint slopes use the
-    one-sided three-point formula clamped into (0, 3*delta] so the
+    one-sided three-point formula, or delta where it is not positive.
+    Increasing values make both deltas positive, so the formula stays
+    below 2*delta: endpoint slopes lie in (0, 2*delta), and the
     interpolant stays strictly increasing up to the boundary.
     """
     h = np.diff(ts)
@@ -193,11 +196,7 @@ def _monotone_cubic_coefficients(ts: np.ndarray, vs: np.ndarray):
 
     def _edge(h0, h1, d0, d1):
         s = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
-        if s <= 0.0:
-            return d0
-        if s > 3.0 * d0:
-            return 3.0 * d0
-        return s
+        return d0 if s <= 0.0 else s
 
     d[0] = _edge(h[0], h[1], delta[0], delta[1])
     d[-1] = _edge(h[-1], h[-2], delta[-1], delta[-2])

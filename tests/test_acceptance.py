@@ -7,6 +7,7 @@ line per criterion.
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ def test_criterion_7_negative_controls(problem42, phi_sin, tmp_path, capsys):
         bad_cfg.write_text("alpha = 2.5\nwhat = 1\n")
         assert main(["check", str(bad_cfg)]) == 1
         beta6 = tmp_path / "beta6.cfg"
-        beta6.write_text(open(e42).read().replace("beta = 4", "beta = 6"))
+        beta6.write_text(Path(e42).read_text().replace("beta = 4", "beta = 6"))
         assert main(["check", str(beta6), "--grid", "256"]) == 2
         div = tmp_path / "div.cfg"
         div.write_text("alpha = 2.5\nbeta = 4\neta = 0.3333333333333333\nphi = sqrt_half\n"

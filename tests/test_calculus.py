@@ -11,7 +11,7 @@ import pytest
 import fracbvp as fb
 from fracbvp.calculus import (_MIN_STEP_SHARE, _STENCILS,
                               TOL_DERIVATIVE_IDENTITY, TOL_INTEGRAL_IDENTITY, _gauss_rule,
-                              _integral_y, _on_map, _order_constants)
+                              _integral_y, _order_constants)
 from fracbvp.errors import ConfigurationError, DomainError, GridMismatchError, NumericError
 from fracbvp.special import PHI_KINDS
 
@@ -76,9 +76,6 @@ def test_sample_calls_a_float_only_callable_per_node(phi_sin):
     grid = fb.build_grid(phi_sin, 64)
     assert (fb.GridFunction.sample(grid, scalar_only).values.tobytes()
             == fb.GridFunction.sample(grid, vectorized).values.tobytes())
-    ts = np.linspace(0.0, 1.0, 9)
-    assert (fb.frac_integral(1.5, phi_sin, scalar_only, ts).tobytes()
-            == fb.frac_integral(1.5, phi_sin, vectorized, ts).tobytes())
 
 
 def test_grid_function_interpolation(phi_identity):
@@ -411,22 +408,22 @@ def test_semigroup_rejects_bad_orders(phi_identity):
         fb.semigroup_defect(0.0, 1.0, phi_identity, u)
 
 
-def test_semigroup_accepts_bare_callable(phi_identity):
-    # a callable is sampled onto the shared grid of DEFAULT_PANELS panels
-    defect = fb.semigroup_defect(1.5, 1.5, phi_identity, lambda s: np.cos(s))
-    assert defect <= TOL_INTEGRAL_IDENTITY
-
-
-def test_bare_callables_share_one_grid_per_map(phi_sqrt):
-    # the grid is built once per map and panel count, not on every call
-    first, second = _on_map(np.exp, phi_sqrt), _on_map(np.sin, phi_sqrt)
-    assert first.grid is second.grid and first.grid.panels == fb.DEFAULT_PANELS
-    other = fb.phi_catalog("identity")
-    assert _on_map(np.exp, other).grid.phi is other
-    fresh = fb.GridFunction.sample(fb.build_grid(phi_sqrt, fb.DEFAULT_PANELS), np.exp)
-    ts = np.linspace(0.1, 1.0, 7)
-    assert np.array_equal(fb.frac_integral(2.5, phi_sqrt, np.exp, ts),
-                          fb.frac_integral(2.5, phi_sqrt, fresh, ts))
+def test_calculus_refuses_u_off_the_grids_of_phi(phi_sqrt):
+    # only a grid function on a grid of this very map is integrated; a
+    # callable is sampled by the caller, never onto a hidden grid
+    twin = fb.phi_catalog("sqrt_half")
+    assert twin is not phi_sqrt and twin.kind == phi_sqrt.kind
+    foreign = fb.GridFunction.sample(fb.build_grid(twin, 64), np.exp)
+    calls = [lambda u: fb.frac_integral(1.5, phi_sqrt, u, 0.5),
+             lambda u: fb.frac_derivative(0.5, phi_sqrt, u, 0.5),
+             lambda u: fb.semigroup_defect(1.2, 0.8, phi_sqrt, u)]
+    for call in calls:
+        for u in (np.exp, foreign, 1.0):
+            with pytest.raises(ConfigurationError, match=r"GridFunction\.sample\(build_grid"):
+                call(u)
+    # the one-liner the message names is accepted
+    own = fb.GridFunction.sample(fb.build_grid(phi_sqrt, 64), np.exp)
+    assert all(math.isfinite(call(own)) for call in calls)
 
 
 def _integral_at(alpha, u, y):

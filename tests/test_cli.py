@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ def test_check_json_structure(capsys):
 def test_check_beta_above_bound_exits_2(tmp_path, capsys):
     # beta above its bound makes mu < 0, where the threshold fails and
     # lambda is only recorded: the certificate fails, it does not raise
-    text = open(E42).read()
+    text = Path(E42).read_text()
     for name, old, new in (("beta6", "beta = 4", "beta = 6"),
                            ("beta8", "beta = 4", "beta = 8"),
                            ("beta12", "beta = 4", "beta = 12"),
@@ -127,7 +128,7 @@ def test_solve_example42_and_roundtrip(tmp_path, capsys):
     again = tmp_path / "again.csv"
     assert main(["solve", E42, "-o", str(again), "--grid", "256"]) == 0
     capsys.readouterr()
-    assert open(out).read() == open(again).read()
+    assert out.read_text() == again.read_text()
     report = (tmp_path / "e42.report.txt").read_text()
     assert "certified:unique-solution" in report
 
@@ -242,7 +243,7 @@ def test_green_small_resolution(tmp_path, capsys):
     assert data.shape == (9, 3)
     t0_rows = data[data[:, 0] == 0.0]
     assert np.all(t0_rows[:, 2] == 0.0)
-    text = open(out).read()
+    text = out.read_text()
     assert "# mu:" in text and "# beta_bound:" in text
 
 

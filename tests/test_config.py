@@ -39,6 +39,10 @@ def test_parse_defaults():
     ("tol = 0", "'tol'"),
     ("tol = inf", "'tol'"),
     ("max_iter = 0", "'max_iter'"),
+    ("grid_size = big", "'grid_size': expected an integer"),
+    ("max_iter = 2.5", "'max_iter': expected an integer"),
+    ("f.domain = positive", "'f.domain'"),
+    ("g = builtin", "key 'g': only custom-expression"),
     ("mode = sideways", "'mode'"),
     ("alpha = 2.5", "duplicate"),
     # expression keys that the builtin f or the missing g would ignore
@@ -78,6 +82,13 @@ def test_parse_missing_required():
         parse_config("alpha = 2.5\nbeta = 1\neta = 0.5\nf = zero\n")
     with pytest.raises(ConfigurationError, match="'f'"):
         parse_config("alpha = 2.5\nbeta = 1\neta = 0.5\nphi = identity\n")
+
+
+def test_parse_unknown_kind():
+    with pytest.raises(ConfigurationError, match="key 'phi': unknown kind 'parabola'"):
+        parse_config("alpha = 2.5\nbeta = 1\neta = 0.5\nphi = parabola\nf = zero\n")
+    with pytest.raises(ConfigurationError, match="key 'f': unknown kind 'mystery'"):
+        parse_config("alpha = 2.5\nbeta = 1\neta = 0.5\nphi = identity\nf = mystery\n")
 
 
 def test_parse_expression_requirements():
@@ -208,6 +219,10 @@ def test_load_phi_table(tmp_path):
     with pytest.raises(ConfigurationError, match="two columns"):
         bad = tmp_path / "bad.csv"
         bad.write_text("0,0,0\n")
+        load_phi_table(bad)
+    with pytest.raises(ConfigurationError, match="line 2: bad number"):
+        bad = tmp_path / "word.csv"
+        bad.write_text("0,0\n0.5,half\n")
         load_phi_table(bad)
     with pytest.raises(ConfigurationError, match="cannot read"):
         load_phi_table(tmp_path / "absent.csv")

@@ -96,6 +96,12 @@ def test_green_domain_errors(kernel41):
     for s in (-0.1, 1.5, math.nan, [0.2, math.nan]):
         with pytest.raises(DomainError):
             fb.green_max_bound(kernel41, s)
+    # green_values applies the same rule to t and to s
+    for bad in (-0.1, 1.5, math.nan, np.array([0.2, math.nan])):
+        with pytest.raises(DomainError, match="t must"):
+            fb.green_values(kernel41, bad, 0.5)
+        with pytest.raises(DomainError, match="s must"):
+            fb.green_values(kernel41, 0.5, bad)
 
 
 def test_green_classical_spot_value(classical_kernel):

@@ -300,9 +300,15 @@ def test_certificate_scaled_envelope_fails(problem42, grid256_42):
 
 
 def test_certificate_requires_envelope(problem41, grid256_41):
-    spec = fb.ProblemSpec(f=problem41.spec.f, g=None, f_domain="nonnegative")
-    with pytest.raises(ConfigurationError):
-        fb.build_certificate(spec, problem41.kernel, "uniqueness", grid=grid256_41)
+    # no envelope, one negative somewhere, one NaN somewhere
+    for g, error, message in [
+        (None, ConfigurationError, "requires a Lipschitz envelope"),
+        (lambda t: 0.1 * np.cos(4.0 * t), ConfigurationError, "g must be nonnegative"),
+        (lambda t: np.where(t > 0.5, np.nan, 0.1), NumericError, "g returned non-finite"),
+    ]:
+        spec = fb.ProblemSpec(f=problem41.spec.f, g=g, f_domain="nonnegative")
+        with pytest.raises(error, match=message):
+            fb.build_certificate(spec, problem41.kernel, "uniqueness", grid=grid256_41)
 
 
 def test_certificate_exists_positive(problem41, grid256_41):

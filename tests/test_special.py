@@ -124,14 +124,27 @@ def test_table_identity_is_exact():
 
 
 def test_table_rejections():
-    with pytest.raises(ConfigurationError):
-        fb.phi_catalog("table", samples=[[0, 0], [0.5, 0.6], [0.7, 0.5], [1, 1]])
-    with pytest.raises(ConfigurationError):
-        fb.phi_catalog("table", samples=[[0, 0], [0.5, 0.5], [1, 1]])
-    with pytest.raises(ConfigurationError):
-        fb.phi_catalog("table")  # samples required
-    with pytest.raises(ConfigurationError):
-        fb.phi_catalog("table", samples=[[0.1, 0.1], [0.4, 0.4], [0.7, 0.7], [0.9, 0.9]])
+    nan = math.nan
+    for samples, message in [
+        ([[0, 0], [0.5, 0.6], [0.7, 0.5], [1, 1]], "values must be strictly increasing"),
+        ([[0, 0], [0.5, 0.5], [1, 1]], "at least 4 points"),
+        (None, "requires samples"),
+        ([[0.1, 0.1], [0.4, 0.4], [0.7, 0.7], [0.9, 0.9]], "must cover"),
+        ([[0, 0, 0], [0.3, 0.3, 0], [0.6, 0.6, 0], [1, 1, 0]], r"\(n, 2\) rows"),
+        ([[0, 0], [0.3, nan], [0.6, 0.6], [1, 1]], "non-finite"),
+        ([[0, 0], [0.6, 0.3], [0.5, 0.6], [1, 1]], "abscissae must be strictly increasing"),
+        ([[0, 0], [0.3, 0.5], [0.6, 0.9], [1, 1.2]], r"inside \[0, 1\]"),
+    ]:
+        with pytest.raises(ConfigurationError, match=message):
+            fb.phi_catalog("table", samples=samples)
+
+
+def test_table_endpoint_slope_falls_back_to_the_secant():
+    # the one-sided formula gives -0.45 at t = 0 for these rows; the
+    # endpoint slope falls back to the first secant slope, 0.15
+    phi = fb.phi_catalog("table", samples=[[0, 0], [1 / 3, 0.05], [2 / 3, 0.5], [1, 1]])
+    assert phi.deriv(0.0) == pytest.approx(0.15, rel=1e-12)
+    assert np.all(np.diff(phi(np.linspace(0.0, 1.0, 100_001))) > 0.0)
 
 
 def test_unknown_kind_rejected():
