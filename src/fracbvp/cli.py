@@ -233,7 +233,8 @@ def _cmd_solve(args) -> int:
     if args.json:
         payload = {key: getattr(report, key) for key in (
             "converged", "iterations", "label", "tol", "final_step_distance", "step_distances",
-            "observed_ratios", "fixed_point_residual", "boundary_residuals", "solution_min")}
+            "observed_ratios", "fixed_point_residual", "boundary_residuals", "solution_min",
+            "accelerated_steps")}
         payload.update(csv=str(out), report=str(sidecar))
         if cert is not None:
             payload["certificate"] = _certificate_json(cert)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -86,6 +87,50 @@ def paper_green(params: fb.BvpParams, ts, ss) -> np.ndarray:
         out[mask] = branch(yt[mask], ys[mask])
         taken |= mask
     return out / (mu * math.gamma(a))
+
+
+# a slow contraction (squared step ratio about 0.1) on which picard_solve
+# mixes: 26 plain steps, 9 mixed ones at 256 panels
+ACCEL_CONFIG = """\
+alpha = 2.5
+beta = 1
+eta = 0.5
+phi = sin_quarter_pi
+f = custom-expression
+f.expr = 4*sin(u) + 1 + t
+mode = solve-only
+tol = 1e-26
+max_iter = 500
+"""
+
+
+def plain_picard(op: fb.Operator, values: np.ndarray, max_iter: int, tol: float = 0.0):
+    """The unmixed loop values <- A values, stopped after max_iter steps
+    or at the first squared step below tol: every iterate A was applied
+    to, the last image and the squared steps."""
+    iterates, steps = [], []
+    for _ in range(max_iter):
+        iterates.append(values)
+        values = op.apply(values)
+        steps.append(float(np.max((values - iterates[-1]) ** 2)))
+        if steps[-1] < tol:
+            break
+    return iterates, values, steps
+
+
+@contextlib.contextmanager
+def recorded_iterates():
+    """Every array that Operator.apply is called on inside the block."""
+    seen = []
+    apply = fb.Operator.apply
+
+    def recording(self, values):
+        seen.append(values.copy())
+        return apply(self, values)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fb.Operator, "apply", recording)
+        yield seen
 
 
 def catalog_map(kind: str) -> fb.PhiMap:

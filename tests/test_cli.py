@@ -16,6 +16,8 @@ from fracbvp.cli import bundled_config_path, main
 from fracbvp.config import build_problem, load_config
 from fracbvp.green import green_values
 
+from conftest import ACCEL_CONFIG
+
 E41 = str(bundled_config_path("example41"))
 E42 = str(bundled_config_path("example42"))
 
@@ -320,6 +322,9 @@ def test_solve_json_payload(tmp_path, capsys):
     assert len(steps) == payload["iterations"] and len(ratios) == len(steps) - 1
     assert steps[-1] == payload["final_step_distance"]
     assert ratios == [b / a for a, b in zip(steps, steps[1:])]
+    # reported in --json only: the sidecar stays as it was
+    assert payload["accelerated_steps"] == 0
+    assert "accelerated" not in (tmp_path / "s.report.txt").read_text()
 
 
 def test_verify_paper_passes_and_is_deterministic(capsys):
@@ -377,6 +382,21 @@ def test_solve_csv_independent_of_blas_threads(tmp_path, config, grid):
         assert proc.returncode == 0, proc.stderr
         outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
     assert set(outputs[0]) == {"u.csv", "u.report.txt"}
+    assert outputs[0] == outputs[1]
+
+
+def test_accelerated_solve_csv_independent_of_blas_threads(tmp_path):
+    cfg = tmp_path / "accel.cfg"
+    cfg.write_text(ACCEL_CONFIG)
+    outputs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / threads
+        out_dir.mkdir()
+        proc = _run_threads(["solve", str(cfg), "--grid", "256", "-o", str(out_dir / "u.csv"),
+                             "--json"], threads)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["accelerated_steps"] > 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
     assert outputs[0] == outputs[1]
 
 

@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 import fracbvp as fb
 from fracbvp import solver
 from fracbvp.cli import bundled_config_path
-from fracbvp.config import build_problem, load_config
+from fracbvp.config import build_problem, load_config, parse_config
 from fracbvp.errors import ConfigurationError, NumericError
 from fracbvp.solver import (DEFAULT_SAMPLE_SEED, VERDICT_EXISTS, VERDICT_NONE, VERDICT_UNIQUE,
                             resolve_seed)
 from fracbvp.special import PHI_KINDS
 
-from conftest import catalog_map
+from conftest import ACCEL_CONFIG, catalog_map, plain_picard, recorded_iterates
 
 
 def test_problem_spec_domain_validation():
@@ -387,11 +387,75 @@ def test_example42_boundary_slope_falls_with_refinement(problem42):
 
 def test_picard_nonconvergence_reported(kernel42, grid256_42):
     spec = fb.ProblemSpec(f=lambda t, u: 200.0 * np.asarray(u, dtype=float) + 1.0)
-    report = fb.picard_solve(spec, kernel42, fb.GridFunction.constant(grid256_42, 0.0),
-                             tol=1e-16, max_iter=15)
+    u0 = fb.GridFunction.constant(grid256_42, 0.0)
+    with recorded_iterates() as seen:
+        report = fb.picard_solve(spec, kernel42, u0, tol=1e-16, max_iter=15)
     assert not report.converged
     assert report.iterations == 15
     assert report.observed_ratios[-1] > 1.0
+    # ratios above 1 never engage the mixing, which could solve this
+    # linear fixed point: the 15 iterates are those of the plain loop
+    assert report.accelerated_steps == 0
+    iterates, image, steps = plain_picard(fb.Operator(spec, kernel42, grid256_42), u0.values, 15)
+    assert len(seen) == 15 and all(np.array_equal(a, b) for a, b in zip(seen, iterates))
+    assert np.array_equal(report.solution.values, image)
+    assert report.step_distances == tuple(steps)
+
+
+def test_nonnegative_domain_iterates_plainly(kernel42, grid256_42):
+    # f = 50 u + 1 contracts at a squared ratio near 0.22: the real domain
+    # mixes, while the nonnegative one, whose extrapolated iterates could
+    # leave the cone, runs the plain loop bit for bit
+    def f(t, u):
+        return 50.0 * np.asarray(u, dtype=float) + 1.0
+
+    u0 = fb.GridFunction.constant(grid256_42, 0.0)
+    mixed = fb.picard_solve(fb.ProblemSpec(f=f), kernel42, u0, tol=1e-26, max_iter=100)
+    assert mixed.converged and mixed.accelerated_steps > 0
+    spec = fb.ProblemSpec(f=f, f_domain="nonnegative")
+    with recorded_iterates() as seen:
+        report = fb.picard_solve(spec, kernel42, u0, tol=1e-26, max_iter=100)
+    assert report.converged and report.accelerated_steps == 0
+    assert min(report.observed_ratios) > solver._AA_ENGAGE
+    iterates, image, steps = plain_picard(fb.Operator(spec, kernel42, grid256_42), u0.values,
+                                          100, tol=1e-26)
+    assert len(seen) == len(iterates) == report.iterations
+    assert all(np.array_equal(a, b) for a, b in zip(seen, iterates))
+    assert np.array_equal(report.solution.values, image)
+    assert report.step_distances == tuple(steps)
+
+
+def test_example42_iterates_plainly(problem42):
+    # its squared step ratio, about 2e-5, lies far below the engage limit
+    grid = problem42.grid(256)
+    report = fb.picard_solve(problem42.spec, problem42.kernel, fb.GridFunction.constant(grid, 0.0),
+                             tol=problem42.config.tol, max_iter=problem42.config.max_iter)
+    assert report.converged and report.accelerated_steps == 0
+    assert max(report.observed_ratios) < solver._AA_ENGAGE
+
+
+def test_anderson_mixing_accelerates_a_slow_contraction():
+    problem = build_problem(parse_config(ACCEL_CONFIG))
+    cfg = problem.config
+    grid = problem.grid(256)
+    u0 = fb.GridFunction.constant(grid, 0.0)
+    with recorded_iterates() as seen:
+        report = fb.picard_solve(problem.spec, problem.kernel, u0, tol=cfg.tol,
+                                 max_iter=cfg.max_iter)
+    assert report.converged and report.iterations <= 12
+    assert report.accelerated_steps > 0
+    assert report.fixed_point_residual <= 1e-15
+    # one application per step; step k is the squared sup of A x - x at
+    # the iterate x it starts from, and the solution is the last image
+    op = fb.Operator(problem.spec, problem.kernel, grid)
+    images = [op.apply(x) for x in seen]
+    assert len(seen) == report.iterations
+    assert report.step_distances == tuple(float(np.max((a - x) ** 2))
+                                          for x, a in zip(seen, images))
+    assert np.array_equal(report.solution.values, images[-1])
+    _, plain, steps = plain_picard(op, u0.values, cfg.max_iter, tol=cfg.tol)
+    assert steps[-1] < cfg.tol and len(steps) > report.iterations
+    assert np.max(np.abs(report.solution.values - plain)) <= 1e-12
 
 
 def test_step_distances_are_the_squared_steps(problem42, grid256_42):
