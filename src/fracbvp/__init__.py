@@ -7,8 +7,7 @@ iteration on the equivalent integral operator.
 """
 
 from .bmetric import (
-    AdmissibilityVerdict,
-    GeraghtyVerdict,
+    SampledVerdict,
     admissibility_check,
     distance,
     geraghty_inequality_check,
@@ -38,7 +37,6 @@ from .green import (
     KernelPropertyReport,
     build_kernel,
     check_kernel_properties,
-    green,
     green_max_bound,
     green_values,
 )
@@ -66,11 +64,11 @@ __all__ = [
     "frac_integral", "frac_derivative", "semigroup_defect",
     # kernel
     "BvpParams", "GreenKernel", "build_kernel",
-    "green", "green_values", "green_max_bound",
+    "green_values", "green_max_bound",
     "KernelPropertyReport", "check_kernel_properties",
     # metric machinery
-    "distance", "psi", "theta", "tau", "GeraghtyVerdict", "geraghty_inequality_check",
-    "AdmissibilityVerdict", "admissibility_check",
+    "distance", "psi", "theta", "tau", "SampledVerdict", "geraghty_inequality_check",
+    "admissibility_check",
     # solver
     "ProblemSpec", "Certificate", "Hypothesis", "SolveReport", "Operator",
     "operator_matrix", "build_certificate", "picard_solve",

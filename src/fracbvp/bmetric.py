@@ -5,11 +5,11 @@ the squared sup distance d(x, y) = sup (x - y)^2, which satisfies the
 relaxed triangle inequality d(x, z) <= R * (d(x, y) + d(y, z)) with
 the metric's constant R = 2.  The positive-existence route uses the
 paper's gauge psi, shrink function theta and sign relation tau.
-The checks return plain verdict objects: mathematical failures are
-data, only a grid mismatch raises.  The sampled checks take the sampled
-pairs and their images under the operator as (k, N) arrays of nodal
-values, row k holding pair k; the caller computes the images once for
-both checks.
+Mathematical failures are data, only a grid mismatch raises.  Both
+sampled checks take the sampled pairs and their images under the
+operator as (k, N) arrays of nodal values, row k holding pair k (the
+caller computes the images once for both), and return a
+``SampledVerdict``.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ __all__ = [
     "psi",
     "theta",
     "tau",
-    "GeraghtyVerdict",
+    "SampledVerdict",
     "geraghty_inequality_check",
-    "AdmissibilityVerdict",
     "admissibility_check",
 ]
 
@@ -79,53 +78,46 @@ def _row_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GeraghtyVerdict:
-    """Sampled check of psi(R^3 d(Au, Av)) <= theta(psi(d)) * psi(d)."""
+class SampledVerdict:
+    """A check sampled on the admissible pairs: whether it ``passed``,
+    the ``worst`` per-pair value (0 when no pair is admissible), and how
+    many pairs were ``checked`` and ``skipped`` as not admissible."""
 
     passed: bool
-    worst_margin: float
+    worst: float
     checked: int
     skipped: int
 
 
+def _verdict(ok: np.ndarray, values: np.ndarray, limit: float) -> SampledVerdict:
+    """The verdict on the values of the admissible rows ``ok``: passed
+    unless one lies below ``limit``."""
+    checked = int(np.count_nonzero(ok))
+    return SampledVerdict(passed=not bool(np.any(values < limit)),
+                          worst=float(np.min(values)) if checked else 0.0,
+                          checked=checked, skipped=ok.size - checked)
+
+
 def geraghty_inequality_check(u: np.ndarray, v: np.ndarray, au: np.ndarray,
-                              av: np.ndarray) -> GeraghtyVerdict:
+                              av: np.ndarray) -> SampledVerdict:
     """Check the shrink inequality on every admissible sampled pair.
 
     Row k of ``au``, ``av`` is (A u, A v) for the pair (u[k], v[k]).
     Pairs whose sign relation fails at some node are skipped (their
-    indicator is zero, so the inequality is vacuous).  The worst margin
-    reported is min over checked pairs of rhs - lhs, 0 when none is.
+    indicator is zero, so the inequality is vacuous).  ``worst`` is the
+    least margin rhs - lhs over the checked pairs.
     """
     ok = _admissible(u, v)
-    checked = int(np.count_nonzero(ok))
     gauge = psi(_row_distance(u[ok], v[ok]))
-    margin = theta(gauge) * gauge - psi(R**3 * _row_distance(au[ok], av[ok]))
-    return GeraghtyVerdict(passed=not bool(np.any(margin < 0.0)),
-                           worst_margin=float(np.min(margin)) if checked else 0.0,
-                           checked=checked, skipped=ok.size - checked)
-
-
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
-    """Sampled check that the operator preserves the sign relation."""
-
-    passed: bool
-    checked: int
-    skipped: int
-    worst_value: float
+    return _verdict(ok, theta(gauge) * gauge - psi(R**3 * _row_distance(au[ok], av[ok])), 0.0)
 
 
 def admissibility_check(u: np.ndarray, v: np.ndarray, au: np.ndarray,
-                        av: np.ndarray) -> AdmissibilityVerdict:
+                        av: np.ndarray) -> SampledVerdict:
     """For each sampled pair with tau >= 0 at every node, require
     tau(Au, Av) >= -1e-12 at every node (the tolerance absorbs rounding
     in quantities that are zero or positive in exact arithmetic).
     Row k of ``au``, ``av`` is (A u, A v) for the pair (u[k], v[k]);
-    the worst value is 0 when no pair is admissible."""
+    ``worst`` is the least tau(Au, Av) over the checked pairs' nodes."""
     ok = _admissible(u, v)
-    checked = int(np.count_nonzero(ok))
-    low = np.min(tau(au[ok], av[ok]), axis=1)
-    return AdmissibilityVerdict(passed=not bool(np.any(low < -_ADMISSIBILITY_ATOL)),
-                                checked=checked, skipped=ok.size - checked,
-                                worst_value=float(np.min(low)) if checked else 0.0)
+    return _verdict(ok, np.min(tau(au[ok], av[ok]), axis=1), -_ADMISSIBILITY_ATOL)

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .calculus import GridFunction
 from .config import Config, Problem, build_problem, load_config
-from .errors import FracBvpError
+from .errors import ConfigurationError, FracBvpError
 from .green import check_kernel_properties, green_values
 from .solver import (
     Certificate,
@@ -61,6 +61,9 @@ REFERENCE_CONSTANTS = (
     ("example42", "g_sup", 0.895984),
     ("example42", "uniqueness_threshold", 1.95333),
 )
+
+# the status column of a certificate's hypothesis rows, by Hypothesis.ok
+_STATUS = {True: "pass", False: "FAIL", None: "recorded"}
 
 # the largest green --resolution: the table's text rows take about 250 B
 # each, so 1024**2 rows stay near 300 MiB
@@ -113,30 +116,13 @@ def _provenance_lines(problem: Problem, command: str, seed: int) -> list[str]:
     return lines
 
 
-def _certificate_lines(cert: Certificate) -> list[str]:
-    lines = [
-        f"mode                  {cert.mode}",
-        f"mu                    {_fmt(cert.mu)}",
-        f"beta_bound            {_fmt(cert.beta_bound)}",
-        f"uniqueness_threshold  {_fmt(cert.uniqueness_threshold)}",
-    ]
-    if cert.g_sup is not None:
-        lines.append(f"g_sup                 {_fmt(cert.g_sup)}")
-    if cert.lam is not None:
-        lines.append(f"lambda                {_fmt(cert.lam)}")
-    for hyp in cert.hypotheses:
-        status = "recorded" if hyp.ok is None else ("pass" if hyp.ok else "FAIL")
-        lines.append(f"  [{status:8s}] {hyp.name}: {hyp.note}")
-    lines.append(f"verdict               {cert.verdict}")
-    return lines
-
-
 def _certificate_json(cert: Certificate) -> dict:
+    kernel = cert.kernel
     return {
         "mode": cert.mode,
-        "mu": cert.mu,
-        "beta_bound": cert.beta_bound,
-        "uniqueness_threshold": cert.uniqueness_threshold,
+        "mu": kernel.mu,
+        "beta_bound": kernel.beta_bound,
+        "uniqueness_threshold": kernel.uniqueness_threshold,
         "g_sup": cert.g_sup,
         "lambda": cert.lam,
         "hypotheses": [
@@ -146,11 +132,29 @@ def _certificate_json(cert: Certificate) -> dict:
     }
 
 
+def _certificate_lines(cert: Certificate) -> list[str]:
+    """The rows of _certificate_json in its order, keys padded to 22
+    columns; a null value has no row."""
+    lines = []
+    for key, value in _certificate_json(cert).items():
+        if key == "hypotheses":
+            lines.extend(f"  [{_STATUS[h['ok']]:8s}] {h['name']}: {h['note']}" for h in value)
+        elif value is not None:
+            lines.append(f"{key:22s}{value if isinstance(value, str) else _fmt(value)}")
+    return lines
+
+
 def _atomic_write(path: Path, text: str) -> None:
+    """Write text to path by way of path.tmp; ConfigurationError naming
+    path when it cannot be written, with no .tmp file left behind."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise ConfigurationError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
 
 
 def _cmd_check(args) -> int:
@@ -166,7 +170,8 @@ def _cmd_check(args) -> int:
     if args.json:
         payload = {
             "certificate": _certificate_json(cert),
-            "kernel": dataclasses.asdict(kernel_report),
+            "kernel": dict(dataclasses.asdict(kernel_report), mu=problem.kernel.mu,
+                           beta_bound=problem.kernel.beta_bound),
             "provenance": _provenance_lines(problem, "check", seed),
         }
         _print_json(payload)
@@ -278,20 +283,13 @@ def _cmd_green(args) -> int:
 
 def reference_table() -> list[dict]:
     """Computed-versus-published rows for the bundled examples."""
-    problems = {}
-    for name in ("example41", "example42"):
-        problems[name] = build_problem(load_config(bundled_config_path(name)))
-    values = {}
-    for name, problem in problems.items():
-        values[(name, "mu")] = problem.kernel.mu
-        values[(name, "beta_bound")] = problem.kernel.beta_bound
+    problems = {name: build_problem(load_config(bundled_config_path(name)))
+                for name in ("example41", "example42")}
     p42 = problems["example42"]
-    cert = build_certificate(p42.spec, p42.kernel, "uniqueness", grid=p42.grid())
-    values[("example42", "g_sup")] = cert.g_sup
-    values[("example42", "uniqueness_threshold")] = cert.uniqueness_threshold
+    g_sup = build_certificate(p42.spec, p42.kernel, "uniqueness", grid=p42.grid()).g_sup
     rows = []
     for name, constant, reference in REFERENCE_CONSTANTS:
-        computed = float(values[(name, constant)])
+        computed = float(g_sup if constant == "g_sup" else getattr(problems[name].kernel, constant))
         rows.append({
             "problem": name,
             "constant": constant,

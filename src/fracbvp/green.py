@@ -41,7 +41,6 @@ __all__ = [
     "BvpParams",
     "GreenKernel",
     "build_kernel",
-    "green",
     "green_values",
     "green_max_bound",
     "KernelPropertyReport",
@@ -180,11 +179,6 @@ def green_values(kernel: GreenKernel, t, s):
     return (head * (full - eta_part) - _memory(kernel, y_t, y_s)) / kernel.scale
 
 
-def green(kernel: GreenKernel, t: float, s: float) -> float:
-    """Kernel value at a single point of [0, 1] x [0, 1]."""
-    return float(green_values(kernel, t, s))
-
-
 def green_max_bound(kernel: GreenKernel, s: float):
     """Upper bound on max over t of G(t, s), as a function of s."""
     y_s = _phi_on_unit(kernel, s, "s")
@@ -200,11 +194,10 @@ class KernelPropertyReport:
     Positivity and the max bound are checked numerically.  ``seam_ok``
     is always True: continuity across s = t and s = eta is structural,
     since each positive part of the formula vanishes on its own seam.
+    mu and the beta bound are the kernel's, not copied here.
     """
 
     gridsize: int
-    mu: float
-    beta_bound: float
     hypothesis_ok: bool
     positivity_ok: bool
     min_value: float
@@ -242,8 +235,6 @@ def check_kernel_properties(kernel: GreenKernel) -> KernelPropertyReport:
 
     return KernelPropertyReport(
         gridsize=pts.size,
-        mu=kernel.mu,
-        beta_bound=kernel.beta_bound,
         hypothesis_ok=hypothesis_ok,
         positivity_ok=positivity_ok,
         min_value=min_value,

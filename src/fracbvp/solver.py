@@ -18,10 +18,10 @@ block's last node only (``operator_matrix``).  One product serves a
 vector and a (k, N) stack, and its results do not depend on the BLAS
 thread count.
 
-Two certificates are available, and both pass exactly when every
-hypothesis that is checked passes.  The uniqueness certificate
-needs a Lipschitz envelope g for f and checks that the contraction
-factor
+Two certificates are available.  Each stores its hypotheses, and its
+verdict passes exactly when every one that is checked passes.  The
+uniqueness certificate needs a Lipschitz envelope g for f and checks
+that the contraction factor
 
     lam = (sup g * phi'(1) * S1**(alpha-1) / (mu * Gamma(alpha)))**2
 
@@ -51,14 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bmetric import (
-    AdmissibilityVerdict,
-    GeraghtyVerdict,
-    R,
-    admissibility_check,
-    geraghty_inequality_check,
-    tau,
-)
+from .bmetric import R, SampledVerdict, admissibility_check, geraghty_inequality_check, tau
 from .calculus import GridFunction, QuadratureGrid
 from .errors import ConfigurationError, NumericError
 from .green import GreenKernel, _memory, _separable
@@ -85,6 +78,8 @@ DEFAULT_SAMPLE_SEED = 20240
 VERDICT_UNIQUE = "unique-solution"
 VERDICT_EXISTS = "exists-positive"
 VERDICT_NONE = "no-certificate"
+# the claim of each certificate mode, made when every checked hypothesis passes
+_CLAIMS = {"uniqueness": VERDICT_UNIQUE, "positive-existence": VERDICT_EXISTS}
 
 # operator assembly: row blocks of the memory term (16 ran the Picard
 # loop at 2048 panels faster than 32 or 64) and their fewest rows (below
@@ -296,27 +291,31 @@ class Hypothesis:
 class Certificate:
     """Machine-checkable record of which certificate hypotheses hold.
 
-    ``spec``, ``kernel`` and ``grid`` record what it was built for, so
-    that ``picard_solve`` refuses it for another problem; a
-    positive-existence certificate keeps the ``operator`` it applied for
-    the solve it certifies.  None of them take part in ``repr`` or
-    comparison.
+    It stores what the check measured; the ``verdict`` follows from the
+    ``hypotheses``, and mu, the beta bound and the uniqueness threshold
+    are read from ``kernel``.  ``spec``, ``kernel`` and ``grid`` record
+    what it was built for, so that ``picard_solve`` refuses it for
+    another problem; a positive-existence certificate keeps the
+    ``operator`` it applied for the solve it certifies.  None of them
+    take part in ``repr`` or comparison.
     """
 
     mode: str
-    mu: float
-    beta_bound: float
-    uniqueness_threshold: float
     g_sup: float | None
     lam: float | None
-    geraghty: GeraghtyVerdict | None
-    admissibility: AdmissibilityVerdict | None
+    geraghty: SampledVerdict | None
+    admissibility: SampledVerdict | None
     hypotheses: tuple[Hypothesis, ...]
-    verdict: str
     spec: ProblemSpec = field(repr=False, compare=False)
     kernel: GreenKernel = field(repr=False, compare=False)
     grid: QuadratureGrid = field(repr=False, compare=False)
     operator: Operator | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def verdict(self) -> str:
+        """The mode's claim when every checked hypothesis passes, else no-certificate."""
+        return (_CLAIMS[self.mode] if all(h.ok for h in self.hypotheses if h.ok is not None)
+                else VERDICT_NONE)
 
     @property
     def passed(self) -> bool:
@@ -361,16 +360,17 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
 
     Precondition violations (missing envelope, wrong f domain) raise
     ConfigurationError; mathematical failures are recorded in the
-    verdict, which passes when every checked hypothesis does.
+    hypotheses, and the verdict passes when every checked one does.
     Only the positive-existence route assembles the operator, and its
     certificate keeps it.
     """
-    if mode not in ("uniqueness", "positive-existence"):
+    if mode not in _CLAIMS:
         raise ConfigurationError(f"unknown certificate mode {mode!r}")
     seed = resolve_seed(seed)
 
     p = kernel.params
     bound = kernel.beta_bound
+    # every certificate reports the threshold, so a kernel without one is refused here
     threshold = kernel.uniqueness_threshold
     hyps: list[Hypothesis] = []
     hyps.append(Hypothesis("mu_nonzero", kernel.mu != 0.0, f"mu = {kernel.mu:.6g}"))
@@ -397,7 +397,6 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
         hyps.append(Hypothesis("lambda_below_half", lam < 1.0 / R if contraction else None,
                                f"lambda = {lam:.6g}, limit = {1.0 / R:.6g}" if contraction
                                else "not a contraction factor: mu < 0"))
-        claim = VERDICT_UNIQUE
     else:
         if spec.f_domain != "nonnegative":
             raise ConfigurationError(
@@ -417,7 +416,7 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
         geraghty = geraghty_inequality_check(u, v, au, av)
         hyps.append(Hypothesis("geraghty_inequality_sampled", geraghty.passed,
                                f"sampled hypothesis ({geraghty.checked} pairs), "
-                               f"worst margin {geraghty.worst_margin:.3g}"))
+                               f"worst margin {geraghty.worst:.3g}"))
         admissibility = admissibility_check(u, v, au, av)
         hyps.append(Hypothesis("admissibility_sampled", admissibility.passed,
                                f"sampled hypothesis ({admissibility.checked} pairs)"))
@@ -427,20 +426,14 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
         hyps.append(Hypothesis("sequential_closure", None,
                                "assumed by construction for the product relation "
                                "with nonnegative iterates"))
-        claim = VERDICT_EXISTS
-    verdict = claim if all(h.ok for h in hyps if h.ok is not None) else VERDICT_NONE
 
     return Certificate(
         mode=mode,
-        mu=kernel.mu,
-        beta_bound=bound,
-        uniqueness_threshold=threshold,
         g_sup=g_sup,
         lam=lam,
         geraghty=geraghty,
         admissibility=admissibility,
         hypotheses=tuple(hyps),
-        verdict=verdict,
         spec=spec,
         kernel=kernel,
         grid=grid,
@@ -453,29 +446,42 @@ class SolveReport:
     """Outcome of a Picard run plus its a-posteriori diagnostics.
 
     ``step_distances`` hold the squared sup of A x - x at the iterate x of
-    each iteration, and ``final_step_distance`` the last of them;
-    ``observed_ratios`` are their consecutive quotients, which estimate the
-    contraction factor only up to the first of the ``accelerated_steps``,
-    the iterations whose next iterate was extrapolated;
-    ``boundary_residuals`` are |u(0)|, |u'(0)| and
-    |u'(1) - beta*u(eta)| of the reported ``solution``, whose local
-    cubics are evaluated and differentiated exactly.  ``solution_min``
-    records the smallest nodal value so strict positivity can be judged
+    each iteration; ``iterations``, ``final_step_distance`` and
+    ``observed_ratios`` are their count, the last of them and their
+    consecutive quotients, which estimate the contraction factor only up
+    to the first of the ``accelerated_steps``, the iterations whose next
+    iterate was extrapolated.  ``boundary_residuals`` are |u(0)|, |u'(0)|
+    and |u'(1) - beta*u(eta)| of the reported ``solution``, whose local
+    cubics are evaluated and differentiated exactly; ``solution_min`` is
+    its smallest nodal value, so strict positivity can be judged
     separately from nonnegativity.
     """
 
     solution: GridFunction
-    iterations: int
     converged: bool
-    final_step_distance: float
     fixed_point_residual: float
     boundary_residuals: tuple[float, float, float]
-    observed_ratios: tuple[float, ...]
     step_distances: tuple[float, ...]
     label: str
     tol: float
-    solution_min: float
     accelerated_steps: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.step_distances)
+
+    @property
+    def final_step_distance(self) -> float:
+        return self.step_distances[-1]
+
+    @property
+    def observed_ratios(self) -> tuple[float, ...]:
+        steps = self.step_distances
+        return tuple(b / a for a, b in zip(steps, steps[1:]))
+
+    @property
+    def solution_min(self) -> float:
+        return float(np.min(self.solution.values))
 
 
 def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
@@ -507,29 +513,24 @@ def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
     x = values = u0.values
     history = deque(maxlen=_AA_MEMORY + 1)
     steps: list[float] = []
-    step = math.inf
-    converged = False
-    iterations = accelerated = 0
+    accelerated = 0
     # a diverging iteration overflows on its way out; that ends the run
     # below, so numpy's overflow warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        while iterations < max_iter:
+        while len(steps) < max_iter:
             try:
                 image = op.apply(x)
                 diff = image - x
-                next_step = float(np.max(diff * diff))
-                if not math.isfinite(next_step):
+                step = float(np.max(diff * diff))
+                if not math.isfinite(step):
                     raise NumericError("Picard step distance overflowed")
             except NumericError:
-                if iterations == 0:
+                if not steps:
                     raise
                 break
-            iterations += 1
-            step = next_step
             steps.append(step)
             values = image
             if step < tol:
-                converged = True
                 break
             history.append((x, diff))
             x = image
@@ -543,18 +544,15 @@ def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
         residual, boundary = op.residuals(solution)
     label = (f"certified:{certificate.verdict}" if certificate is not None and certificate.passed
              else "best-effort")
+    # a run ends above tol only when it runs out of steps or overflows
     return SolveReport(
         solution=solution,
-        iterations=iterations,
-        converged=converged,
-        final_step_distance=step,
+        converged=steps[-1] < tol,
         fixed_point_residual=residual,
         boundary_residuals=boundary,
-        observed_ratios=tuple(b / a for a, b in zip(steps, steps[1:])),
         step_distances=tuple(steps),
         label=label,
         tol=tol,
-        solution_min=float(np.min(values)),
         accelerated_steps=accelerated,
     )
 

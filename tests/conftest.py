@@ -13,6 +13,8 @@ from fracbvp.bmetric import R
 from fracbvp.cli import bundled_config_path
 from fracbvp.config import build_problem, load_config
 
+from bundled_outputs import ACCEL_CONFIG  # noqa: F401 (one definition, shared with CI)
+
 
 def gamma_quadrature_oracle(x: float) -> float:
     """Independent gamma via trapezoid quadrature of the defining integral.
@@ -87,21 +89,6 @@ def paper_green(params: fb.BvpParams, ts, ss) -> np.ndarray:
         out[mask] = branch(yt[mask], ys[mask])
         taken |= mask
     return out / (mu * math.gamma(a))
-
-
-# a slow contraction (squared step ratio about 0.1) on which picard_solve
-# mixes: 26 plain steps, 9 mixed ones at 256 panels
-ACCEL_CONFIG = """\
-alpha = 2.5
-beta = 1
-eta = 0.5
-phi = sin_quarter_pi
-f = custom-expression
-f.expr = 4*sin(u) + 1 + t
-mode = solve-only
-tol = 1e-26
-max_iter = 500
-"""
 
 
 def plain_picard(op: fb.Operator, values: np.ndarray, max_iter: int, tol: float = 0.0):

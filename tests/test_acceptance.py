@@ -90,7 +90,7 @@ def test_criterion_3_classical_reduction(classical_kernel):
         oracle_vals = np.array([[oracle_classical_green(float(t), float(s)) for s in ts]
                                 for t in ts])
         assert np.max(np.abs(grid_vals - oracle_vals)) <= 1e-12
-        assert abs(fb.green(classical_kernel, 0.5, 0.25) - 0.0625) <= 1e-12
+        assert abs(float(fb.green_values(classical_kernel, 0.5, 0.25)) - 0.0625) <= 1e-12
 
 
 def test_criterion_4_fractional_calculus_laws(phi_sin, phi_sqrt):

@@ -75,14 +75,14 @@ def test_geraghty_equal_pairs_hold(grid):
     u = np.ones((5, grid.size))
     verdict = fb.geraghty_inequality_check(u, u, u, u)
     assert verdict.passed
-    assert verdict.worst_margin == 0.0
+    assert verdict.worst == 0.0
 
 
 def test_geraghty_fails_for_tripling(grid):
     u, v = (x[:20] for x in fb.default_sample_suite(grid, seed=11))
     verdict = fb.geraghty_inequality_check(u, v, 3.0 * u, 3.0 * v)
     assert not verdict.passed
-    assert verdict.worst_margin < 0.0
+    assert verdict.worst < 0.0
 
 
 def test_geraghty_skips_inadmissible_pairs(grid):
@@ -155,11 +155,11 @@ def test_sampled_checks_match_per_pair_reference(grid, seed, shrink, noise, pass
     assert g_passed is a_passed is passes
     geraghty = fb.geraghty_inequality_check(u, v, au, av)
     assert (geraghty.passed, geraghty.checked, geraghty.skipped) == (g_passed, checked, skipped)
-    assert geraghty.worst_margin == g_worst
+    assert geraghty.worst == g_worst
     admissibility = fb.admissibility_check(u, v, au, av)
     assert (admissibility.passed, admissibility.checked, admissibility.skipped) == \
         (a_passed, checked, skipped)
-    assert admissibility.worst_value == a_worst
+    assert admissibility.worst == a_worst
     # no admissible pair at all
     none = fb.geraghty_inequality_check(u, -v, au, av)
-    assert (none.passed, none.checked, none.skipped, none.worst_margin) == (True, 0, 40, 0.0)
+    assert (none.passed, none.checked, none.skipped, none.worst) == (True, 0, 40, 0.0)

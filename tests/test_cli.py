@@ -104,6 +104,22 @@ def test_missing_config_exits_1(capsys):
     assert main(["check", "/nonexistent/x.cfg"]) == 1
 
 
+@pytest.mark.parametrize("argv", [["solve", E42, "--grid", "64"],
+                                  ["green", E42, "--resolution", "3"]], ids=["solve", "green"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_exits_1_naming_the_path(argv, target, tmp_path, capsys):
+    # a path under a missing directory fails to open; a directory fails
+    # to be replaced, after its .tmp file was written
+    out = tmp_path / "missing" / "u.csv" if target == "missing-dir" else tmp_path / "u.csv"
+    if target == "directory":
+        out.mkdir()
+    code = main(argv + ["-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+    assert [p.name for p in tmp_path.iterdir()] == ([] if target == "missing-dir" else ["u.csv"])
+
+
 def test_solve_zero_f_writes_zero_csv(tmp_path, capsys):
     cfg = tmp_path / "zero.cfg"
     cfg.write_text("alpha = 2.5\nbeta = 1\neta = 0.5\nphi = identity\nf = zero\n"

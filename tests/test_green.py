@@ -82,16 +82,16 @@ def test_beta_bound_infinite_when_se_power_underflows(phi_identity):
 
 def test_green_vanishes_on_edges(kernel41):
     for s in (0.2, 0.5, 0.9):
-        assert fb.green(kernel41, 0.0, s) == 0.0
+        assert float(fb.green_values(kernel41, 0.0, s)) == 0.0
     for t in (0.2, 0.5, 0.9):
-        assert fb.green(kernel41, t, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert float(fb.green_values(kernel41, t, 1.0)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_green_domain_errors(kernel41):
     with pytest.raises(DomainError):
-        fb.green(kernel41, -0.1, 0.5)
+        float(fb.green_values(kernel41, -0.1, 0.5))
     with pytest.raises(DomainError):
-        fb.green(kernel41, 0.5, 1.5)
+        float(fb.green_values(kernel41, 0.5, 1.5))
     # NaN fails 0 <= s <= 1, as in green and frac_integral
     for s in (-0.1, 1.5, math.nan, [0.2, math.nan]):
         with pytest.raises(DomainError):
@@ -105,7 +105,7 @@ def test_green_domain_errors(kernel41):
 
 
 def test_green_classical_spot_value(classical_kernel):
-    assert fb.green(classical_kernel, 0.5, 0.25) == pytest.approx(0.0625, abs=1e-12)
+    assert float(fb.green_values(classical_kernel, 0.5, 0.25)) == pytest.approx(0.0625, abs=1e-12)
 
 
 def test_green_classical_reduction_grid(classical_kernel):
@@ -113,7 +113,7 @@ def test_green_classical_reduction_grid(classical_kernel):
     worst = 0.0
     for t in ts:
         for s in ts:
-            worst = max(worst, abs(fb.green(classical_kernel, float(t), float(s))
+            worst = max(worst, abs(float(fb.green_values(classical_kernel, float(t), float(s)))
                                    - oracle_classical_green(float(t), float(s))))
     assert worst <= 1e-12
 
@@ -126,7 +126,7 @@ def test_green_mu_zero_raises(phi_identity):
 
 def test_green_negative_mu_still_evaluates(kernel_mu_negative):
     assert kernel_mu_negative.mu < 0.0
-    value = fb.green(kernel_mu_negative, 0.5, 0.5)
+    value = float(fb.green_values(kernel_mu_negative, 0.5, 0.5))
     assert np.isfinite(value)
 
 
@@ -192,7 +192,7 @@ def test_branch_dispatch_matches_branches(kernel42):
     assert cases[1][1] <= eta <= cases[2][1]
     for t, s in cases:
         expected = float(paper_green(kernel42.params, [t], [s])[0, 0])
-        assert fb.green(kernel42, t, s) == pytest.approx(expected, rel=1e-13)
+        assert float(fb.green_values(kernel42, t, s)) == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("which", ["kernel41", "kernel42", "classical_kernel",

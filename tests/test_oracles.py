@@ -71,7 +71,8 @@ def test_library_matches_power_closed_forms_below_order_one(phi_identity):
 def test_classical_green_oracle_matches_kernel(classical_kernel):
     ts = np.linspace(0.0, 1.0, 50)
     worst = max(
-        abs(fb.green(classical_kernel, float(t), float(s)) - oracle_classical_green(float(t), float(s)))
+        abs(float(fb.green_values(classical_kernel, float(t), float(s)))
+            - oracle_classical_green(float(t), float(s)))
         for t in ts for s in ts)
     assert worst <= 1e-12
 

@@ -274,19 +274,19 @@ def test_certificate_unique_solution(problem42, grid256_42):
                                 grid=grid256_42)
     assert cert.verdict == VERDICT_UNIQUE
     assert cert.g_sup == pytest.approx(0.895984, abs=1e-4)
-    assert cert.uniqueness_threshold == pytest.approx(1.95333, abs=1e-4)
+    assert cert.kernel.uniqueness_threshold == pytest.approx(1.95333, abs=1e-4)
     assert cert.lam == pytest.approx(0.1052, abs=1e-4)
     # structural invariants of the certificate
     p = problem42.kernel.params
     threshold = problem42.kernel.mu * fb.gamma(p.alpha) / (
         math.sqrt(2.0) * problem42.kernel.shifted_one ** (p.alpha - 1.0)
         * problem42.kernel.deriv_one)
-    assert cert.uniqueness_threshold == pytest.approx(threshold, rel=1e-14)
+    assert cert.kernel.uniqueness_threshold == pytest.approx(threshold, rel=1e-14)
     lam = (cert.g_sup * problem42.kernel.deriv_one
            * problem42.kernel.shifted_one ** (p.alpha - 1.0)
            / (problem42.kernel.mu * fb.gamma(p.alpha))) ** 2
     assert cert.lam == pytest.approx(lam, rel=1e-14)
-    assert cert.g_sup < cert.uniqueness_threshold and cert.lam < 0.5
+    assert cert.g_sup < cert.kernel.uniqueness_threshold and cert.lam < 0.5
 
 
 def test_certificate_scaled_envelope_fails(problem42, grid256_42):
@@ -320,6 +320,19 @@ def test_certificate_exists_positive(problem41, grid256_41):
     closure = [h for h in cert.hypotheses if h.name == "sequential_closure"]
     assert closure and closure[0].ok is None
     assert "assumed by construction" in closure[0].note
+
+
+def test_certificate_verdict_follows_its_hypotheses(problem42, grid256_42):
+    cert = fb.build_certificate(problem42.spec, problem42.kernel, "uniqueness",
+                                grid=grid256_42)
+    assert cert.verdict == VERDICT_UNIQUE
+    failed = dataclasses.replace(
+        cert, hypotheses=cert.hypotheses + (fb.Hypothesis("extra", False, ""),))
+    assert failed.verdict == VERDICT_NONE and not failed.passed
+    # a recorded row is not checked, so it keeps the claim
+    recorded = dataclasses.replace(
+        cert, hypotheses=cert.hypotheses + (fb.Hypothesis("extra", None, ""),))
+    assert recorded.verdict == VERDICT_UNIQUE and recorded.passed
 
 
 def test_certificate_existence_requires_nonneg_domain(problem42, grid256_42):
@@ -370,6 +383,19 @@ def test_picard_example42_certified(problem42, grid256_42):
     # turn keeps step distances nonincreasing after the first iteration
     assert all(r <= cert.lam + 1e-3 for r in report.observed_ratios)
     assert all(r <= 1.0 + 1e-12 for r in report.observed_ratios)
+
+
+def test_report_counts_follow_its_steps(problem42, grid256_42):
+    report = fb.picard_solve(problem42.spec, problem42.kernel,
+                             fb.GridFunction.constant(grid256_42, 0.0))
+    assert report.iterations > 2
+    first, second = report.step_distances[:2]
+    cut = dataclasses.replace(report, step_distances=(first, second))
+    assert cut.iterations == 2
+    assert cut.final_step_distance == second
+    assert cut.observed_ratios == (second / first,)
+    moved = dataclasses.replace(report, solution=fb.GridFunction.constant(grid256_42, -1.0))
+    assert moved.solution_min == -1.0
 
 
 def test_example42_boundary_slope_falls_with_refinement(problem42):
@@ -677,6 +703,7 @@ def test_threshold_and_lambda_agree_off_the_knife_edge(alpha, beta_share, eta, k
     spec = fb.ProblemSpec(f=lambda t, u: np.zeros_like(u), g=lambda t: c)
     cert = fb.build_certificate(spec, kernel, "uniqueness", grid=fb.build_grid(phi, 64), seed=1)
     rows = {h.name: h.ok for h in cert.hypotheses}
-    assume(abs(cert.g_sup - cert.uniqueness_threshold) > 1e-12 * cert.uniqueness_threshold)
+    threshold = cert.kernel.uniqueness_threshold
+    assume(abs(cert.g_sup - threshold) > 1e-12 * threshold)
     assert rows["g_sup_below_threshold"] == rows["lambda_below_half"] == (cert.lam < 0.5)
     assert cert.passed == rows["g_sup_below_threshold"]
