@@ -144,16 +144,22 @@ def _certificate_lines(cert: Certificate) -> list[str]:
     return lines
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write text to path by way of path.tmp; ConfigurationError naming
-    path when it cannot be written, with no .tmp file left behind."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+def _atomic_write(*files: tuple[Path, str]) -> None:
+    """Write each (path, text) to path.tmp, then move them onto the paths
+    last first, so the first path appears only beside all the others;
+    ConfigurationError naming a path that cannot be written, with no .tmp
+    file and no path already moved left behind."""
+    moves = [(path, path.with_name(path.name + ".tmp"), text) for path, text in files]
+    moved = []
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        for path, tmp, text in moves:
+            tmp.write_text(text)
+        for path, tmp, _ in reversed(moves):
+            os.replace(tmp, path)
+            moved.append(path)
     except OSError as exc:
-        tmp.unlink(missing_ok=True)
+        for leftover in [tmp for _, tmp, _ in moves] + moved:
+            leftover.unlink(missing_ok=True)
         raise ConfigurationError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
 
 
@@ -232,9 +238,9 @@ def _cmd_solve(args) -> int:
     report = picard_solve(problem.spec, problem.kernel, u0,
                           tol=config.tol, max_iter=config.max_iter, certificate=cert)
     out = Path(args.output)
-    _atomic_write(out, _solve_csv(problem, report, seed))
     sidecar = out.with_name(out.stem + ".report.txt")
-    _atomic_write(sidecar, _solve_report_text(problem, report, cert, seed))
+    _atomic_write((out, _solve_csv(problem, report, seed)),
+                  (sidecar, _solve_report_text(problem, report, cert, seed)))
     if args.json:
         payload = {key: getattr(report, key) for key in (
             "converged", "iterations", "label", "tol", "final_step_distance", "step_distances",
@@ -267,7 +273,7 @@ def _cmd_green(args) -> int:
     axis = [_fmt(p) for p in pts]
     for t, row in zip(axis, gmat.tolist()):
         lines.extend(f"{t},{s},{g!r}" for s, g in zip(axis, row))
-    _atomic_write(Path(args.output), "\n".join(lines) + "\n")
+    _atomic_write((Path(args.output), "\n".join(lines) + "\n"))
     if args.json:
         payload = {
             "csv": str(args.output),

@@ -43,8 +43,10 @@ Anderson mixing of A x with the last (iterate, residual) pairs.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -86,11 +88,13 @@ _CLAIMS = {"uniqueness": VERDICT_UNIQUE, "positive-existence": VERDICT_EXISTS}
 # 128 the Python cost per block outweighs the bytes saved on grids of
 # 64-256 panels), entries per sub-block filled at once (0.5 MiB, which
 # the fill's passes keep in cache; the fastest of 2**14..2**18 at 1024 and
-# 2048 panels), and the most nodes it assembles (two per panel of the largest
-# grid_size, 8192, whose factored operator takes about 1.1 GiB)
+# 2048 panels), the fewest filled on worker threads (1536 panels; at 1024 the
+# split gained little), and the most nodes it assembles (two per panel of the
+# largest grid_size, 8192, whose factored operator takes about 1.1 GiB)
 _MEMORY_BLOCKS = 16
 _MIN_BLOCK_ROWS = 128
 _BLOCK_ELEMENTS = 2**16
+_PARALLEL_ELEMENTS = 2**22
 _MAX_GRID_SIZE = 8192
 _MAX_NODES = 2 * _MAX_GRID_SIZE
 
@@ -167,6 +171,28 @@ class OperatorFactors:
         return out
 
 
+def _on_threads(fn: Callable, parts: list) -> None:
+    """fn(part) on one thread per part, each in a copy of the caller's
+    context (numpy's error state lives there), while the caller waits; the
+    first exception raised is raised again once every thread has joined."""
+    errors = []
+
+    def run(part):
+        try:
+            fn(part)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, part))
+               for part in parts]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _memory_layout(n: int) -> list[tuple[int, int]]:
     """(first row, end row) of each memory block: blocks of
     ceil(n / _MEMORY_BLOCKS) rows, but at least _MIN_BLOCK_ROWS, the last
@@ -186,9 +212,11 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
     phi(s_j) >= phi(s_i)), so with 16 blocks it stores about
     0.53 * 8 N**2 bytes.  The blocks are views of one flat buffer, filled
     in place in sub-blocks of about 2**16 entries, so the peak is the
-    stored bytes plus under 0.5 MiB.  A grid of more than 16384 nodes
-    (grid_size above 8192) raises ConfigurationError before phi is
-    evaluated on it.
+    stored bytes plus under 0.5 MiB per filling thread.  From 2**22 entries,
+    worker k of one per usable CPU fills sub-blocks k, k + w, ... by the same
+    ufunc calls, so the factors do not depend on the CPU count.  A grid of
+    more than 16384 nodes (grid_size above 8192) raises ConfigurationError
+    before phi is evaluated on it.
 
     The grid must come from the kernel's phi map: phi at the grid nodes
     has to reproduce the grid's y nodes.
@@ -209,19 +237,29 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
     head, full, eta_part = _separable(kernel, y, y)
     tail = (full - eta_part) / kernel.scale * grid.weights
     flat = np.empty(sum((i1 - i0) * i1 for i0, i1 in layout))
-    memory = []
+    memory, subs = [], []
     offset = 0
     for i0, i1 in layout:
         # rows i0..i1-1 on columns 0..i1-1
         block = flat[offset:offset + (i1 - i0) * i1].reshape(i1 - i0, i1)
         offset += block.size
         step = max(1, _BLOCK_ELEMENTS // i1)
-        for r0 in range(i0, i1, step):
-            r1 = min(r0 + step, i1)
-            sub = _memory(kernel, y[r0:r1, None], y[None, :i1], out=block[r0 - i0:r1 - i0])
-            sub /= kernel.scale
-            sub *= grid.weights[:i1]
+        subs.extend((r0, block[r0 - i0:r0 - i0 + step]) for r0 in range(i0, i1, step))
         memory.append(block)
+
+    def fill(part):
+        for r0, out in part:
+            rows, cols = out.shape
+            _memory(kernel, y[r0:r0 + rows, None], y[None, :cols], out=out)
+            out /= kernel.scale
+            out *= grid.weights[:cols]
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(subs)) if flat.size >= _PARALLEL_ELEMENTS else 1
+    if workers > 1:
+        _on_threads(fill, [subs[k::workers] for k in range(workers)])
+    else:
+        fill(subs)
     return OperatorFactors(head=head, tail=tail, memory=tuple(memory))
 
 

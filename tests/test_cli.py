@@ -12,6 +12,7 @@ import pytest
 
 from fracbvp import cli
 from fracbvp import config as config_module
+from fracbvp import solver
 from fracbvp.cli import bundled_config_path, main
 from fracbvp.config import build_problem, load_config
 from fracbvp.green import green_values
@@ -118,6 +119,17 @@ def test_unwritable_output_exits_1_naming_the_path(argv, target, tmp_path, capsy
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
     assert [p.name for p in tmp_path.iterdir()] == ([] if target == "missing-dir" else ["u.csv"])
+
+
+def test_unwritable_sidecar_leaves_no_csv(tmp_path, monkeypatch, capsys):
+    # both .tmp files are written before either is moved; the sidecar,
+    # moved first, fails onto the directory, so no CSV appears
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "u.report.txt").mkdir()
+    assert main(["solve", E42, "--grid", "64", "-o", "u.csv"]) == 1
+    assert "cannot write 'u.report.txt'" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["u.report.txt"]
+    assert not any((tmp_path / "u.report.txt").iterdir())
 
 
 def test_solve_zero_f_writes_zero_csv(tmp_path, capsys):
@@ -395,6 +407,27 @@ def test_solve_csv_independent_of_blas_threads(tmp_path, config, grid):
         out_dir.mkdir()
         proc = _run_threads(["solve", config, "--grid", grid, "-o", str(out_dir / "u.csv")],
                             threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+    assert set(outputs[0]) == {"u.csv", "u.report.txt"}
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and at least 2 usable CPUs")
+def test_solve_csv_independent_of_cpu_count(tmp_path):
+    # at 1536 panels the operator is filled on one worker thread per CPU
+    grid = "1536"
+    assert sum((i1 - i0) * i1 for i0, i1 in solver._memory_layout(2 * int(grid))) \
+        >= solver._PARALLEL_ELEMENTS
+    cpus = sorted(os.sched_getaffinity(0))
+    outputs = []
+    for chosen in (cpus[:1], cpus[:2]):
+        out_dir = tmp_path / str(len(chosen))
+        out_dir.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "fracbvp", "solve", E42, "--grid", grid,
+                               "-o", str(out_dir / "u.csv")], capture_output=True, text=True,
+                              preexec_fn=lambda: os.sched_setaffinity(0, chosen))
         assert proc.returncode == 0, proc.stderr
         outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
     assert set(outputs[0]) == {"u.csv", "u.report.txt"}

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -148,12 +149,28 @@ def test_operator_matrix_equals_single_formula(case, panels):
         assert len(shapes) > 2 and shapes[-1][0] < shapes[0][0]
 
 
-@_ASSEMBLY_PANELS
+def _split_fill(monkeypatch, cpus):
+    """Send every fill to worker threads, as if the process could use
+    ``cpus`` CPUs; returns the part counts handed to the threads."""
+    monkeypatch.setattr(solver, "_PARALLEL_ELEMENTS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    splits = []
+    on_threads = solver._on_threads
+    monkeypatch.setattr(solver, "_on_threads",
+                        lambda fn, parts: splits.append(len(parts)) or on_threads(fn, parts))
+    return splits
+
+
+# "three-threads" is the many-blocks grid filled by three worker threads,
+# an odd count against the sub-block counts
+@pytest.mark.parametrize("panels, cpus", [(64, None), (640, None), (300, None), (640, 3)],
+                         ids=["one-block", "many-blocks", "partial-last-block", "three-threads"])
 @_ASSEMBLY_CASES
-def test_memory_blocks_bitwise_equal_allocating_fill(case, panels):
+def test_memory_blocks_bitwise_equal_allocating_fill(case, panels, cpus, monkeypatch):
     # the in-place fill against the allocating sequence it replaced: a
     # fresh zeroed array, the masked power, then mu *, / scale and * w;
     # tobytes() also tells -0.0 from 0.0, which mu < 0 produces mid-way
+    splits = _split_fill(monkeypatch, cpus) if cpus else []
     kernel = _kernel_case(case)
     grid = fb.build_grid(kernel.params.phi, panels)
     y = np.asarray(kernel.params.phi(grid.nodes), dtype=float)
@@ -167,6 +184,46 @@ def test_memory_blocks_bitwise_equal_allocating_fill(case, panels):
         assert block.tobytes() == expected.tobytes()
         i0 += rows
     assert i0 == grid.size
+    assert splits == ([cpus] if cpus else [])
+
+
+def test_split_fill_raises_a_worker_exception_in_the_caller(kernel42, monkeypatch):
+    # the last sub-block fails on its worker thread; the caller raises it
+    # only after every worker has joined
+    _split_fill(monkeypatch, 2)
+    grid = fb.build_grid(kernel42.params.phi, 300)
+    y_last = kernel42.params.phi(grid.nodes[-1])
+    memory = solver._memory
+
+    def failing(kernel, y_t, y_s, out):
+        if y_t[-1, 0] == y_last:
+            raise NumericError("last sub-block")
+        return memory(kernel, y_t, y_s, out=out)
+
+    monkeypatch.setattr(solver, "_memory", failing)
+    threads = threading.active_count()
+    with pytest.raises(NumericError, match="last sub-block"):
+        solver.operator_matrix(kernel42, grid)
+    assert threading.active_count() == threads
+
+
+def test_split_fill_keeps_the_callers_numpy_error_state(kernel42, monkeypatch):
+    # every sub-block overflows on a worker thread; the caller's
+    # errstate(over="raise") makes that FloatingPointError there too
+    splits = _split_fill(monkeypatch, 2)
+    grid = fb.build_grid(kernel42.params.phi, 300)
+    memory = solver._memory
+
+    def overflowing(kernel, y_t, y_s, out):
+        memory(kernel, y_t, y_s, out=out)
+        out *= 1e300
+        out *= 1e300
+        return out
+
+    monkeypatch.setattr(solver, "_memory", overflowing)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        solver.operator_matrix(kernel42, grid)
+    assert splits == [2]
 
 
 def test_operator_matrix_on_descending_nodes(kernel42):
