@@ -28,11 +28,13 @@ inverts phi or interpolates u, the error is smooth in Y, and a limit
 costs only the far points below it.  The tables behind it are built on
 first use: per grid the super-panel bounds and far points; per grid
 function the Taylor coefficients at every bound, read as windows, and
-the far weights times the cubic; per order Gamma(a) and the B_j.  A
-limit gathers its window from the function's one table and scales it
-by the order's B_j.  ``frac_integral`` takes one upper limit t or an
-array of them; an array is sorted by window, and each row runs the
-arithmetic of a one-limit call.
+the far weights times the cubic; per order Gamma(a) and the B_j.
+``frac_integral`` takes one upper limit t or an array of them.  One
+limit, and each point of ``frac_derivative``'s stencil, finds its
+super-panel by bisection and reads its window in place from the
+function's one table: no sorting and no gather.  An array is sorted by
+window and gathered in row blocks, and each row runs the ufuncs of a
+single limit on the same operands, so both give the same bits.
 
 The fractional derivative of order ``a`` is
 
@@ -47,6 +49,7 @@ step would fall below a tenth of its nominal length is refused.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -132,10 +135,10 @@ def _gauss_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=64)
 def _order_constants(alpha: float) -> tuple[float, np.ndarray]:
     """Gamma(alpha) and the moments B_j = j! / (alpha (alpha+1) ... (alpha+j)),
-    j = 0..3, shaped to scale the rows b_j of gathered windows; one
-    Lanczos sum per order."""
+    j = 0..3, shaped to scale the rows b_j of one window; one Lanczos
+    sum per order."""
     moments = np.cumprod([1.0 / alpha] + [j / (alpha + j) for j in (1, 2, 3)])
-    return gamma(alpha), moments.reshape(4, 1, 1)
+    return gamma(alpha), moments.reshape(4, 1)
 
 
 @dataclass(frozen=True)
@@ -187,6 +190,11 @@ class QuadratureGrid:
         w_far = (width * w).ravel()
         ends = np.concatenate([np.full((_NEAR, 2), y0), np.column_stack([lo, hi])])
         return bounds[1:-1], ends, y_far, w_far
+
+    @cached_property
+    def _bound_list(self) -> list[float]:
+        """The interior super-panel bounds as floats, for ``bisect``."""
+        return self._super_panels[0].tolist()
 
 
 def build_grid(phi: PhiMap, panels: int = DEFAULT_PANELS) -> QuadratureGrid:
@@ -326,8 +334,8 @@ def _integral_y(alpha: float, u: GridFunction, c: np.ndarray) -> np.ndarray:
     Gauss-Legendre rule only the _FAR_POINTS * (k - _NEAR) far points
     below the window.  The limits are sorted by window; the windows go
     in row blocks, the far sums one window at a time in row blocks of
-    about ``_BLOCK_POINTS`` points.  Each row runs the arithmetic of a
-    one-limit call, whatever its block.  The far sum is numpy's own
+    about ``_BLOCK_POINTS`` points.  Each row runs the arithmetic of
+    ``_at_limit``, whatever its block.  The far sum is numpy's own
     pairwise reduction, not a BLAS product, so results do not depend
     on the BLAS thread count.
     """
@@ -349,7 +357,7 @@ def _integral_y(alpha: float, u: GridFunction, c: np.ndarray) -> np.ndarray:
         top = c[start:start + block, None]
         # the gather is a fresh array: scale its b_j by the B_j in place
         gathered = windows[:, k[start:start + block]]
-        gathered[1:] *= moments
+        gathered[1:] *= moments[:, None]
         ends, b0, b1, b2, b3 = gathered
         # a bound above the limit gives z = 0
         z = top - np.minimum(ends, top)
@@ -372,6 +380,28 @@ def _integral_y(alpha: float, u: GridFunction, c: np.ndarray) -> np.ndarray:
     return values
 
 
+def _at_limit(alpha: float, u: GridFunction, y: float) -> float:
+    """``_integral_y`` at the one limit y, bit for bit: the ufuncs of one
+    of its rows on the same operands, without sorting, gathers or blocks."""
+    g, moments = _order_constants(alpha)
+    windows, w_u = u._panel_table
+    k = bisect.bisect_right(u.grid._bound_list, y)
+    ends = windows[0, k]
+    b0, b1, b2, b3 = windows[1:, k] * moments
+    z = y - np.minimum(ends, y)
+    # z**alpha * (b0 + z * (b1 + z * (b2 + z * b3))) in place: + and * commute
+    b3 *= z
+    for b, factor in ((b2, z), (b1, z), (b0, z**alpha)):
+        b3 += b
+        b3 *= factor
+    near = np.add.reduce(b3)
+    far = _FAR_POINTS * max(k - _NEAR, 0)
+    terms = y - u.grid._super_panels[2][:far]
+    np.power(terms, alpha - 1.0, out=terms)
+    terms *= w_u[:far]
+    return float((np.add.reduce(terms) + near) / g)
+
+
 def frac_integral(alpha: float, phi: PhiMap, u, t: float | np.ndarray) -> float | np.ndarray:
     """Fractional integral of order alpha of u at t, weighted by phi.
 
@@ -386,17 +416,17 @@ def frac_integral(alpha: float, phi: PhiMap, u, t: float | np.ndarray) -> float 
     if not alpha > 0.0:
         raise DomainError(f"integral order must be positive, got {alpha!r}")
     # one float inside [0, 1] passes on Python comparisons, which NaN fails
-    if isinstance(t, float) and 0.0 <= t <= 1.0:
-        shape, flat = (), np.array([t])
-    else:
-        t_arr = np.asarray(t, dtype=float)
-        shape, flat = t_arr.shape, t_arr.reshape(-1)
-        outside = ~((flat >= 0.0) & (flat <= 1.0))
+    scalar = isinstance(t, float) and 0.0 <= t <= 1.0
+    if not scalar:
+        t = np.asarray(t, dtype=float)
+        outside = ~((t >= 0.0) & (t <= 1.0))
         if outside.any():
-            raise DomainError(f"t must lie in [0, 1], got {float(flat[outside][0])!r}")
+            raise DomainError(f"t must lie in [0, 1], got {float(t[outside][0])!r}")
+        scalar = t.ndim == 0
     _check_on_map(u, phi)
-    values = _integral_y(alpha, u, phi(flat))
-    return values.reshape(shape) if shape else float(values[0])
+    if scalar:
+        return _at_limit(alpha, u, phi(t))
+    return _integral_y(alpha, u, phi(t.reshape(-1))).reshape(t.shape)
 
 
 # the central difference of order n: its nominal step as a share of
@@ -439,7 +469,7 @@ def frac_derivative(alpha: float, phi: PhiMap, u, t: float) -> float:
     # on a shorter step rounding swamps the difference quotient
     if not h >= _MIN_STEP_SHARE * nominal:
         raise DomainError("stencil does not fit: t too close to an endpoint")
-    f = _integral_y(n - alpha, u, np.array([y + o * h for o in offsets]))
+    f = [_at_limit(n - alpha, u, y + o * h) for o in offsets]
     return float(sum(w * v for w, v in zip(weights, f)) / divisor(h))
 
 

@@ -11,7 +11,10 @@ and of a ``phi = table`` config, with that config's ``green`` table; a
 256-panel solve of a slow contraction, the only output on which
 picard_solve mixes; and ``calculus.txt``, the repr of frac_integral,
 semigroup_defect and frac_derivative of u = exp(s) on the three
-closed-form maps and that table map at 64 and 512 panels.  Commands run
+closed-form maps and that table map at 64 and 512 panels, with the
+scalar frac_integral at every node of the 512-panel grids of the sin
+and sqrt maps at orders 0.8 and 2.5, one call per node as the
+benchmark's ``laws`` workload makes them.  Commands run
 in <out-dir> with relative paths, so the JSON ``csv`` and ``report``
 fields of the two sides compare equal.  It uses only the CLI and
 public names that the base has too.
@@ -89,6 +92,10 @@ def _calculus(table: np.ndarray) -> str:
             for a in (0.3, 0.5, 0.8, 1.2, 2.0, 2.5, 3.7):
                 lines.append(f"{name} {panels} {a} {frac_integral(a, phi, u, ts).tolist()}")
                 lines.append(f"{name} {panels} {a} {[frac_integral(a, phi, u, k / 8) for k in range(9)]}")
+            if panels == 512 and name in ("sin_quarter_pi", "sqrt_half"):
+                for a in (0.8, 2.5):
+                    lines.append(f"{name} {panels} {a} nodes "
+                                 f"{[frac_integral(a, phi, u, float(t)) for t in u.grid.nodes]}")
             lines.append(f"{name} {panels} semigroup {semigroup_defect(1.2, 0.8, phi, u)!r}")
             for a in (0.5, 1.5, 2.5):
                 lines.append(f"{name} {panels} derivative {a} "

@@ -21,6 +21,7 @@ __all__ = [
     "oracle_frac_integral",
     "oracle_classical_green",
     "oracle_grid_max",
+    "oracle_manufactured",
 ]
 
 # trapezoid point count: ten times the main grid's node budget
@@ -80,3 +81,46 @@ def oracle_grid_max(fn: Callable, gridsize: int) -> float:
     except (TypeError, ValueError):
         vals = np.array([float(fn(x)) for x in xs])
     return float(np.max(vals))
+
+
+_QUARTER_PI = math.pi / 4.0
+# phi, phi' and phi(t) - phi(0) as configuration text, from the closed
+# forms of two catalog maps
+_MANUFACTURED_MAPS = {
+    "sin_quarter_pi": (lambda t: math.sin(_QUARTER_PI * t),
+                       lambda t: _QUARTER_PI * math.cos(_QUARTER_PI * t), "sin(pi*t/4)"),
+    "sqrt_half": (lambda t: 0.5 * math.sqrt(1.0 + t), lambda t: 0.25 / math.sqrt(1.0 + t),
+                  "(0.5*pow(1+t,0.5) - 0.5)"),
+}
+
+
+def oracle_manufactured(kind: str, alpha: float, beta: float, eta: float,
+                        slope: float) -> tuple[Callable[[float], float], str]:
+    """An exact solution of the three-point problem and its forcing.
+
+    For D^(alpha,phi) u + f(t, u) = 0, u(0) = u'(0) = 0,
+    u'(1) = beta u(eta), take y = phi(t) - phi(0) and
+    u*(t) = y**3 + a y**4: it has u*(0) = u*'(0) = 0, and
+    a = (beta Se**3 - 3 d1 S1**2) / (4 d1 S1**3 - beta Se**4), with
+    S1 = y(1), Se = y(eta) and d1 = phi'(1), gives u*'(1) = beta u*(eta).
+    The order-alpha derivative of y**k is
+    Gamma(k + 1) / Gamma(k + 1 - alpha) y**(k - alpha), so u* solves the
+    problem for f(t, u) = slope sin(u) - k3 y**(3 - alpha)
+    - k4 y**(4 - alpha) - slope sin(u*), whose Lipschitz constant in u
+    is slope.  Returns u* as a function of one float t and f as
+    configuration-expression text.
+    """
+    phi, dphi, y_text = _MANUFACTURED_MAPS[kind]
+    s1, se, d1 = phi(1.0) - phi(0.0), phi(eta) - phi(0.0), dphi(1.0)
+    a = (beta * se**3 - 3.0 * d1 * s1**2) / (4.0 * d1 * s1**3 - beta * se**4)
+    k3 = 6.0 / math.gamma(4.0 - alpha)
+    k4 = 24.0 * a / math.gamma(5.0 - alpha)
+    ustar = f"(pow({y_text},3) + ({a!r})*pow({y_text},4))"
+    f_expr = (f"{slope!r}*sin(u) - ({k3!r})*pow({y_text},{3.0 - alpha!r})"
+              f" - ({k4!r})*pow({y_text},{4.0 - alpha!r}) - {slope!r}*sin({ustar})")
+
+    def exact(t: float) -> float:
+        y = phi(t) - phi(0.0)
+        return y**3 + a * y**4
+
+    return exact, f_expr

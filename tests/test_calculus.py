@@ -10,8 +10,8 @@ import pytest
 
 import fracbvp as fb
 from fracbvp.calculus import (_MIN_STEP_SHARE, _STENCILS,
-                              TOL_DERIVATIVE_IDENTITY, TOL_INTEGRAL_IDENTITY, _gauss_rule,
-                              _integral_y, _order_constants)
+                              TOL_DERIVATIVE_IDENTITY, TOL_INTEGRAL_IDENTITY, _at_limit,
+                              _gauss_rule, _integral_y, _order_constants)
 from fracbvp.errors import ConfigurationError, DomainError, GridMismatchError, NumericError
 from fracbvp.special import PHI_KINDS
 
@@ -427,8 +427,28 @@ def test_calculus_refuses_u_off_the_grids_of_phi(phi_sqrt):
 
 
 def _integral_at(alpha, u, y):
-    """One upper limit, one call: the per-node reference for batched code."""
+    """One upper limit through _integral_y's row blocks: the per-node
+    reference for batched code and for the one-limit path of scalar
+    frac_integral and of frac_derivative, so the tests that use it
+    compare the two implementations, not one with itself."""
     return float(_integral_y(alpha, u, np.array([y]))[0])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 2.5, 3.7])
+@pytest.mark.parametrize("kind", ["sin_quarter_pi", "sqrt_half", "table"])
+def test_one_limit_path_equals_the_block_path_bit_for_bit(kind, alpha):
+    # a scalar limit runs _at_limit, an array _integral_y's row blocks;
+    # at 512 panels, at both ends, every super-panel bound and every node
+    phi = catalog_map(kind)
+    grid = fb.build_grid(phi, 512)
+    u = fb.GridFunction.sample(grid, np.exp)
+    bounds = grid._super_panels[0]
+    ys = np.concatenate([phi.image, bounds, grid.y_nodes])
+    assert (np.array([_at_limit(alpha, u, float(y)) for y in ys]).tobytes()
+            == _integral_y(alpha, u, ys).tobytes())
+    ts = np.concatenate([[0.0, 1.0], phi.inverse(bounds), grid.nodes])
+    assert (np.array([fb.frac_integral(alpha, phi, u, float(t)) for t in ts]).tobytes()
+            == fb.frac_integral(alpha, phi, u, ts).tobytes())
 
 
 @pytest.mark.parametrize("alpha", [0.6, 2.5])
@@ -446,8 +466,14 @@ def test_frac_integral_array_of_limits_matches_scalar_calls(kind, alpha):
     looped = np.array([fb.frac_integral(alpha, phi, u, float(t)) for t in ts])
     assert batched[0] == 0.0
     assert batched.tobytes() == looped.tobytes()
-    for t in (0.5, np.float64(0.5), np.array(0.5)):
-        assert type(fb.frac_integral(alpha, phi, u, t)) is float
+    # a float, an np.float64 and a 0-d array give the float of a
+    # one-element array
+    for t in (0.0, 0.5, 1.0):
+        reference = fb.frac_integral(alpha, phi, u, np.array([t]))
+        for limit in (t, np.float64(t), np.array(t)):
+            value = fb.frac_integral(alpha, phi, u, limit)
+            assert type(value) is float
+            assert np.array([value]).tobytes() == reference.tobytes()
     assert fb.frac_integral(alpha, phi, u, ts[:6].reshape(2, 3)).shape == (2, 3)
     for bad in (np.array([0.5, 1.5]), np.array([math.nan]), math.nan, np.float64(-0.1)):
         with pytest.raises(DomainError):

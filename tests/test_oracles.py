@@ -12,6 +12,7 @@ from oracles import (
     oracle_classical_green,
     oracle_frac_integral,
     oracle_grid_max,
+    oracle_manufactured,
     oracle_power_integral,
 )
 
@@ -41,6 +42,17 @@ def test_classical_green_oracle_values():
 def test_grid_max():
     assert oracle_grid_max(lambda x: np.ones_like(x), 11) == 1.0
     assert oracle_grid_max(lambda x: x * (1 - x), 10001) == pytest.approx(0.25, abs=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["sin_quarter_pi", "sqrt_half"])
+def test_manufactured_oracle_meets_the_boundary_conditions(kind):
+    # u(0) = 0, and u'(1) = beta u(eta) by a second-order one-sided difference
+    exact, f_expr = oracle_manufactured(kind, 2.5, 1.0, 0.5, 0.5)
+    h = 1e-4
+    slope = (3.0 * exact(1.0) - 4.0 * exact(1.0 - h) + exact(1.0 - 2.0 * h)) / (2.0 * h)
+    assert exact(0.0) == 0.0
+    assert slope == pytest.approx(exact(0.5), rel=1e-6)
+    assert f_expr.startswith("0.5*sin(u) - ")
 
 
 def test_library_matches_trapezoid_oracle_on_smooth_functions(phi_identity):

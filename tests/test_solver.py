@@ -24,6 +24,7 @@ from fracbvp.solver import (DEFAULT_SAMPLE_SEED, VERDICT_EXISTS, VERDICT_NONE, V
 from fracbvp.special import PHI_KINDS
 
 from conftest import ACCEL_CONFIG, catalog_map, plain_picard, recorded_iterates
+from oracles import oracle_manufactured
 
 
 def test_problem_spec_domain_validation():
@@ -764,3 +765,36 @@ def test_threshold_and_lambda_agree_off_the_knife_edge(alpha, beta_share, eta, k
     assume(abs(cert.g_sup - threshold) > 1e-12 * threshold)
     assert rows["g_sup_below_threshold"] == rows["lambda_below_half"] == (cert.lam < 0.5)
     assert cert.passed == rows["g_sup_below_threshold"]
+
+
+# nodal error at 128 panels and the observed orders 32 -> 64 -> 128 of
+# the manufactured problem below, as measured when the test was written
+MANUFACTURED_MEASURED = {
+    "sin_quarter_pi": (9.976e-08, (2.695, 2.745)),
+    "sqrt_half": (2.738e-09, (2.754, 2.536)),
+}
+# margins: the error may grow by a quarter, an order may drop by 0.15
+MANUFACTURED_ERROR_FACTOR = 1.25
+MANUFACTURED_ORDER_DROP = 0.15
+
+
+@pytest.mark.parametrize("kind", sorted(MANUFACTURED_MEASURED))
+def test_manufactured_solution_error_and_order(kind):
+    # the exact solution comes from the oracle, not from the library: a
+    # change that costs accuracy moves the error or the order past its margin
+    exact, f_expr = oracle_manufactured(kind, 2.5, 1.0, 0.5, 0.5)
+    problem = build_problem(parse_config(
+        f"alpha = 2.5\nbeta = 1.0\neta = 0.5\nphi = {kind}\nf = custom-expression\n"
+        f"f.expr = {f_expr}\nmode = solve-only\n"))
+    errors = []
+    for panels in (32, 64, 128):
+        grid = fb.build_grid(problem.params.phi, panels)
+        report = fb.picard_solve(problem.spec, problem.kernel, fb.GridFunction.constant(grid, 0.0),
+                                 tol=1e-26, max_iter=100)
+        assert report.converged
+        errors.append(max(abs(v - exact(float(t)))
+                          for t, v in zip(grid.nodes, report.solution.values)))
+    error, orders = MANUFACTURED_MEASURED[kind]
+    assert errors[-1] <= MANUFACTURED_ERROR_FACTOR * error
+    for coarse, fine, order in zip(errors, errors[1:], orders):
+        assert math.log2(coarse / fine) >= order - MANUFACTURED_ORDER_DROP
