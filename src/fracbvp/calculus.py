@@ -36,6 +36,14 @@ function's one table: no sorting and no gather.  An array is sorted by
 window and gathered in row blocks, and each row runs the ufuncs of a
 single limit on the same operands, so both give the same bits.
 
+The solver's operator reuses this rule through two more entry points,
+which share the B_j and per-panel-count tables of the unit mesh x =
+(y - phi(0)) / span: the Taylor coefficients of each super-panel's
+Lagrange cubics at both bounds, and width**i.  ``_integral_weights``
+returns one limit's rule as a row of node weights, and ``_band_weights``
+the closed-form weights of every node's super-panel and the few below
+it, integrated up to that node.
+
 The fractional derivative of order ``a`` is
 
     (d/dy)**n  applied to the order-(n - a) integral,   n = floor(a) + 1,
@@ -119,6 +127,7 @@ def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return breaks, nodes, weights
 
 
+@lru_cache(maxsize=None)
 def _gauss_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule on [0, 1], exact up to degree 2 * points - 1.
 
@@ -129,7 +138,46 @@ def _gauss_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
     n = np.arange(1, points)
     off = n / np.sqrt(4.0 * n * n - 1.0)
     nodes, vectors = np.linalg.eigh(np.eye(points) + np.diag(off, 1) + np.diag(off, -1))
-    return 0.5 * nodes, vectors[0] ** 2
+    nodes, weights = 0.5 * nodes, vectors[0] ** 2
+    for arr in (nodes, weights):
+        arr.setflags(write=False)
+    return nodes, weights
+
+
+@lru_cache(maxsize=None)
+def _lagrange_tables(panels: int) -> tuple[np.ndarray, ...]:
+    """The Lagrange cubics of the super-panels of the unit mesh in x.
+
+    Returns taylor[k, e, i, j], the coefficient of (x - e)**i in the
+    cubic of node j of super-panel k at its lower (e = 0) and upper
+    (e = 1, negated) bound; on a grid y = phi(0) + span * x the
+    coefficients of (y - e)**i are taylor / span**i.  Then width**i,
+    i = 0..3, of each super-panel, which moves moments on [0, 1] onto it,
+    and x_p**i of the far points x_p on [0, 1].
+    """
+    breaks, nodes, _ = _unit_rule(panels)
+    xs, bounds = nodes.reshape(-1, 4), breaks[0::2]
+    others = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+    # the roots r of each node's cubic, relative to each bound
+    r = (xs[:, None, :] - np.column_stack([bounds[:-1], bounds[1:]])[:, :, None])[..., others]
+    products = r[..., [0, 0, 1]] * r[..., [1, 2, 2]]
+    taylor = np.stack([-np.prod(r, axis=3), products.sum(axis=3), -r.sum(axis=3),
+                       np.ones(r.shape[:3])], axis=2)
+    taylor /= np.prod(xs[:, :, None] - xs[:, others], axis=2)[:, None, None, :]
+    taylor[:, 1] *= -1.0
+    tables = (taylor, np.diff(bounds)[:, None] ** np.arange(4),
+              _gauss_rule(_FAR_POINTS)[0][:, None] ** np.arange(4))
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _band_bounds(panels: int, width: int) -> np.ndarray:
+    """Row k: the lower bounds of super-panels k - width .. k of the unit
+    mesh, +inf for those below super-panel 0."""
+    bounds = np.concatenate([np.full(width, np.inf), _unit_rule(panels)[0][0:-2:2]])
+    return sliding_window_view(bounds, width + 1)
 
 
 @lru_cache(maxsize=64)
@@ -400,6 +448,79 @@ def _at_limit(alpha: float, u: GridFunction, y: float) -> float:
     np.power(terms, alpha - 1.0, out=terms)
     terms *= w_u[:far]
     return float((np.add.reduce(terms) + near) / g)
+
+
+def _integral_weights(alpha: float, grid: QuadratureGrid, c: float) -> np.ndarray:
+    """The order-alpha rule of ``_integral_y`` at the one limit c in y as
+    a row of node weights: its dot product with u.values is the integral
+    of u's panel cubics up to c, for every grid function u on grid.
+
+    The far sum runs over ``_integral_y``'s own far points y_p, with
+    their weights w_p: node j of super-panel k gets the sum over its
+    points of w_p (c - y_p)**(alpha - 1) times its cubic at y_p, which is
+    sum_i taylor[k, 0, i, j] * (width * x_p)**i in x = (y - phi(0)) /
+    span, where the tables live.  The window's closed form runs in x too.
+    """
+    g, moments = _order_constants(alpha)
+    taylor, width_powers, point_powers = _lagrange_tables(grid.panels)
+    bounds = _unit_rule(grid.panels)[0][0::2]
+    points, point_weights = _gauss_rule(_FAR_POINTS)
+    y0, y1 = grid.phi.image
+    span = y1 - y0
+    ends = y0 + span * bounds
+    k = int(ends[1:-1].searchsorted(c, side="right"))
+    first = max(k - _NEAR, 0)
+    weights = np.zeros((taylor.shape[0], 1, 4))
+    # the far points and weights as _super_panels makes them, in y
+    width = (ends[1:first + 1] - ends[:first])[:, None]
+    terms = c - (ends[:first, None] + width * points)
+    np.power(terms, alpha - 1.0, out=terms)
+    terms *= width * point_weights
+    far = terms @ point_powers
+    far *= width_powers[:first]
+    np.matmul(far[:, None], taylor[:first, 0], out=weights[:first])
+    # the window: each super-panel at its lower and its upper bound
+    x = (c - y0) / span
+    z = x - np.minimum(bounds[first:k + 2, None], x)
+    v = z ** (alpha + np.arange(4.0))
+    v *= moments[:, 0] * span**alpha
+    pairs = np.ndarray((k + 1 - first, 1, 8), buffer=v, strides=(v.strides[0], 0, 8))
+    np.matmul(pairs, taylor[first:k + 1].reshape(-1, 8, 4), out=weights[first:k + 1])
+    weights /= g
+    return weights.ravel()
+
+
+def _band_weights(alpha: float, grid: QuadratureGrid, width: int) -> np.ndarray:
+    """Product weights of every node's band, shape (N, 4 * (width + 1)).
+
+    Row i holds the integrals of the Lagrange cubics of super-panels
+    k - width .. k against (y_i - y)_+**(alpha - 1) / Gamma(alpha),
+    k = i // 4 the super-panel of node i, in closed form: the weights of
+    nodes 4 * (k - width) .. 4 * k + 3, 0 for super-panels below 0.
+    """
+    g, moments = _order_constants(alpha)
+    taylor = _lagrange_tables(grid.panels)[0]
+    nodes = _unit_rule(grid.panels)[1]
+    y0, y1 = grid.phi.image
+    groups = taylor.shape[0]
+    # z[k, r, b] = x_i - the lower bound of super-panel k - width + b,
+    # node i = 4k + r, b = 0..width, and 0 below super-panel 0; and
+    # v[k, r, b, i] = B_i * z**(alpha + i), B_i / B_(i-1) = i / (alpha + i),
+    # with 0 at b = width + 1, the upper bound of k, above x_i
+    z = nodes.reshape(-1, 4, 1) - _band_bounds(grid.panels, width)[:, None]
+    np.maximum(z, 0.0, out=z)
+    v = np.zeros(z.shape[:2] + (width + 2, 4))
+    np.power(z, alpha, out=v[:, :, :-1, 0])
+    v[..., 0] *= moments[0, 0] * (y1 - y0) ** alpha / g
+    for i in (1, 2, 3):
+        np.multiply(v[:, :, :-1, i - 1], z * (i / (alpha + i)), out=v[:, :, :-1, i])
+    band = np.zeros((groups, 4, width + 1, 4))
+    for s in range(width + 1):
+        # super-panel k - width + s at its two bounds b = s, s + 1
+        skip = width - s
+        np.matmul(v[skip:, :, s:s + 2].reshape(-1, 4, 8), taylor[:groups - skip].reshape(-1, 8, 4),
+                  out=band[skip:, :, s])
+    return band.reshape(nodes.size, -1)
 
 
 def frac_integral(alpha: float, phi: PhiMap, u, t: float | np.ndarray) -> float | np.ndarray:

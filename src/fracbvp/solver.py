@@ -14,9 +14,12 @@ the local cubics of its nodal values.
 The operator is stored factored, after the kernel's structure: G(t, s)
 is the rank-one term head(t) * tail(s) minus a memory term that
 vanishes for s >= t, kept in row blocks on the columns below each
-block's last node only (``operator_matrix``).  One product serves a
-vector and a (k, N) stack, and its results do not depend on the BLAS
-thread count.
+block's last node only (``operator_matrix``).  Its weights are a
+locally corrected product rule, fourth order in the panel width: the
+node rule, exact product weights of the cubics in a band at each row's
+node, and the rank-one term's tail as two rows of frac_integral's rule.
+One product serves a vector and a (k, N) stack, and its results do not
+depend on the BLAS thread count.
 
 Two certificates are available.  Each stores its hypotheses, and its
 verdict passes exactly when every one that is checked passes.  The
@@ -54,9 +57,9 @@ from typing import Callable
 import numpy as np
 
 from .bmetric import R, SampledVerdict, admissibility_check, geraghty_inequality_check, tau
-from .calculus import GridFunction, QuadratureGrid
+from .calculus import GridFunction, QuadratureGrid, _band_weights, _integral_weights
 from .errors import ConfigurationError, NumericError
-from .green import GreenKernel, _memory, _separable
+from .green import GreenKernel, _memory
 
 __all__ = [
     "ProblemSpec",
@@ -96,6 +99,8 @@ _MIN_BLOCK_ROWS = 128
 _BLOCK_ELEMENTS = 2**16
 _PARALLEL_ELEMENTS = 2**22
 _MAX_GRID_SIZE = 8192
+# super-panels below each row's own whose memory entries are product weights
+_BAND_WIDTH = 2
 _MAX_NODES = 2 * _MAX_GRID_SIZE
 
 # Anderson mixing: m = 3 differences of the last m + 1 pairs, engaged for a
@@ -195,31 +200,64 @@ def _on_threads(fn: Callable, parts: list) -> None:
 
 def _memory_layout(n: int) -> list[tuple[int, int]]:
     """(first row, end row) of each memory block: blocks of
-    ceil(n / _MEMORY_BLOCKS) rows, but at least _MIN_BLOCK_ROWS, the last
-    one possibly shorter.  The nodes ascend, so the memory term of a
-    block ends at its last row's column: the end row is also its number
-    of columns."""
-    rows = max(-(-n // _MEMORY_BLOCKS), _MIN_BLOCK_ROWS)
+    ceil(n / _MEMORY_BLOCKS) rows rounded up to a multiple of 4, but at
+    least _MIN_BLOCK_ROWS, the last one possibly shorter.  The nodes
+    ascend, so the memory term of a block ends at its last row's column,
+    and a block ends on a super-panel bound, so its band does too: the
+    end row is also its number of columns."""
+    rows = max(-(-n // (4 * _MEMORY_BLOCKS)) * 4, _MIN_BLOCK_ROWS)
     return [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
 
 
+def _write_band(out: np.ndarray, r0: int, band: np.ndarray) -> None:
+    """Overwrite the band of rows r0.. of the memory term in their sub-block
+    ``out``, which starts on a super-panel bound: row i gets band[i] on
+    columns 4 * (k - _BAND_WIDTH) .. 4 * k + 3, k = i // 4, those >= 0."""
+    rows, cols = out.shape
+    reach = 4 * _BAND_WIDTH
+    # rows whose band would start left of column 0, in the first super-panels only
+    cut = min(max(reach - r0, 0), rows)
+    for i in range(0, cut, 4):
+        start = reach - (r0 + i) // 4 * 4
+        out[i:i + 4, :band.shape[1] - start] = band[r0 + i:r0 + i + 4, start:]
+    if cut < rows:
+        # one strided view: the same band columns for the 4 rows of a
+        # super-panel, 4 columns further right for the next super-panel
+        stride, item = out.strides
+        view = np.ndarray(((rows - cut) // 4, 4, band.shape[1]), out.dtype, out,
+                          offset=cut * stride + (r0 + cut - reach) * item,
+                          strides=(4 * (stride + item), stride, item))
+        view[...] = band[r0 + cut:r0 + rows].reshape(view.shape)
+
+
 def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactors:
-    """The factored operator M with M[i, j] = G(s_i, s_j) * w_j =
-    head(s_i) * tail_j - memory[i, j].
+    """The factored operator M = head (x) tail - memory, a locally
+    corrected product rule for A on the grid's nodes, y_i = phi(s_i).
 
-    tail = (full - eta_part) / scale * w and the memory term is kept only
-    on each row block's columns below its last node (it is 0 where
-    phi(s_j) >= phi(s_i)), so with 16 blocks it stores about
-    0.53 * 8 N**2 bytes.  The blocks are views of one flat buffer, filled
-    in place in sub-blocks of about 2**16 entries, so the peak is the
-    stored bytes plus under 0.5 MiB per filling thread.  From 2**22 entries,
-    worker k of one per usable CPU fills sub-blocks k, k + w, ... by the same
-    ufunc calls, so the factors do not depend on the CPU count.  A grid of
-    more than 16384 nodes (grid_size above 8192) raises ConfigurationError
-    before phi is evaluated on it.
+    head(s_i) = (y_i - phi(0))**(alpha - 1).  tail is the rank-one term's
+    integral form, [phi'(1) I^(alpha-1)(phi(1)) - beta I^alpha(phi(eta))] / mu,
+    as the weight rows of frac_integral's rule (``_integral_weights``).  The
+    memory term, (y_i - y)_+**(alpha - 1) / Gamma(alpha) integrated against
+    f, takes the node rule mu * (y_i - y_j)_+**(alpha - 1) / scale * w_j,
+    0 for y_j >= y_i, except in each row's band: the super-panel of its
+    node and the _BAND_WIDTH below, whose 12 columns, up to 3 above the
+    diagonal, hold the closed-form weights of their cubics
+    (``_band_weights``).  The node rule alone is about h**2.3-2.9 in the
+    panel width; the corrected rule is fourth order on smooth data.
 
-    The grid must come from the kernel's phi map: phi at the grid nodes
-    has to reproduce the grid's y nodes.
+    The memory term is kept only on each row block's columns below its
+    last node, and blocks end on super-panel bounds, so with 16 blocks it
+    stores about 0.53 * 8 N**2 bytes.  The blocks are views of one flat
+    buffer, filled in place in sub-blocks of about 2**16 entries, each
+    overwriting its rows' bands, so the peak is the stored bytes plus the
+    band's 96 N bytes and under 0.5 MiB per filling thread.  From 2**22
+    entries, worker k of one per usable CPU fills sub-blocks k, k + w, ...
+    by the same ufunc calls, so the factors do not depend on the CPU
+    count.  A grid of more than 16384 nodes (grid_size above 8192) raises
+    ConfigurationError before it is read.
+
+    The grid must come from the kernel's phi map: the same map, or one
+    whose phi at the grid nodes reproduces the grid's y nodes.
     """
     n = grid.size
     if n > _MAX_NODES:
@@ -228,22 +266,26 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
             f"grid_size {grid.panels} has {n} nodes and its operator would take at least "
             f"{least / 2**20:.0f} MiB, over the {_MAX_NODES}-node limit; "
             f"the largest accepted grid_size is {_MAX_NODES * grid.panels // n}")
-    y = kernel.params.phi(grid.nodes)
+    p = kernel.params
+    if grid.phi is not p.phi:
+        gap = np.max(np.abs(p.phi(grid.nodes) - grid.y_nodes))
+        if not gap <= 1e-9 * kernel.shifted_one:
+            raise ConfigurationError(
+                f"grid was built for a different phi map than the kernel's (node gap {gap:.3g})")
+    y = grid.y_nodes
     layout = _memory_layout(n)
-    gap = np.max(np.abs(y - grid.y_nodes))
-    if not gap <= 1e-9 * kernel.shifted_one:
-        raise ConfigurationError(
-            f"grid was built for a different phi map than the kernel's (node gap {gap:.3g})")
-    head, full, eta_part = _separable(kernel, y, y)
-    tail = (full - eta_part) / kernel.scale * grid.weights
+    head = (y - kernel.phi_zero) ** (p.alpha - 1.0)
+    tail = (kernel.deriv_one * _integral_weights(p.alpha - 1.0, grid, grid.phi.image[1])
+            - p.beta * _integral_weights(p.alpha, grid, kernel.phi_eta)) / kernel.mu
+    band = _band_weights(p.alpha, grid, _BAND_WIDTH)
     flat = np.empty(sum((i1 - i0) * i1 for i0, i1 in layout))
     memory, subs = [], []
     offset = 0
     for i0, i1 in layout:
-        # rows i0..i1-1 on columns 0..i1-1
+        # rows i0..i1-1 on columns 0..i1-1, in sub-blocks of whole super-panels
         block = flat[offset:offset + (i1 - i0) * i1].reshape(i1 - i0, i1)
         offset += block.size
-        step = max(1, _BLOCK_ELEMENTS // i1)
+        step = max(4, _BLOCK_ELEMENTS // i1 // 4 * 4)
         subs.extend((r0, block[r0 - i0:r0 - i0 + step]) for r0 in range(i0, i1, step))
         memory.append(block)
 
@@ -253,6 +295,7 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
             _memory(kernel, y[r0:r0 + rows, None], y[None, :cols], out=out)
             out /= kernel.scale
             out *= grid.weights[:cols]
+            _write_band(out, r0, band)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, len(subs)) if flat.size >= _PARALLEL_ELEMENTS else 1

@@ -1,6 +1,8 @@
 """Write the outputs that the CI compares between a change and its base.
 
-Usage: ``PYTHONPATH=<checkout>/src python tests/bundled_outputs.py <out-dir>``.
+Usage: ``PYTHONPATH=<checkout>/src python tests/bundled_outputs.py <out-dir>``,
+then ``python tests/bundled_outputs.py --compare <base-dir> <head-dir>``
+to print how far the numbers of each differing CSV moved.
 ``PYTHONPATH`` picks the fracbvp that runs, so one script renders both
 sides; the diff of the two out-dirs shows every moved byte.  Into
 <out-dir> it writes, for each bundled config, the ``solve`` CSV, sidecar
@@ -126,7 +128,37 @@ def write_outputs(out: Path) -> None:
     Path("calculus.txt").write_text(_calculus(np.loadtxt("table.txt")))
 
 
+def compare_csvs(base: Path, head: Path) -> None:
+    """For each CSV that differs between two out-dirs, print its row count
+    and the largest |head - base| of each numeric column."""
+    for path in sorted(base.glob("*.csv")):
+        other = head / path.name
+        if other.is_file() and other.read_bytes() == path.read_bytes():
+            continue
+        if not other.is_file():
+            print(f"{path.name}: missing from {head}")
+            continue
+        (names, a), (_, b) = (_read_csv(p) for p in (path, other))
+        if a.shape != b.shape:
+            print(f"{path.name}: {len(a)} rows against {len(b)}")
+            continue
+        deltas = np.max(np.abs(b - a), axis=0, initial=0.0)
+        print(f"{path.name}: {len(a)} rows, max |delta| "
+              + ", ".join(f"{name} {d:.3g}" for name, d in zip(names, deltas)))
+
+
+def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
+    """The header and the rows of a CSV whose comment lines start with #."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    return lines[0].split(","), rows.reshape(len(lines) - 1, -1)
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tests/bundled_outputs.py <out-dir>")
-    write_outputs(Path(sys.argv[1]).resolve())
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        compare_csvs(Path(sys.argv[2]), Path(sys.argv[3]))
+    elif len(sys.argv) == 2:
+        write_outputs(Path(sys.argv[1]).resolve())
+    else:
+        sys.exit("usage: python tests/bundled_outputs.py <out-dir>\n"
+                 "       python tests/bundled_outputs.py --compare <base-dir> <head-dir>")

@@ -128,7 +128,8 @@ def test_criterion_5_certified_solve(problem42, solve42):
         assert eventually_below(list(report.observed_ratios), 0.106)
         ts = np.linspace(0.0, 1.0, 101)
         gap = np.max(np.abs(solve42[512].solution(ts) - solve42[1024].solution(ts)))
-        assert gap <= 1e-5
+        # measured 1.1e-12 with the corrected operator; a tenfold margin
+        assert gap <= 1e-11
         assert solve42["time1024"] < 60.0
 
 

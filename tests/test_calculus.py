@@ -11,7 +11,8 @@ import pytest
 import fracbvp as fb
 from fracbvp.calculus import (_MIN_STEP_SHARE, _STENCILS,
                               TOL_DERIVATIVE_IDENTITY, TOL_INTEGRAL_IDENTITY, _at_limit,
-                              _gauss_rule, _integral_y, _order_constants)
+                              _band_weights, _gauss_rule, _integral_weights, _integral_y,
+                              _order_constants, _unit_rule)
 from fracbvp.errors import ConfigurationError, DomainError, GridMismatchError, NumericError
 from fracbvp.special import PHI_KINDS
 
@@ -549,3 +550,58 @@ def test_frac_derivative_matches_scalar_stencil(phi_sin, alpha):
             reference = (F(y + 2.0 * h) - 2.0 * F(y + h) + 2.0 * F(y - h)
                          - F(y - 2.0 * h)) / (2.0 * h**3)
         assert abs(fb.frac_derivative(alpha, phi_sin, u, t) - reference) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["identity", "sin_quarter_pi", "sqrt_half"])
+@pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0])
+def test_integral_weights_are_frac_integrals_rule(kind, alpha):
+    # the operator's tail rows: order alpha - 1 at phi(1), order alpha at
+    # phi(eta), as a row of node weights.  On a map with phi(0) != 0 the
+    # grid's y nodes carry the rounding of phi(0) + span * x, which moves
+    # frac_integral's cubics off those of the unit tables by up to about
+    # 1e-13 of a node spacing at 512 panels
+    phi = catalog_map(kind)
+    grid = fb.build_grid(phi, 512)
+    tol = 1e-14 if phi.image[0] == 0.0 else 2e-13
+    rng = np.random.default_rng(11)
+    for a, t in ((alpha - 1.0, 1.0), (alpha, 0.5)):
+        weights = _integral_weights(a, grid, float(phi(t)))
+        for values in rng.uniform(-1.0, 1.0, (4, grid.size)):
+            u = fb.GridFunction(grid, values)
+            scale = np.abs(weights) @ np.abs(values)
+            assert abs(weights @ values - fb.frac_integral(a, phi, u, t)) <= tol * scale
+
+
+@pytest.mark.parametrize("kind", ["identity", "sin_quarter_pi", "sqrt_half"])
+@pytest.mark.parametrize("panels", [16, 64])
+@pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0])
+def test_band_rows_integrate_cubics_exactly(kind, panels, alpha):
+    # row i of the band, from super-panel q of its band up to its own,
+    # integrates (y - e_q)**d, d <= 3, e_q the lower bound of q, against
+    # (y_i - y)**(alpha - 1) / Gamma(alpha): Gamma(d + 1) / Gamma(d + 1 + alpha)
+    # (y_i - e_q)**(d + alpha).  Offsets are taken in x = (y - phi(0)) / span,
+    # the coordinate of the rule's cubics
+    phi = catalog_map(kind)
+    grid = fb.build_grid(phi, panels)
+    breaks, x, _ = _unit_rule(panels)
+    span = phi.image[1] - phi.image[0]
+    band = _band_weights(alpha, grid, 2)
+    n = grid.size
+    assert band.shape == (n, 12)
+    k = np.arange(n) // 4
+    columns = 4 * (k - 2)[:, None] + np.arange(12)
+    worst = 0.0
+    for s in range(3):
+        q = k - 2 + s
+        rows = q >= 0
+        # the cubic is 0 on the band's super-panels below q
+        inside = (np.arange(12) >= 4 * s) & (columns >= 0)
+        offsets = span * (x[np.maximum(columns, 0)] - breaks[2 * np.maximum(q, 0)][:, None])
+        reach = span * (x - breaks[2 * np.maximum(q, 0)])
+        for d in range(4):
+            got = np.sum(np.where(inside, band * offsets**d, 0.0), axis=1)
+            exact = math.gamma(d + 1) / math.gamma(d + 1 + alpha) * reach ** (d + alpha)
+            worst = max(worst, np.max(np.abs(got - exact)[rows] / exact[rows]))
+    assert worst <= 1e-11
+    # nothing below super-panel 0
+    assert np.all(band[:4, :8] == 0.0) and np.all(band[4:8, :4] == 0.0)
