@@ -39,10 +39,10 @@ single limit on the same operands, so both give the same bits.
 The solver's operator reuses this rule through two more entry points,
 which share the B_j and per-panel-count tables of the unit mesh x =
 (y - phi(0)) / span: the Taylor coefficients of each super-panel's
-Lagrange cubics at both bounds, and width**i.  ``_integral_weights``
-returns one limit's rule as a row of node weights, and ``_band_weights``
-the closed-form weights of every node's super-panel and the few below
-it, integrated up to that node.
+Lagrange cubics at both bounds, width**i and the bounds of each band.
+``_integral_weights`` returns one limit's rule as a row of node weights,
+and ``_band_weights`` the closed-form weights of every node's
+super-panel and the _BAND_WIDTH below it, integrated up to that node.
 
 The fractional derivative of order ``a`` is
 
@@ -98,6 +98,9 @@ _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 # Gauss-Legendre rule of _FAR_POINTS on every super-panel below that
 _FAR_POINTS = 6
 _NEAR = 6
+# super-panels below each node's own in its band (``_band_weights``); the
+# operator reads the width from the band's shape
+_BAND_WIDTH = 2
 
 # far points per row block of _integral_y: about 0.5 MiB per float64
 # temporary, whatever the number of upper limits
@@ -153,7 +156,8 @@ def _lagrange_tables(panels: int) -> tuple[np.ndarray, ...]:
     (e = 1, negated) bound; on a grid y = phi(0) + span * x the
     coefficients of (y - e)**i are taylor / span**i.  Then width**i,
     i = 0..3, of each super-panel, which moves moments on [0, 1] onto it,
-    and x_p**i of the far points x_p on [0, 1].
+    x_p**i of the far points x_p on [0, 1], and in row k the lower bounds
+    of super-panels k - _BAND_WIDTH .. k, +inf for those below super-panel 0.
     """
     breaks, nodes, _ = _unit_rule(panels)
     xs, bounds = nodes.reshape(-1, 4), breaks[0::2]
@@ -165,19 +169,13 @@ def _lagrange_tables(panels: int) -> tuple[np.ndarray, ...]:
                        np.ones(r.shape[:3])], axis=2)
     taylor /= np.prod(xs[:, :, None] - xs[:, others], axis=2)[:, None, None, :]
     taylor[:, 1] *= -1.0
+    band_bounds = np.concatenate([np.full(_BAND_WIDTH, np.inf), bounds[:-1]])
     tables = (taylor, np.diff(bounds)[:, None] ** np.arange(4),
-              _gauss_rule(_FAR_POINTS)[0][:, None] ** np.arange(4))
+              _gauss_rule(_FAR_POINTS)[0][:, None] ** np.arange(4),
+              sliding_window_view(band_bounds, _BAND_WIDTH + 1))
     for arr in tables:
         arr.setflags(write=False)
     return tables
-
-
-@lru_cache(maxsize=None)
-def _band_bounds(panels: int, width: int) -> np.ndarray:
-    """Row k: the lower bounds of super-panels k - width .. k of the unit
-    mesh, +inf for those below super-panel 0."""
-    bounds = np.concatenate([np.full(width, np.inf), _unit_rule(panels)[0][0:-2:2]])
-    return sliding_window_view(bounds, width + 1)
 
 
 @lru_cache(maxsize=64)
@@ -462,7 +460,7 @@ def _integral_weights(alpha: float, grid: QuadratureGrid, c: float) -> np.ndarra
     span, where the tables live.  The window's closed form runs in x too.
     """
     g, moments = _order_constants(alpha)
-    taylor, width_powers, point_powers = _lagrange_tables(grid.panels)
+    taylor, width_powers, point_powers, _ = _lagrange_tables(grid.panels)
     bounds = _unit_rule(grid.panels)[0][0::2]
     points, point_weights = _gauss_rule(_FAR_POINTS)
     y0, y1 = grid.phi.image
@@ -490,24 +488,24 @@ def _integral_weights(alpha: float, grid: QuadratureGrid, c: float) -> np.ndarra
     return weights.ravel()
 
 
-def _band_weights(alpha: float, grid: QuadratureGrid, width: int) -> np.ndarray:
-    """Product weights of every node's band, shape (N, 4 * (width + 1)).
+def _band_weights(alpha: float, grid: QuadratureGrid) -> np.ndarray:
+    """Product weights of every node's band, shape (N, 4 * (_BAND_WIDTH + 1)).
 
     Row i holds the integrals of the Lagrange cubics of super-panels
-    k - width .. k against (y_i - y)_+**(alpha - 1) / Gamma(alpha),
+    k - _BAND_WIDTH .. k against (y_i - y)_+**(alpha - 1) / Gamma(alpha),
     k = i // 4 the super-panel of node i, in closed form: the weights of
-    nodes 4 * (k - width) .. 4 * k + 3, 0 for super-panels below 0.
+    nodes 4 * (k - _BAND_WIDTH) .. 4 * k + 3, 0 for super-panels below 0.
     """
     g, moments = _order_constants(alpha)
-    taylor = _lagrange_tables(grid.panels)[0]
+    taylor, _, _, band_bounds = _lagrange_tables(grid.panels)
     nodes = _unit_rule(grid.panels)[1]
     y0, y1 = grid.phi.image
-    groups = taylor.shape[0]
+    groups, width = taylor.shape[0], _BAND_WIDTH
     # z[k, r, b] = x_i - the lower bound of super-panel k - width + b,
     # node i = 4k + r, b = 0..width, and 0 below super-panel 0; and
     # v[k, r, b, i] = B_i * z**(alpha + i), B_i / B_(i-1) = i / (alpha + i),
     # with 0 at b = width + 1, the upper bound of k, above x_i
-    z = nodes.reshape(-1, 4, 1) - _band_bounds(grid.panels, width)[:, None]
+    z = nodes.reshape(-1, 4, 1) - band_bounds[:, None]
     np.maximum(z, 0.0, out=z)
     v = np.zeros(z.shape[:2] + (width + 2, 4))
     np.power(z, alpha, out=v[:, :, :-1, 0])

@@ -17,7 +17,9 @@ vanishes for s >= t, kept in row blocks on the columns below each
 block's last node only (``operator_matrix``).  Its weights are a
 locally corrected product rule, fourth order in the panel width: the
 node rule, exact product weights of the cubics in a band at each row's
-node, and the rank-one term's tail as two rows of frac_integral's rule.
+node, whose width the calculus owns, and the rank-one term's tail as two
+rows of frac_integral's rule.  Like the calculus, it takes only a grid
+built on the kernel's own phi map object.
 One product serves a vector and a (k, N) stack, and its results do not
 depend on the BLAS thread count.
 
@@ -49,7 +51,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -85,6 +86,8 @@ VERDICT_EXISTS = "exists-positive"
 VERDICT_NONE = "no-certificate"
 # the claim of each certificate mode, made when every checked hypothesis passes
 _CLAIMS = {"uniqueness": VERDICT_UNIQUE, "positive-existence": VERDICT_EXISTS}
+# the random points each sampled hypothesis on f checks
+_SAMPLED_POINTS = 400
 
 # operator assembly: row blocks of the memory term (16 ran the Picard
 # loop at 2048 panels faster than 32 or 64) and their fewest rows (below
@@ -99,8 +102,6 @@ _MIN_BLOCK_ROWS = 128
 _BLOCK_ELEMENTS = 2**16
 _PARALLEL_ELEMENTS = 2**22
 _MAX_GRID_SIZE = 8192
-# super-panels below each row's own whose memory entries are product weights
-_BAND_WIDTH = 2
 _MAX_NODES = 2 * _MAX_GRID_SIZE
 
 # Anderson mixing: m = 3 differences of the last m + 1 pairs, engaged for a
@@ -176,28 +177,6 @@ class OperatorFactors:
         return out
 
 
-def _on_threads(fn: Callable, parts: list) -> None:
-    """fn(part) on one thread per part, each in a copy of the caller's
-    context (numpy's error state lives there), while the caller waits; the
-    first exception raised is raised again once every thread has joined."""
-    errors = []
-
-    def run(part):
-        try:
-            fn(part)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, part))
-               for part in parts]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _memory_layout(n: int) -> list[tuple[int, int]]:
     """(first row, end row) of each memory block: blocks of
     ceil(n / _MEMORY_BLOCKS) rows rounded up to a multiple of 4, but at
@@ -211,10 +190,10 @@ def _memory_layout(n: int) -> list[tuple[int, int]]:
 
 def _write_band(out: np.ndarray, r0: int, band: np.ndarray) -> None:
     """Overwrite the band of rows r0.. of the memory term in their sub-block
-    ``out``, which starts on a super-panel bound: row i gets band[i] on
-    columns 4 * (k - _BAND_WIDTH) .. 4 * k + 3, k = i // 4, those >= 0."""
+    ``out``, which starts on a super-panel bound: row i gets band[i] on the
+    band.shape[1] columns that end at 4 * k + 3, k = i // 4, those >= 0."""
     rows, cols = out.shape
-    reach = 4 * _BAND_WIDTH
+    reach = band.shape[1] - 4
     # rows whose band would start left of column 0, in the first super-panels only
     cut = min(max(reach - r0, 0), rows)
     for i in range(0, cut, 4):
@@ -240,8 +219,8 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
     memory term, (y_i - y)_+**(alpha - 1) / Gamma(alpha) integrated against
     f, takes the node rule mu * (y_i - y_j)_+**(alpha - 1) / scale * w_j,
     0 for y_j >= y_i, except in each row's band: the super-panel of its
-    node and the _BAND_WIDTH below, whose 12 columns, up to 3 above the
-    diagonal, hold the closed-form weights of their cubics
+    node and the calculus's _BAND_WIDTH below, whose columns, up to 3 above
+    the diagonal, hold the closed-form weights of their cubics
     (``_band_weights``).  The node rule alone is about h**2.3-2.9 in the
     panel width; the corrected rule is fourth order on smooth data.
 
@@ -251,13 +230,11 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
     buffer, filled in place in sub-blocks of about 2**16 entries, each
     overwriting its rows' bands, so the peak is the stored bytes plus the
     band's 96 N bytes and under 0.5 MiB per filling thread.  From 2**22
-    entries, worker k of one per usable CPU fills sub-blocks k, k + w, ...
-    by the same ufunc calls, so the factors do not depend on the CPU
-    count.  A grid of more than 16384 nodes (grid_size above 8192) raises
-    ConfigurationError before it is read.
-
-    The grid must come from the kernel's phi map: the same map, or one
-    whose phi at the grid nodes reproduces the grid's y nodes.
+    entries, worker k of a thread pool of one per usable CPU fills
+    sub-blocks k, k + w, ... by the same ufunc calls, so the factors do not
+    depend on the CPU count.  A grid of more than 16384 nodes (grid_size
+    above 8192), or one built on any map object but the kernel's phi,
+    raises ConfigurationError before it is read.
     """
     n = grid.size
     if n > _MAX_NODES:
@@ -268,16 +245,13 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
             f"the largest accepted grid_size is {_MAX_NODES * grid.panels // n}")
     p = kernel.params
     if grid.phi is not p.phi:
-        gap = np.max(np.abs(p.phi(grid.nodes) - grid.y_nodes))
-        if not gap <= 1e-9 * kernel.shifted_one:
-            raise ConfigurationError(
-                f"grid was built for a different phi map than the kernel's (node gap {gap:.3g})")
+        raise ConfigurationError("grid was built for a different phi map than the kernel's")
     y = grid.y_nodes
     layout = _memory_layout(n)
     head = (y - kernel.phi_zero) ** (p.alpha - 1.0)
     tail = (kernel.deriv_one * _integral_weights(p.alpha - 1.0, grid, grid.phi.image[1])
             - p.beta * _integral_weights(p.alpha, grid, kernel.phi_eta)) / kernel.mu
-    band = _band_weights(p.alpha, grid, _BAND_WIDTH)
+    band = _band_weights(p.alpha, grid)
     flat = np.empty(sum((i1 - i0) * i1 for i0, i1 in layout))
     memory, subs = [], []
     offset = 0
@@ -300,7 +274,14 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, len(subs)) if flat.size >= _PARALLEL_ELEMENTS else 1
     if workers > 1:
-        _on_threads(fill, [subs[k::workers] for k in range(workers)])
+        # imported here: concurrent.futures brings logging along, about 7 ms
+        # of import that a process whose fills stay serial never needs
+        from concurrent.futures import ThreadPoolExecutor
+        # each worker runs in a copy of the caller's context (numpy's error
+        # state); leaving the pool joins all before a part's error is raised
+        contexts = [contextvars.copy_context() for _ in range(workers)]
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(lambda k: contexts[k].run(fill, subs[k::workers]), range(workers)))
     else:
         fill(subs)
     return OperatorFactors(head=head, tail=tail, memory=tuple(memory))
@@ -413,13 +394,13 @@ def _g_sup(spec: ProblemSpec, grid: QuadratureGrid) -> float:
     return float(np.max(gv))
 
 
-def _lipschitz_sampled(spec: ProblemSpec, seed: int, n: int = 400) -> tuple[bool, float]:
+def _lipschitz_sampled(spec: ProblemSpec, seed: int) -> tuple[bool, float]:
     """Sampled |f(t,u)-f(t,v)| <= g(t)|u-v| with a rounding allowance."""
     rng = np.random.default_rng(seed ^ 0x5F5E5F)
-    ts = rng.uniform(0.0, 1.0, n)
+    ts = rng.uniform(0.0, 1.0, _SAMPLED_POINTS)
     low = 0.0 if spec.f_domain == "nonnegative" else -5.0
-    us = rng.uniform(low, 5.0, n)
-    vs = rng.uniform(low, 5.0, n)
+    us = rng.uniform(low, 5.0, _SAMPLED_POINTS)
+    vs = rng.uniform(low, 5.0, _SAMPLED_POINTS)
     lhs = np.abs(np.asarray(spec.f(ts, us), dtype=float) - np.asarray(spec.f(ts, vs), dtype=float))
     rhs = np.asarray(spec.g(ts), dtype=float) * np.abs(us - vs)
     slack = 1e-9 * (1.0 + rhs)
@@ -427,10 +408,10 @@ def _lipschitz_sampled(spec: ProblemSpec, seed: int, n: int = 400) -> tuple[bool
     return bool(excess <= 0.0), excess
 
 
-def _f_nonneg_sampled(spec: ProblemSpec, seed: int, n: int = 400) -> bool:
+def _f_nonneg_sampled(spec: ProblemSpec, seed: int) -> bool:
     rng = np.random.default_rng(seed ^ 0x3A9D2B)
-    ts = rng.uniform(0.0, 1.0, n)
-    us = rng.uniform(0.0, 5.0, n)
+    ts = rng.uniform(0.0, 1.0, _SAMPLED_POINTS)
+    us = rng.uniform(0.0, 5.0, _SAMPLED_POINTS)
     fv = np.asarray(spec.f(ts, us), dtype=float)
     return bool(np.all(np.isfinite(fv)) and np.min(fv) >= 0.0)
 
@@ -470,7 +451,8 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
                / kernel.scale) ** 2
         lip_ok, lip_excess = _lipschitz_sampled(spec, seed)
         hyps.append(Hypothesis("lipschitz_envelope_sampled", lip_ok,
-                               f"sampled hypothesis (400 triples), worst excess {lip_excess:.3g}"))
+                               f"sampled hypothesis ({_SAMPLED_POINTS} triples), "
+                               f"worst excess {lip_excess:.3g}"))
         hyps.append(Hypothesis("g_sup_below_threshold", g_sup < threshold,
                                f"sup g = {g_sup:.6g}, threshold = {threshold:.6g}"))
         # lambda bounds A in the squared sup distance only where G >= 0, i.e. mu > 0
@@ -493,7 +475,7 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
         hyps.append(Hypothesis("mu_positive", kernel.mu > 0.0, f"mu = {kernel.mu:.6g}"))
         f_ok = _f_nonneg_sampled(spec, seed)
         hyps.append(Hypothesis("f_nonnegative_sampled", f_ok,
-                               "sampled hypothesis (400 points of [0,1] x R+)"))
+                               f"sampled hypothesis ({_SAMPLED_POINTS} points of [0,1] x R+)"))
         geraghty = geraghty_inequality_check(u, v, au, av)
         hyps.append(Hypothesis("geraghty_inequality_sampled", geraghty.passed,
                                f"sampled hypothesis ({geraghty.checked} pairs), "

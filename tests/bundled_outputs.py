@@ -7,7 +7,10 @@ to print how far the numbers of each differing CSV moved.
 sides; the diff of the two out-dirs shows every moved byte.  Into
 <out-dir> it writes, for each bundled config, the ``solve`` CSV, sidecar
 and ``--json`` payload, ``check`` as text and ``--json`` and a
-64-point ``green`` table; ``verify-paper --json``; 64-panel solves of a
+64-point ``green`` table; the same three outputs of example42's
+``solve --grid 1536``, whose operator is filled on one worker thread per
+usable CPU, so the thread pool's output is compared bit for bit on the
+CPUs it runs on; ``verify-paper --json``; 64-panel solves of a
 custom expression that uses every operator and function of the grammar
 and of a ``phi = table`` config, with that config's ``green`` table; a
 256-panel solve of a slow contraction, the only output on which
@@ -120,6 +123,9 @@ def write_outputs(out: Path) -> None:
         _run(["check", cfg], f"{c}.check.txt")
         _run(["check", cfg, "--json"], f"{c}.check.json")
         _run(["green", cfg, "--resolution", "64", "-o", f"{c}.green.csv"])
+    # 1536 panels, the smallest grid whose operator fill is split across worker threads
+    _run(["solve", str(bundled_config_path("example42")), "--grid", "1536",
+          "-o", "example42.1536.csv", "--json"], "example42.1536.solve.json")
     _run(["verify-paper", "--json"], "verify-paper.json")
     _run(["solve", "expr.cfg", "--grid", "64", "-o", "expr.csv"])
     _run(["solve", "table.cfg", "--grid", "64", "-o", "table.csv"])

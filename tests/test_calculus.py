@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fracbvp as fb
-from fracbvp.calculus import (_MIN_STEP_SHARE, _STENCILS,
+from fracbvp.calculus import (_BAND_WIDTH, _MIN_STEP_SHARE, _STENCILS,
                               TOL_DERIVATIVE_IDENTITY, TOL_INTEGRAL_IDENTITY, _at_limit,
                               _band_weights, _gauss_rule, _integral_weights, _integral_y,
                               _order_constants, _unit_rule)
@@ -585,17 +585,17 @@ def test_band_rows_integrate_cubics_exactly(kind, panels, alpha):
     grid = fb.build_grid(phi, panels)
     breaks, x, _ = _unit_rule(panels)
     span = phi.image[1] - phi.image[0]
-    band = _band_weights(alpha, grid, 2)
-    n = grid.size
-    assert band.shape == (n, 12)
+    band = _band_weights(alpha, grid)
+    n, width = grid.size, _BAND_WIDTH
+    assert band.shape == (n, 4 * (width + 1))
     k = np.arange(n) // 4
-    columns = 4 * (k - 2)[:, None] + np.arange(12)
+    columns = 4 * (k - width)[:, None] + np.arange(band.shape[1])
     worst = 0.0
-    for s in range(3):
-        q = k - 2 + s
+    for s in range(width + 1):
+        q = k - width + s
         rows = q >= 0
         # the cubic is 0 on the band's super-panels below q
-        inside = (np.arange(12) >= 4 * s) & (columns >= 0)
+        inside = (np.arange(band.shape[1]) >= 4 * s) & (columns >= 0)
         offsets = span * (x[np.maximum(columns, 0)] - breaks[2 * np.maximum(q, 0)][:, None])
         reach = span * (x - breaks[2 * np.maximum(q, 0)])
         for d in range(4):
@@ -604,4 +604,4 @@ def test_band_rows_integrate_cubics_exactly(kind, panels, alpha):
             worst = max(worst, np.max(np.abs(got - exact)[rows] / exact[rows]))
     assert worst <= 1e-11
     # nothing below super-panel 0
-    assert np.all(band[:4, :8] == 0.0) and np.all(band[4:8, :4] == 0.0)
+    assert all(np.all(band[4 * q:4 * q + 4, :4 * (width - q)] == 0.0) for q in range(width))

@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -113,9 +114,9 @@ def _dense_parts(factors):
 
 def _band_mask(n):
     """True on each row's band: the columns of its own super-panel and
-    the _BAND_WIDTH below it."""
+    the calculus's _BAND_WIDTH below it."""
     k = np.arange(n) // 4
-    return (k[None, :] >= k[:, None] - solver._BAND_WIDTH) & (k[None, :] <= k[:, None])
+    return (k[None, :] >= k[:, None] - calculus._BAND_WIDTH) & (k[None, :] <= k[:, None])
 
 
 def _assert_factors_match_formula(kernel, grid):
@@ -184,13 +185,17 @@ def test_memory_blocks_end_on_super_panel_bounds(n):
 
 def _split_fill(monkeypatch, cpus):
     """Send every fill to worker threads, as if the process could use
-    ``cpus`` CPUs; returns the part counts handed to the threads."""
+    ``cpus`` CPUs; returns the worker counts of the pools it opens."""
     monkeypatch.setattr(solver, "_PARALLEL_ELEMENTS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     splits = []
-    on_threads = solver._on_threads
-    monkeypatch.setattr(solver, "_on_threads",
-                        lambda fn, parts: splits.append(len(parts)) or on_threads(fn, parts))
+
+    class RecordingPool(futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            splits.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
     return splits
 
 
@@ -208,7 +213,7 @@ def test_memory_blocks_bitwise_equal_allocating_fill(case, panels, cpus, monkeyp
     kernel = _kernel_case(case)
     grid = fb.build_grid(kernel.params.phi, panels)
     y = grid.y_nodes
-    band = calculus._band_weights(kernel.params.alpha, grid, solver._BAND_WIDTH)
+    band = calculus._band_weights(kernel.params.alpha, grid)
     i0 = 0
     for block in solver.operator_matrix(kernel, grid).memory:
         rows, cols = block.shape
@@ -218,7 +223,7 @@ def test_memory_blocks_bitwise_equal_allocating_fill(case, panels, cpus, monkeyp
         expected = kernel.mu * power / kernel.scale * grid.weights[:cols]
         # then each row's band, one row at a time
         for i in range(i0, i0 + rows):
-            start = 4 * (i // 4 - solver._BAND_WIDTH)
+            start = 4 * (i // 4 - calculus._BAND_WIDTH)
             expected[i - i0, max(start, 0):start + band.shape[1]] = band[i, max(-start, 0):]
         assert block.tobytes() == expected.tobytes()
         i0 += rows
@@ -280,6 +285,9 @@ def test_operator_matrix_on_descending_nodes(kernel42):
 
 def test_operator_matrix_peak_is_the_matrix(kernel42):
     grid = fb.build_grid(kernel42.params.phi, 1024)
+    # a first build, whatever ran before: its per-panel-count tables too
+    calculus._lagrange_tables.cache_clear()
+    calculus._gauss_rule.cache_clear()
     tracemalloc.start()
     try:
         factors = solver.operator_matrix(kernel42, grid)
@@ -720,6 +728,19 @@ def test_operator_rejects_grid_of_another_table_map():
     fb.Operator(spec, kernel, fb.build_grid(phi_a, 64))
     with pytest.raises(ConfigurationError, match="different phi map"):
         fb.Operator(spec, kernel, fb.build_grid(phi_b, 64))
+
+
+def test_operator_rejects_grid_of_an_equal_map_object():
+    # the operator reads the kernel's map through the grid, so the grid
+    # must be built on that very object, as the calculus requires too,
+    # even when another object of the same kind gives the same nodes
+    phi = fb.phi_catalog("sin_quarter_pi")
+    kernel = fb.build_kernel(fb.BvpParams(alpha=2.5, beta=0.5, eta=0.5, phi=phi))
+    spec = fb.ProblemSpec(f=lambda t, u: u)
+    twin = fb.build_grid(fb.phi_catalog("sin_quarter_pi"), 64)
+    assert np.array_equal(twin.y_nodes, fb.build_grid(phi, 64).y_nodes)
+    with pytest.raises(ConfigurationError, match="different phi map"):
+        fb.Operator(spec, kernel, twin)
 
 
 def test_operator_checked_against_its_use(problem42, grid256_42):
