@@ -40,8 +40,8 @@ _ADMISSIBILITY_ATOL = 1e-12
 
 
 def distance(x: GridFunction, y: GridFunction) -> float:
-    """Squared sup distance max (x - y)^2 over the common grid."""
-    if not x.grid.same_as(y.grid):
+    """Squared sup distance max (x - y)^2 over the one grid object of both."""
+    if x.grid is not y.grid:
         raise GridMismatchError("grid functions live on different grids")
     diff = x.values - y.values
     return float(np.max(diff * diff))

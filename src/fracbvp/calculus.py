@@ -187,7 +187,7 @@ def _order_constants(alpha: float) -> tuple[float, np.ndarray]:
     return gamma(alpha), moments.reshape(4, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Fixed quadrature rule on [0, 1] transported through phi.
 
@@ -196,6 +196,8 @@ class QuadratureGrid:
     approximates integral_0^1 phi'(s) v(s) ds.  In particular the
     weights sum to phi(1) - phi(0) exactly up to rounding.  The nodes
     must be strictly ascending, which every consumer of a grid assumes.
+    Like a ``PhiMap``, a grid equals and hashes as itself only: two
+    ``build_grid`` calls with equal arguments give two different grids.
     """
 
     phi: PhiMap
@@ -211,12 +213,6 @@ class QuadratureGrid:
     @property
     def size(self) -> int:
         return self.nodes.size
-
-    def same_as(self, other: "QuadratureGrid") -> bool:
-        return self is other or (
-            self.panels == other.panels
-            and np.array_equal(self.nodes, other.nodes)
-        )
 
     @cached_property
     def _super_panels(self) -> tuple[np.ndarray, ...]:
@@ -263,17 +259,18 @@ def build_grid(phi: PhiMap, panels: int = DEFAULT_PANELS) -> QuadratureGrid:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """A function on [0, 1] sampled at the nodes of a fixed grid.
 
-    Values must be finite.  Two grid functions are comparable only when
-    they live on the same grid.  Calling the object evaluates the cubic
-    in s through the 4 nodes nearest the query; queries outside the node
-    range use the nearest boundary stencil (cubic extrapolation over the
-    short gap to 0 or 1).  ``deriv`` is the exact t-derivative of that
-    same cubic.  The fractional integral uses another interpolant, the
-    cubic in y = phi(s) on each super-panel.
+    Values must be finite.  Like grids, grid functions compare and hash
+    by identity, and two combine only on one grid object.  Calling the
+    object evaluates the cubic in s through the 4 nodes nearest the
+    query; queries outside the node range use the nearest boundary
+    stencil (cubic extrapolation over the short gap to 0 or 1).
+    ``deriv`` is the exact t-derivative of that same cubic.  The
+    fractional integral uses another interpolant, the cubic in y =
+    phi(s) on each super-panel.
     """
 
     grid: QuadratureGrid
@@ -391,11 +388,9 @@ def _integral_y(alpha: float, u: GridFunction, c: np.ndarray) -> np.ndarray:
     # k, the super-panel that holds each limit, names its window
     k = np.searchsorted(bounds, c, side="right")
     # sorted by window, the limits that share one form a run
-    order, starts = None, [0]
-    if c.size != 1:
-        order = np.argsort(k)
-        c, k = c[order], k[order]
-        starts = np.flatnonzero(np.diff(k, prepend=-1)).tolist()
+    order = np.argsort(k)
+    c, k = c[order], k[order]
+    starts = np.flatnonzero(np.diff(k, prepend=-1)).tolist()
     near = np.empty(c.shape)
     # a gathered window holds 5 rows of 2 * (_NEAR + 1) floats
     block = _BLOCK_POINTS // windows[:, 0].size
@@ -421,8 +416,7 @@ def _integral_y(alpha: float, u: GridFunction, c: np.ndarray) -> np.ndarray:
             terms *= w
             np.add.reduce(terms, axis=1, out=far_sum[start:end])
     values = (far_sum + near) / g
-    if order is not None:
-        values[order] = values.copy()
+    values[order] = values.copy()
     return values
 
 
@@ -545,6 +539,8 @@ def frac_integral(alpha: float, phi: PhiMap, u, t: float | np.ndarray) -> float 
     _check_on_map(u, phi)
     if scalar:
         return _at_limit(alpha, u, phi(t))
+    if t.size == 1:
+        return np.full(t.shape, _at_limit(alpha, u, phi(t.item())))
     return _integral_y(alpha, u, phi(t.reshape(-1))).reshape(t.shape)
 
 

@@ -59,7 +59,7 @@ import numpy as np
 
 from .bmetric import R, SampledVerdict, admissibility_check, geraghty_inequality_check, tau
 from .calculus import GridFunction, QuadratureGrid, _band_weights, _integral_weights
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, GridMismatchError, NumericError
 from .green import GreenKernel, _memory
 
 __all__ = [
@@ -316,8 +316,10 @@ class Operator:
     def residuals(self, u: GridFunction) -> tuple[float, tuple[float, float, float]]:
         """sup |A u - u| at the nodes, and |u(0)|, |u'(0)| and
         |u'(1) - beta * u(eta)| of u itself: the local cubics that u
-        evaluates, differentiated exactly.  Never raises on non-finite
-        values."""
+        evaluates, differentiated exactly.  GridMismatchError unless u is
+        on this operator's grid object; never raises on non-finite values."""
+        if u.grid is not self.grid:
+            raise GridMismatchError("u lives on a different grid than the operator")
         residual = float(np.max(np.abs(self.factors.product(self._forcing(u.values)) - u.values)))
         p = self.kernel.params
         return residual, (abs(u(0.0)), abs(u.deriv(0.0)),
@@ -560,7 +562,7 @@ def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
     later step the same overflow means the iteration diverged, and the run
     ends at the last finite image, reported as not converged.  Runs without
     a passing certificate are labeled best-effort; a certificate built for
-    another spec, kernel or grid raises ConfigurationError.  The solve
+    another spec, kernel or grid object raises ConfigurationError.  The solve
     applies the certificate's operator if it has one, else assembles its own.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -569,7 +571,7 @@ def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
         raise ConfigurationError(f"max_iter must be at least 1, got {max_iter!r}")
     grid = u0.grid
     if certificate is not None and not (certificate.spec is spec and certificate.kernel is kernel
-                                        and grid.same_as(certificate.grid)):
+                                        and certificate.grid is grid):
         raise ConfigurationError(
             "certificate was built for a different problem, kernel or grid")
     op = (certificate and certificate.operator) or Operator(spec, kernel, grid)

@@ -79,6 +79,12 @@ def test_sample_calls_a_float_only_callable_per_node(phi_sin):
             == fb.GridFunction.sample(grid, vectorized).values.tobytes())
 
 
+def test_sample_broadcasts_a_callable_that_returns_one_number(phi_sin):
+    grid = fb.build_grid(phi_sin, 64)
+    assert (fb.GridFunction.sample(grid, lambda s: 2.5).values.tobytes()
+            == fb.GridFunction.constant(grid, 2.5).values.tobytes())
+
+
 def test_grid_function_interpolation(phi_identity):
     grid = fb.build_grid(phi_identity, 256)
     u = fb.GridFunction.sample(grid, lambda s: np.sin(3.0 * s))

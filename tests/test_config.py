@@ -33,7 +33,6 @@ def test_parse_defaults():
 
 @pytest.mark.parametrize("line,fragment", [
     ("bogus = 1", "unknown key"),
-    ("alpha = fast", "'alpha'"),
     ("grid_size = 32", "'grid_size'"),
     ("grid_size = 129", "'grid_size'"),
     ("tol = 0", "'tol'"),
@@ -43,7 +42,6 @@ def test_parse_defaults():
     ("max_iter = 2.5", "'max_iter': expected an integer"),
     ("f.domain = positive", "'f.domain'"),
     ("g = builtin", "key 'g': only custom-expression"),
-    ("mode = sideways", "'mode'"),
     ("alpha = 2.5", "duplicate"),
     # expression keys that the builtin f or the missing g would ignore
     ("f.expr = 100*u", "'f.expr'"),
@@ -57,6 +55,20 @@ def test_parse_defaults():
 def test_parse_diagnostics_name_the_key(line, fragment):
     with pytest.raises(ConfigurationError, match=fragment):
         parse_config(BASE + line + "\n")
+
+
+@pytest.mark.parametrize("line,fragment", [
+    ("alpha = fast", "'alpha': expected a number"),
+    ("mode = sideways", "'mode': expected one of"),
+])
+def test_parse_diagnostics_of_a_replaced_value(line, fragment):
+    # the line replaces the one of its key in BASE, so no duplicate hides the value's check
+    key = line.split(" = ")[0]
+    text = "".join((line if row.split(" = ")[0] == key else row) + "\n"
+                   for row in BASE.splitlines())
+    assert text.count(key + " = ") == 1 and line in text
+    with pytest.raises(ConfigurationError, match=fragment):
+        parse_config(text)
 
 
 @pytest.mark.parametrize("key,value", [

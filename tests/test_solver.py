@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from collections import deque
 from concurrent import futures
 
 import numpy as np
@@ -19,7 +20,7 @@ import fracbvp as fb
 from fracbvp import calculus, green, solver
 from fracbvp.cli import bundled_config_path
 from fracbvp.config import build_problem, load_config, parse_config
-from fracbvp.errors import ConfigurationError, NumericError
+from fracbvp.errors import ConfigurationError, GridMismatchError, NumericError
 from fracbvp.solver import (DEFAULT_SAMPLE_SEED, VERDICT_EXISTS, VERDICT_NONE, VERDICT_UNIQUE,
                             resolve_seed)
 from fracbvp.special import PHI_KINDS
@@ -640,6 +641,28 @@ def test_picard_refuses_certificate_of_another_problem(problem41, problem42):
     assert report.label == "certified:unique-solution"
 
 
+def test_grids_and_grid_functions_are_the_same_only_as_one_object(problem42):
+    # equal arguments build two grids with the same nodes: they compare unequal
+    # without raising and hash, and so do grid functions and reports on them
+    spec, kernel = problem42.spec, problem42.kernel
+    grid, twin = problem42.grid(64), problem42.grid(64)
+    assert grid == grid and grid != twin and len({grid, twin}) == 2
+    u, v = fb.GridFunction.constant(grid, 0.0), fb.GridFunction.constant(twin, 0.0)
+    assert u == u and u != v and len({u, v}) == 2
+    reports = [fb.picard_solve(spec, kernel, w) for w in (u, v)]
+    assert reports[0] == reports[0] and reports[0] != reports[1] and len(set(reports)) == 2
+    # each check that two grid functions share a grid asks for one grid object
+    cert = fb.build_certificate(spec, kernel, "uniqueness", grid=grid)
+    with pytest.raises(ConfigurationError, match="certificate was built for a different"):
+        fb.picard_solve(spec, kernel, v, certificate=cert)
+    with pytest.raises(GridMismatchError):
+        fb.distance(u, v)
+    op = fb.Operator(spec, kernel, grid)
+    for other in (v, fb.GridFunction.constant(problem42.grid(128), 0.0)):
+        with pytest.raises(GridMismatchError):
+            op.residuals(other)
+
+
 def test_residual_report_zero_case(kernel42, grid256_42):
     spec = fb.ProblemSpec(f=lambda t, u: np.zeros_like(np.asarray(u, dtype=float)))
     zero = fb.GridFunction.constant(grid256_42, 0.0)
@@ -717,6 +740,23 @@ def test_picard_nonfinite_f_at_start_raises(kernel42, grid256_42):
     spec = fb.ProblemSpec(f=lambda t, u: np.full_like(np.asarray(u, dtype=float), np.inf))
     with pytest.raises(NumericError, match="f returned non-finite values"):
         fb.picard_solve(spec, kernel42, fb.GridFunction.constant(grid256_42, 0.0))
+
+
+def test_apply_refuses_an_image_that_overflows():
+    # f is finite everywhere, but A maps the constant 1 to about 8.4
+    phi = fb.phi_catalog("identity")
+    kernel = fb.build_kernel(fb.BvpParams(alpha=2.05, beta=2.0, eta=0.5, phi=phi))
+    spec = fb.ProblemSpec(f=lambda t, u: np.full_like(np.asarray(u, dtype=float), 1e308))
+    grid = fb.build_grid(phi, 64)
+    op = fb.Operator(spec, kernel, grid)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="operator produced non-finite"):
+        op.apply(np.zeros(grid.size))
+
+
+def test_anderson_gives_up_on_a_singular_gram_matrix():
+    # equal residuals have zero differences, so their Gram matrix is 0
+    history = deque((np.full(8, float(k)), np.full(8, 0.5)) for k in range(solver._AA_MEMORY + 1))
+    assert solver._anderson(history, np.ones(8)) is None
 
 
 def test_operator_rejects_grid_of_another_table_map():
