@@ -6,15 +6,7 @@ existence/uniqueness certificates in the squared-sup-distance space
 iteration on the equivalent integral operator.
 """
 
-from .bmetric import (
-    SampledVerdict,
-    admissibility_check,
-    distance,
-    geraghty_inequality_check,
-    psi,
-    tau,
-    theta,
-)
+from .bmetric import distance, psi, tau, theta
 from .calculus import (
     DEFAULT_PANELS,
     GridFunction,
@@ -47,7 +39,6 @@ from .solver import (
     ProblemSpec,
     SolveReport,
     build_certificate,
-    default_sample_suite,
     operator_matrix,
     picard_solve,
 )
@@ -67,12 +58,10 @@ __all__ = [
     "green_values", "green_max_bound",
     "KernelPropertyReport", "check_kernel_properties",
     # metric machinery
-    "distance", "psi", "theta", "tau", "SampledVerdict", "geraghty_inequality_check",
-    "admissibility_check",
+    "distance", "psi", "theta", "tau",
     # solver
     "ProblemSpec", "Certificate", "Hypothesis", "SolveReport", "Operator",
     "operator_matrix", "build_certificate", "picard_solve",
-    "default_sample_suite",
     # errors
     "FracBvpError", "DomainError", "ConfigurationError",
     "GridMismatchError", "NumericError",

@@ -288,12 +288,19 @@ class GridFunction:
 
     @classmethod
     def sample(cls, grid: QuadratureGrid, fn: Callable) -> "GridFunction":
+        """fn at the nodes: one call on the node array, or one call per node
+        when that call raises TypeError or ValueError; GridMismatchError
+        when the array call's result does not broadcast to the nodes."""
         try:
-            values = np.asarray(fn(grid.nodes), dtype=float)
-            if values.shape != grid.nodes.shape:
-                values = np.broadcast_to(values, grid.nodes.shape).copy()
+            result = fn(grid.nodes)
         except (TypeError, ValueError):
-            values = np.array([float(fn(x)) for x in grid.nodes])
+            return cls(grid=grid, values=np.array([float(fn(x)) for x in grid.nodes]))
+        values = np.asarray(result, dtype=float)
+        try:
+            values = np.broadcast_to(values, grid.nodes.shape)
+        except ValueError:
+            raise GridMismatchError(f"sampled values of shape {values.shape} do not broadcast "
+                                    f"to the {grid.nodes.shape} nodes") from None
         return cls(grid=grid, values=values)
 
     @classmethod

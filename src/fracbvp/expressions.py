@@ -15,8 +15,10 @@ a decimal literal (``2``, ``0.5``, ``.5``, ``1e-3``).  The text, with
 ``^`` read as ``**``, is parsed by ``ast.parse`` and refused unless every
 node lies in the grammar: comments, ``_``, hexadecimal and complex
 literals, keyword arguments, trailing commas and all other Python-only
-syntax raise ``ConfigurationError``.  Compiled expressions are
-numpy-vectorized callables of (t, u).
+syntax raise ``ConfigurationError``.  A compiled ``Expression`` is a
+numpy-vectorized callable of (t, u) that keeps its checked syntax tree,
+which ``Expression.enclosure`` walks in interval arithmetic
+(``intervals.py``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = ["compile_expression"]
+__all__ = ["Expression", "compile_expression"]
 
 _ALPHABET = re.compile(r"[A-Za-z0-9_. +\-*/(),]*")
 _TRAILING_COMMA = re.compile(r",\s*\)")
@@ -47,13 +49,18 @@ _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
            ast.Div: operator.truediv, ast.Pow: np.power}
 
 
+def _literal(node: ast.Constant, source: str) -> float:
+    """The float of a decimal literal node; refuse any other literal."""
+    literal = source[node.col_offset:node.end_col_offset]
+    if not _DECIMAL.fullmatch(literal):
+        raise ConfigurationError(f"{literal!r} in expression is not a decimal number")
+    return float(literal)
+
+
 def _build(node: ast.AST, source: str) -> Callable:
     """Return the callable of one node of the grammar; refuse any other node."""
     if isinstance(node, ast.Constant):
-        literal = source[node.col_offset:node.end_col_offset]
-        if not _DECIMAL.fullmatch(literal):
-            raise ConfigurationError(f"{literal!r} in expression is not a decimal number")
-        const = float(literal)
+        const = _literal(node, source)
         return lambda t, u: const
     if isinstance(node, ast.Name) and node.id in _NAMES:
         return _NAMES[node.id]
@@ -76,7 +83,29 @@ def _build(node: ast.AST, source: str) -> Callable:
     raise ConfigurationError(f"{ast.unparse(node)!r} in expression is outside the grammar")
 
 
-def compile_expression(text: str) -> Callable:
+class Expression:
+    """A compiled expression: a numpy-vectorized callable of (t, u) that
+    keeps its checked syntax tree for ``enclosure``."""
+
+    __slots__ = ("_fn", "_tree", "_source")
+
+    def __init__(self, fn: Callable, tree: ast.expr, source: str):
+        self._fn, self._tree, self._source = fn, tree, source
+
+    def __call__(self, t, u):
+        return self._fn(t, u)
+
+    def enclosure(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """(value, slope): intervals (lo, hi) that hold f(t, u) and df/du(t, u)
+        for every t in [0, 1] and u in [0, inf]."""
+        # imported here: without a bytecode cache, compiling the walk and
+        # importing fractions (with decimal) take about 3 ms each, which a
+        # process that only builds or solves a problem would pay for nothing
+        from .intervals import enclose
+        return enclose(self._tree, self._source)
+
+
+def compile_expression(text: str) -> Expression:
     """Compile an expression of (t, u) into a vectorized callable."""
     source = _LEADING_ZEROS.sub("", " ".join(text.replace("^", "**").split()))
     if not source or not _ALPHABET.fullmatch(source) or _TRAILING_COMMA.search(source):
@@ -84,6 +113,7 @@ def compile_expression(text: str) -> Callable:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a SyntaxWarning ('1if') refuses the text
-            return _build(ast.parse(source, mode="eval").body, source)
+            tree = ast.parse(source, mode="eval").body
+            return Expression(_build(tree, source), tree, source)
     except (SyntaxError, RecursionError) as exc:
         raise ConfigurationError(f"expression {text[:80]!r}: {getattr(exc, 'msg', exc)}") from None

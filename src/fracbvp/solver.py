@@ -7,7 +7,7 @@ u = A u for
 
 so the solver never differentiates: an ``Operator`` assembles the
 discrete operator once and serves every use of A: the Picard iteration
-u <- A u, the sampled existence checks and the fixed-point residual.
+u <- A u and the fixed-point residual.
 The boundary residuals are those of the solution the solve reports,
 the local cubics of its nodal values.
 
@@ -24,21 +24,26 @@ One product serves a vector and a (k, N) stack, and its results do not
 depend on the BLAS thread count.
 
 Two certificates are available.  Each stores its hypotheses, and its
-verdict passes exactly when every one that is checked passes.  The
-uniqueness certificate needs a Lipschitz envelope g for f and checks
-that the contraction factor
+verdict passes exactly when every one that is checked passes.  Both rest
+on the contraction factor
 
-    lam = (sup g * phi'(1) * S1**(alpha-1) / (mu * Gamma(alpha)))**2
+    lam = (L * phi'(1) * S1**(alpha-1) / (mu * Gamma(alpha)))**2
 
-of A in the squared sup distance stays below 1/R = 1/2, together with
+of A in the squared sup distance, for a Lipschitz constant L of f in u.
+The uniqueness certificate needs a Lipschitz envelope g for f, takes
+L = sup g and checks lam < 1/R = 1/2, together with
 
     sup g < mu * Gamma(alpha) / (sqrt(2) * S1**(alpha-1) * phi'(1)).
 
 When mu > 0 the two are the same inequality; when mu < 0 the threshold
 is negative and fails, and lam, which bounds A only where G >= 0, is
-recorded, not checked.  The existence certificate samples the shrink
-inequality and sign-preservation of A on a reproducible random suite and
-witnesses the starting hypothesis with u0 = 0.
+recorded, not checked.  The positive-existence certificate proves its
+hypotheses about the continuous operator and assembles nothing.  For an
+``Expression`` f, one interval walk proves f >= 0 and L = sup |df/du| on
+[0, 1] x [0, inf]; for another callable, L = sup g and both facts are
+sampled, from the seed.  Then R**3 * lam <= 1/6 <= theta gives the shrink
+inequality for every pair, mu > 0, beta below its bound and f >= 0 give
+A u >= 0 for every u >= 0, and tau(0, .) = 0 witnesses u0 = 0.
 
 A Picard step is the squared sup of A x - x at the iterate x it starts
 from, and tol bounds it: tol = 1e-16 means 1e-8 in sup norm.  When f_domain
@@ -57,9 +62,10 @@ from typing import Callable
 
 import numpy as np
 
-from .bmetric import R, SampledVerdict, admissibility_check, geraghty_inequality_check, tau
+from .bmetric import R, theta
 from .calculus import GridFunction, QuadratureGrid, _band_weights, _integral_weights
 from .errors import ConfigurationError, GridMismatchError, NumericError
+from .expressions import Expression
 from .green import GreenKernel, _memory
 
 __all__ = [
@@ -72,7 +78,6 @@ __all__ = [
     "operator_matrix",
     "build_certificate",
     "picard_solve",
-    "default_sample_suite",
     "resolve_seed",
     "SEED_ENV_VAR",
     "DEFAULT_SAMPLE_SEED",
@@ -115,9 +120,10 @@ class ProblemSpec:
     """The nonlinearity of a problem, whose parameters belong to its kernel.
 
     ``f(t, u)`` and the optional Lipschitz envelope ``g(t)`` must accept
-    numpy arrays.  ``f_domain`` is "real" for the uniqueness route and
-    "nonnegative" when f maps nonnegative states to nonnegative values
-    (required by the positive-existence route).
+    numpy arrays; an ``Expression`` f lets the positive-existence route
+    prove its hypotheses on f.  ``f_domain`` is "real" for the uniqueness
+    route and "nonnegative" when f maps nonnegative states to nonnegative
+    values (required by the positive-existence route).
     """
 
     f: Callable
@@ -326,19 +332,6 @@ class Operator:
                           abs(u.deriv(1.0) - p.beta * u(p.eta)))
 
 
-def default_sample_suite(grid: QuadratureGrid,
-                         seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Reproducible suite of 50 pairs (u[k], v[k]) of nodal vectors with
-    values drawn uniformly from [0, 2], as two (50, N) arrays.
-
-    The seed comes from ``resolve_seed``: the FRACBVP_SEED environment
-    variable when not given explicitly, falling back to a fixed constant.
-    """
-    rng = np.random.default_rng(resolve_seed(seed))
-    draw = rng.uniform(0.0, 2.0, (50, 2, grid.size))
-    return draw[:, 0], draw[:, 1]
-
-
 @dataclass(frozen=True)
 class Hypothesis:
     """One certificate line: a named condition, its status, a note.
@@ -355,25 +348,22 @@ class Hypothesis:
 class Certificate:
     """Machine-checkable record of which certificate hypotheses hold.
 
-    It stores what the check measured; the ``verdict`` follows from the
-    ``hypotheses``, and mu, the beta bound and the uniqueness threshold
-    are read from ``kernel``.  ``spec``, ``kernel`` and ``grid`` record
-    what it was built for, so that ``picard_solve`` refuses it for
-    another problem; a positive-existence certificate keeps the
-    ``operator`` it applied for the solve it certifies.  None of them
+    It stores what the check measured: ``g_sup`` when the Lipschitz
+    constant came from an envelope g, and the contraction factor ``lam``.
+    The ``verdict`` follows from the ``hypotheses``, and mu, the beta
+    bound and the uniqueness threshold are read from ``kernel``.
+    ``spec``, ``kernel`` and ``grid`` record what it was built for, so
+    that ``picard_solve`` refuses it for another problem; none of them
     take part in ``repr`` or comparison.
     """
 
     mode: str
     g_sup: float | None
-    lam: float | None
-    geraghty: SampledVerdict | None
-    admissibility: SampledVerdict | None
+    lam: float
     hypotheses: tuple[Hypothesis, ...]
     spec: ProblemSpec = field(repr=False, compare=False)
     kernel: GreenKernel = field(repr=False, compare=False)
     grid: QuadratureGrid = field(repr=False, compare=False)
-    operator: Operator | None = field(default=None, repr=False, compare=False)
 
     @property
     def verdict(self) -> str:
@@ -410,6 +400,30 @@ def _lipschitz_sampled(spec: ProblemSpec, seed: int) -> tuple[bool, float]:
     return bool(excess <= 0.0), excess
 
 
+def _lam(kernel: GreenKernel, lipschitz: float) -> float:
+    """The contraction factor of A for a Lipschitz constant of f in u; inf
+    when its square overflows."""
+    factor = (lipschitz * kernel.deriv_one * kernel.shifted_one ** (kernel.params.alpha - 1.0)
+              / kernel.scale)
+    try:
+        return factor ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _envelope(spec: ProblemSpec, grid: QuadratureGrid, seed: int,
+              mode: str) -> tuple[float, Hypothesis]:
+    """sup g and the sampled row of |f(t,u)-f(t,v)| <= g(t)|u-v|;
+    ConfigurationError without an envelope."""
+    if spec.g is None:
+        raise ConfigurationError(f"{mode} certificate requires a Lipschitz envelope g")
+    g_sup = _g_sup(spec, grid)
+    lip_ok, lip_excess = _lipschitz_sampled(spec, seed)
+    return g_sup, Hypothesis("lipschitz_envelope_sampled", lip_ok,
+                             f"sampled hypothesis ({_SAMPLED_POINTS} triples), "
+                             f"worst excess {lip_excess:.3g}")
+
+
 def _f_nonneg_sampled(spec: ProblemSpec, seed: int) -> bool:
     rng = np.random.default_rng(seed ^ 0x3A9D2B)
     ts = rng.uniform(0.0, 1.0, _SAMPLED_POINTS)
@@ -425,8 +439,8 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
     Precondition violations (missing envelope, wrong f domain) raise
     ConfigurationError; mathematical failures are recorded in the
     hypotheses, and the verdict passes when every checked one does.
-    Only the positive-existence route assembles the operator, and its
-    certificate keeps it.
+    Neither route assembles the operator.  The seed feeds the sampled
+    rows only.
     """
     if mode not in _CLAIMS:
         raise ConfigurationError(f"unknown certificate mode {mode!r}")
@@ -440,21 +454,12 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
     hyps.append(Hypothesis("mu_nonzero", kernel.mu != 0.0, f"mu = {kernel.mu:.6g}"))
     hyps.append(Hypothesis("beta_below_bound", p.beta < bound,
                            f"beta = {p.beta:.6g}, bound = {bound:.6g}"))
-
     g_sup = None
-    lam = None
-    geraghty = admissibility = op = None
 
     if mode == "uniqueness":
-        if spec.g is None:
-            raise ConfigurationError("uniqueness certificate requires a Lipschitz envelope g")
-        g_sup = _g_sup(spec, grid)
-        lam = (g_sup * kernel.deriv_one * kernel.shifted_one ** (p.alpha - 1.0)
-               / kernel.scale) ** 2
-        lip_ok, lip_excess = _lipschitz_sampled(spec, seed)
-        hyps.append(Hypothesis("lipschitz_envelope_sampled", lip_ok,
-                               f"sampled hypothesis ({_SAMPLED_POINTS} triples), "
-                               f"worst excess {lip_excess:.3g}"))
+        g_sup, lipschitz_row = _envelope(spec, grid, seed, mode)
+        lam = _lam(kernel, g_sup)
+        hyps.append(lipschitz_row)
         hyps.append(Hypothesis("g_sup_below_threshold", g_sup < threshold,
                                f"sup g = {g_sup:.6g}, threshold = {threshold:.6g}"))
         # lambda bounds A in the squared sup distance only where G >= 0, i.e. mu > 0
@@ -466,44 +471,37 @@ def build_certificate(spec: ProblemSpec, kernel: GreenKernel, mode: str,
         if spec.f_domain != "nonnegative":
             raise ConfigurationError(
                 "positive-existence certificate requires f_domain = 'nonnegative'")
-        u, v = default_sample_suite(grid, seed=seed)
-        op = Operator(spec, kernel, grid)
-        zero = np.zeros(grid.size)
-        # the witness and every sampled function are mapped once, together
-        images = op.apply(np.vstack([zero, u, v]))
-        w = images[0]
-        au, av = np.split(images[1:], 2)
-
         hyps.append(Hypothesis("mu_positive", kernel.mu > 0.0, f"mu = {kernel.mu:.6g}"))
-        f_ok = _f_nonneg_sampled(spec, seed)
-        hyps.append(Hypothesis("f_nonnegative_sampled", f_ok,
-                               f"sampled hypothesis ({_SAMPLED_POINTS} points of [0,1] x R+)"))
-        geraghty = geraghty_inequality_check(u, v, au, av)
-        hyps.append(Hypothesis("geraghty_inequality_sampled", geraghty.passed,
-                               f"sampled hypothesis ({geraghty.checked} pairs), "
-                               f"worst margin {geraghty.worst:.3g}"))
-        admissibility = admissibility_check(u, v, au, av)
-        hyps.append(Hypothesis("admissibility_sampled", admissibility.passed,
-                               f"sampled hypothesis ({admissibility.checked} pairs)"))
-        witness_ok = bool(np.min(tau(zero, w)) >= 0.0)
-        hyps.append(Hypothesis("witness_zero_start", witness_ok,
-                               "tau(u0, A u0) >= 0 for u0 = 0"))
+        if isinstance(spec.f, Expression):
+            (f_low, _), (slope_low, slope_high) = spec.f.enclosure()
+            f_ok = f_low >= 0.0
+            lipschitz = max(-slope_low, slope_high)
+            hyps.append(Hypothesis("f_nonnegative", f_ok, f"f >= {f_low:.6g} on [0,1] x "
+                                   "[0,inf], from its interval enclosure"))
+            hyps.append(Hypothesis("lipschitz_bound", lipschitz < math.inf,
+                                   f"|df/du| <= {lipschitz:.6g} on [0,1] x [0,inf], "
+                                   "from its interval enclosure"))
+        else:
+            g_sup, lipschitz_row = _envelope(spec, grid, seed, mode)
+            lipschitz, f_ok = g_sup, _f_nonneg_sampled(spec, seed)
+            hyps.append(Hypothesis("f_nonnegative_sampled", f_ok,
+                                   f"sampled hypothesis ({_SAMPLED_POINTS} points of [0,1] x R+)"))
+            hyps.append(lipschitz_row)
+        lam = _lam(kernel, lipschitz)
+        # theta is nondecreasing, so theta(0) = 1/6 is its least value
+        shrink = float(theta(0.0))
+        hyps.append(Hypothesis("geraghty_inequality", R**3 * lam <= shrink,
+                               f"R^3 lambda = {R**3 * lam:.6g}, limit theta(0) = {shrink:.6g}"))
+        hyps.append(Hypothesis("admissibility", kernel.mu > 0.0 and p.beta < bound and f_ok,
+                               "A u >= 0 for every u >= 0: G >= 0 (mu > 0, beta below "
+                               "its bound) and f >= 0"))
+        hyps.append(Hypothesis("witness_zero_start", True, "tau(u0, A u0) = 0 for u0 = 0"))
         hyps.append(Hypothesis("sequential_closure", None,
                                "assumed by construction for the product relation "
                                "with nonnegative iterates"))
 
-    return Certificate(
-        mode=mode,
-        g_sup=g_sup,
-        lam=lam,
-        geraghty=geraghty,
-        admissibility=admissibility,
-        hypotheses=tuple(hyps),
-        spec=spec,
-        kernel=kernel,
-        grid=grid,
-        operator=op,
-    )
+    return Certificate(mode=mode, g_sup=g_sup, lam=lam, hypotheses=tuple(hyps),
+                       spec=spec, kernel=kernel, grid=grid)
 
 
 @dataclass(frozen=True)
@@ -563,7 +561,7 @@ def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
     ends at the last finite image, reported as not converged.  Runs without
     a passing certificate are labeled best-effort; a certificate built for
     another spec, kernel or grid object raises ConfigurationError.  The solve
-    applies the certificate's operator if it has one, else assembles its own.
+    assembles its own operator.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigurationError(f"tol must be finite and positive, got {tol!r}")
@@ -574,7 +572,7 @@ def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
                                         and certificate.grid is grid):
         raise ConfigurationError(
             "certificate was built for a different problem, kernel or grid")
-    op = (certificate and certificate.operator) or Operator(spec, kernel, grid)
+    op = Operator(spec, kernel, grid)
     x = values = u0.values
     history = deque(maxlen=_AA_MEMORY + 1)
     steps: list[float] = []

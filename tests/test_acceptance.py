@@ -139,9 +139,11 @@ def test_criterion_6_zero_fixed_point_with_certificate(problem41):
         cert = fb.build_certificate(problem41.spec, problem41.kernel,
                                     "positive-existence", grid=grid)
         assert cert.verdict == "exists-positive"
-        assert cert.geraghty is not None
-        assert cert.geraghty.passed and cert.geraghty.checked == 50
-        assert cert.admissibility is not None and cert.admissibility.passed
+        # proven, not sampled: R^3 lambda = 8/512 = 1/64 from the slope's sixteenth
+        rows = {h.name: h.ok for h in cert.hypotheses}
+        assert rows["geraghty_inequality"] and rows["admissibility"]
+        assert not any(name.endswith("_sampled") for name in rows)
+        assert 8.0 * cert.lam == pytest.approx(1.0 / 64.0, rel=1e-12)
         report = fb.picard_solve(problem41.spec, problem41.kernel,
                                  fb.GridFunction.constant(grid, 1.0),
                                  tol=1e-16, max_iter=100, certificate=cert)

@@ -1,4 +1,4 @@
-"""Squared-sup distance, function families, and sampled verdicts."""
+"""Squared-sup distance, function families, and the Geraghty and sign relations."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracbvp as fb
+from fracbvp.bmetric import R
 from fracbvp.errors import GridMismatchError
 
 from conftest import assert_paper_families
@@ -71,95 +72,58 @@ def test_default_psi_scaling_pointwise(x, c):
     assert c * float(psi(x)) <= c * x + 1e-12 * (1 + x)
 
 
+def _shrink_margin(u, v, au, av):
+    """theta(d) psi(d) - psi(R^3 d(A u, A v)) at d = d(u, v): the pair meets
+    the Geraghty inequality when it is >= 0."""
+    gauge = float(fb.psi(fb.distance(u, v)))
+    return float(fb.theta(gauge)) * gauge - float(fb.psi(R**3 * fb.distance(au, av)))
+
+
+def _pairs(grid, seed, count, low=0.0, high=2.0):
+    rng = np.random.default_rng(seed)
+    return [tuple(fb.GridFunction(grid, rng.uniform(low, high, grid.size)) for _ in range(2))
+            for _ in range(count)]
+
+
 def test_geraghty_equal_pairs_hold(grid):
-    u = np.ones((5, grid.size))
-    verdict = fb.geraghty_inequality_check(u, u, u, u)
-    assert verdict.passed
-    assert verdict.worst == 0.0
+    u = fb.GridFunction.constant(grid, 1.0)
+    assert _shrink_margin(u, u, u, u) == 0.0
 
 
 def test_geraghty_fails_for_tripling(grid):
-    u, v = (x[:20] for x in fb.default_sample_suite(grid, seed=11))
-    verdict = fb.geraghty_inequality_check(u, v, 3.0 * u, 3.0 * v)
-    assert not verdict.passed
-    assert verdict.worst < 0.0
+    # d(3u, 3v) = 9 d(u, v), and R^3 * 9 is far above theta < 1/4
+    for u, v in _pairs(grid, 11, 20):
+        tripled = (fb.GridFunction(grid, 3.0 * w.values) for w in (u, v))
+        assert _shrink_margin(u, v, *tripled) < 0.0
 
 
 def test_geraghty_skips_inadmissible_pairs(grid):
-    pos = np.ones((1, grid.size))
-    neg = -pos
-    verdict = fb.geraghty_inequality_check(pos, neg, pos, neg)
-    assert verdict.skipped == 1 and verdict.checked == 0
-    assert verdict.passed
+    # tau fails at a node, so the pair is outside the relation and its
+    # inequality is vacuous; the zero start relates to every function
+    pos = np.ones(grid.size)
+    assert np.min(fb.tau(pos, -pos)) < 0.0
+    assert np.all(fb.tau(np.zeros(grid.size), -pos) == 0.0)
 
 
 def test_admissibility_identity_on_nonnegative(grid):
-    u, v = (x[:10] for x in fb.default_sample_suite(grid, seed=2))
-    verdict = fb.admissibility_check(u, v, u, v)
-    assert verdict.passed
+    for u, v in _pairs(grid, 2, 10):
+        assert np.min(fb.tau(u.values, v.values)) >= 0.0
 
 
 def test_admissibility_fails_for_shift_through_zero(grid):
-    rng = np.random.default_rng(8)
     # images straddle zero, so some product goes negative
-    u, v = rng.uniform(0.0, 20.0, (2, 10, grid.size))
-    verdict = fb.admissibility_check(u, v, u - 10.0, v - 10.0)
-    assert not verdict.passed
+    assert any(np.min(fb.tau(u.values - 10.0, v.values - 10.0)) < 0.0
+               for u, v in _pairs(grid, 8, 10, high=20.0))
 
 
-def _per_pair_reference(u, v, au, av, r=2.0, atol=1e-12):
-    """The per-pair loop the array checks replaced, one pair at a time:
-    (passed, checked, skipped, worst) for the shrink inequality and for
-    sign preservation."""
-    def admissible(x, y):
-        return bool(np.min(x * y) >= 0.0)
-
-    def dist(x, y):
-        diff = x - y
-        return float(np.max(diff * diff))
-
-    g_worst, a_worst = np.inf, np.inf
-    g_passed = a_passed = True
-    checked = skipped = 0
-    for x, y, ax, ay in zip(u, v, au, av, strict=True):
-        if not admissible(x, y):
-            skipped += 1
-            continue
-        checked += 1
-        lhs = float(fb.psi(r**3 * dist(ax, ay)))
-        gauge = float(fb.psi(dist(x, y)))
-        margin = float(fb.theta(gauge)) * gauge - lhs
-        g_worst = min(g_worst, margin)
-        g_passed = g_passed and not margin < 0.0
-        low = float(np.min(ax * ay))
-        a_worst = min(a_worst, low)
-        a_passed = a_passed and not low < -atol
-    if checked == 0:
-        g_worst = a_worst = 0.0
-    return (g_passed, checked, skipped, g_worst), (a_passed, checked, skipped, a_worst)
-
-
-@pytest.mark.parametrize("seed, shrink, noise, passes",
-                         [(1, 0.4, 0.3, False), (2, 0.4, 0.3, False), (3, 0.05, 0.0, True)])
-def test_sampled_checks_match_per_pair_reference(grid, seed, shrink, noise, passes):
-    rng = np.random.default_rng(seed)
-    u, v = rng.uniform(0.0, 2.0, (2, 40, grid.size))
-    # rows 0, 7, 14, ... cross zero somewhere, so their pairs are skipped
-    u[::7, rng.integers(grid.size)] = -0.5
-    # noisy images break the shrink inequality and sign preservation
-    au = shrink * u + rng.uniform(-noise, noise, u.shape)
-    av = shrink * v + rng.uniform(-noise, noise, v.shape)
-    (g_passed, checked, skipped, g_worst), (a_passed, _, _, a_worst) = \
-        _per_pair_reference(u, v, au, av)
-    assert (checked, skipped) == (34, 6)
-    assert g_passed is a_passed is passes
-    geraghty = fb.geraghty_inequality_check(u, v, au, av)
-    assert (geraghty.passed, geraghty.checked, geraghty.skipped) == (g_passed, checked, skipped)
-    assert geraghty.worst == g_worst
-    admissibility = fb.admissibility_check(u, v, au, av)
-    assert (admissibility.passed, admissibility.checked, admissibility.skipped) == \
-        (a_passed, checked, skipped)
-    assert admissibility.worst == a_worst
-    # no admissible pair at all
-    none = fb.geraghty_inequality_check(u, -v, au, av)
-    assert (none.passed, none.checked, none.skipped, none.worst) == (True, 0, 40, 0.0)
+def test_proven_shrink_inequality_holds_on_operator_pairs(problem41, grid256_41,
+                                                          operator256_41):
+    # the certificate proves the inequality for every nonnegative pair of
+    # the continuous operator; its discrete image meets it pair by pair
+    cert = fb.build_certificate(problem41.spec, problem41.kernel, "positive-existence",
+                                grid=grid256_41)
+    assert {h.name: h.ok for h in cert.hypotheses}["geraghty_inequality"]
+    for u, v in _pairs(grid256_41, 20240, 25):
+        au, av = (fb.GridFunction(grid256_41, operator256_41.apply(w.values)) for w in (u, v))
+        assert np.min(fb.tau(au.values, av.values)) >= 0.0
+        assert _shrink_margin(u, v, au, av) >= 0.0

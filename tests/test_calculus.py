@@ -85,6 +85,16 @@ def test_sample_broadcasts_a_callable_that_returns_one_number(phi_sin):
             == fb.GridFunction.constant(grid, 2.5).values.tobytes())
 
 
+def test_sample_refuses_a_result_of_another_shape(phi_sin):
+    # the array call succeeds, so its result is not taken for a float-only
+    # callable's; the error names both shapes
+    grid = fb.build_grid(phi_sin, 64)
+    with pytest.raises(GridMismatchError, match=r"shape \(3,\).*\(128,\) nodes"):
+        fb.GridFunction.sample(grid, lambda s: np.ones(3))
+    with pytest.raises(GridMismatchError, match=r"shape \(2, 128\)"):
+        fb.GridFunction.sample(grid, lambda s: np.vstack([s, s]))
+
+
 def test_grid_function_interpolation(phi_identity):
     grid = fb.build_grid(phi_identity, 256)
     u = fb.GridFunction.sample(grid, lambda s: np.sin(3.0 * s))

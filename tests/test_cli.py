@@ -46,6 +46,18 @@ def test_check_example41_exists_positive(capsys):
     assert "exists-positive" in out
 
 
+def test_check_assembles_no_operator_and_solve_one(tmp_path, monkeypatch, capsys):
+    builds = []
+    assemble = solver.operator_matrix
+    monkeypatch.setattr(solver, "operator_matrix",
+                        lambda kernel, grid: builds.append(grid.panels) or assemble(kernel, grid))
+    assert main(["check", E41, "--grid", "64"]) == 0
+    assert builds == []
+    assert main(["solve", E41, "--grid", "64", "-o", str(tmp_path / "u.csv")]) == 0
+    assert builds == [64]
+    capsys.readouterr()
+
+
 def test_check_example42_unique(capsys):
     code = main(["check", E42, "--grid", "256"])
     out = capsys.readouterr().out
@@ -450,12 +462,18 @@ def test_accelerated_solve_csv_independent_of_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_check_json_independent_of_blas_threads():
-    # example41's positive-existence certificate maps a (101, N) stack
-    runs = [_run_threads(["check", E41, "--json"], threads) for threads in ("1", "2")]
+def test_solve_json_independent_of_blas_threads(tmp_path):
+    # example41's certified solve at its shipped 1024 panels, whose one
+    # operator the solve assembles; both runs write to the same path, so
+    # their --json payloads name the same files
+    runs, reports = [], []
+    for threads in ("1", "2"):
+        runs.append(_run_threads(["solve", E41, "-o", str(tmp_path / "u.csv"), "--json"],
+                                 threads))
+        reports.append((tmp_path / "u.report.txt").read_bytes())
     assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
-    assert '"exists-positive"' in runs[0].stdout
-    assert runs[0].stdout == runs[1].stdout
+    assert '"certified:exists-positive"' in runs[0].stdout
+    assert runs[0].stdout == runs[1].stdout and reports[0] == reports[1]
 
 
 def test_bad_grid_override_exits_1_naming_the_setting(capsys):
