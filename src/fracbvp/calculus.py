@@ -259,6 +259,19 @@ def build_grid(phi: PhiMap, panels: int = DEFAULT_PANELS) -> QuadratureGrid:
     )
 
 
+def _broadcast(result, shape: tuple[int, ...], points: str) -> np.ndarray:
+    """A callable's result at the given points, as floats broadcast to their
+    shape; GridMismatchError naming both shapes when it does not broadcast."""
+    values = np.asarray(result, dtype=float)
+    if values.shape == shape:
+        return values
+    try:
+        return np.broadcast_to(values, shape)
+    except ValueError:
+        raise GridMismatchError(f"values of shape {values.shape} do not broadcast "
+                                f"to the {shape} {points}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """A function on [0, 1] sampled at the nodes of a fixed grid.
@@ -295,13 +308,7 @@ class GridFunction:
             result = fn(grid.nodes)
         except (TypeError, ValueError):
             return cls(grid=grid, values=np.array([float(fn(x)) for x in grid.nodes]))
-        values = np.asarray(result, dtype=float)
-        try:
-            values = np.broadcast_to(values, grid.nodes.shape)
-        except ValueError:
-            raise GridMismatchError(f"sampled values of shape {values.shape} do not broadcast "
-                                    f"to the {grid.nodes.shape} nodes") from None
-        return cls(grid=grid, values=values)
+        return cls(grid=grid, values=_broadcast(result, grid.nodes.shape, "nodes"))
 
     @classmethod
     def constant(cls, grid: QuadratureGrid, value: float) -> "GridFunction":

@@ -5,9 +5,11 @@ u = A u for
 
     A u (t) = integral_0^1 G(t, s) phi'(s) f(s, u(s)) ds,
 
-so the solver never differentiates: an ``Operator`` assembles the
-discrete operator once and serves every use of A: the Picard iteration
-u <- A u and the fixed-point residual.
+so the solver never differentiates: an ``Operator`` serves every use of
+A, the Picard iteration u <- A u and the fixed-point residual.  It
+assembles the discrete operator once, for the first forcing
+f(s, u(s)) that is not identically zero; A maps a zero forcing to zero,
+which its rank-one term alone gives with the same bits.
 The boundary residuals are those of the solution the solve reports,
 the local cubics of its nodal values.
 
@@ -58,12 +60,14 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .bmetric import R, theta
-from .calculus import GridFunction, QuadratureGrid, _band_weights, _integral_weights
+from .calculus import (GridFunction, QuadratureGrid, _band_weights, _broadcast,
+                       _integral_weights)
 from .errors import ConfigurationError, GridMismatchError, NumericError
 from .expressions import Expression
 from .green import GreenKernel, _memory
@@ -215,6 +219,30 @@ def _write_band(out: np.ndarray, r0: int, band: np.ndarray) -> None:
         view[...] = band[r0 + cut:r0 + rows].reshape(view.shape)
 
 
+def _check_grid(kernel: GreenKernel, grid: QuadratureGrid) -> None:
+    """ConfigurationError for a grid the operator is not assembled on: one
+    of more than 16384 nodes (grid_size above 8192), or one built on any
+    map object but the kernel's phi."""
+    n = grid.size
+    if n > _MAX_NODES:
+        least = 8 * (2 * n + sum((i1 - i0) * i1 for i0, i1 in _memory_layout(n)))
+        raise ConfigurationError(
+            f"grid_size {grid.panels} has {n} nodes and its operator would take at least "
+            f"{least / 2**20:.0f} MiB, over the {_MAX_NODES}-node limit; "
+            f"the largest accepted grid_size is {_MAX_NODES * grid.panels // n}")
+    if grid.phi is not kernel.params.phi:
+        raise ConfigurationError("grid was built for a different phi map than the kernel's")
+
+
+def _rank_one_terms(kernel: GreenKernel, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
+    """head and tail of the operator's rank-one term (``operator_matrix``)."""
+    p = kernel.params
+    head = (grid.y_nodes - kernel.phi_zero) ** (p.alpha - 1.0)
+    tail = (kernel.deriv_one * _integral_weights(p.alpha - 1.0, grid, grid.phi.image[1])
+            - p.beta * _integral_weights(p.alpha, grid, kernel.phi_eta)) / kernel.mu
+    return head, tail
+
+
 def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactors:
     """The factored operator M = head (x) tail - memory, a locally
     corrected product rule for A on the grid's nodes, y_i = phi(s_i).
@@ -238,25 +266,14 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
     band's 96 N bytes and under 0.5 MiB per filling thread.  From 2**22
     entries, worker k of a thread pool of one per usable CPU fills
     sub-blocks k, k + w, ... by the same ufunc calls, so the factors do not
-    depend on the CPU count.  A grid of more than 16384 nodes (grid_size
-    above 8192), or one built on any map object but the kernel's phi,
-    raises ConfigurationError before it is read.
+    depend on the CPU count.  A grid that ``_check_grid`` refuses raises
+    ConfigurationError before it is read.
     """
-    n = grid.size
-    if n > _MAX_NODES:
-        least = 8 * (2 * n + sum((i1 - i0) * i1 for i0, i1 in _memory_layout(n)))
-        raise ConfigurationError(
-            f"grid_size {grid.panels} has {n} nodes and its operator would take at least "
-            f"{least / 2**20:.0f} MiB, over the {_MAX_NODES}-node limit; "
-            f"the largest accepted grid_size is {_MAX_NODES * grid.panels // n}")
+    _check_grid(kernel, grid)
     p = kernel.params
-    if grid.phi is not p.phi:
-        raise ConfigurationError("grid was built for a different phi map than the kernel's")
     y = grid.y_nodes
-    layout = _memory_layout(n)
-    head = (y - kernel.phi_zero) ** (p.alpha - 1.0)
-    tail = (kernel.deriv_one * _integral_weights(p.alpha - 1.0, grid, grid.phi.image[1])
-            - p.beta * _integral_weights(p.alpha, grid, kernel.phi_eta)) / kernel.mu
+    layout = _memory_layout(grid.size)
+    head, tail = _rank_one_terms(kernel, grid)
     band = _band_weights(p.alpha, grid)
     flat = np.empty(sum((i1 - i0) * i1 for i0, i1 in layout))
     memory, subs = [], []
@@ -294,18 +311,38 @@ def operator_matrix(kernel: GreenKernel, grid: QuadratureGrid) -> OperatorFactor
 
 
 class Operator:
-    """The discrete integral operator A of one problem on one grid; its
-    ``factors`` are assembled once, by ``operator_matrix``."""
+    """The discrete integral operator A of one problem on one grid.
+
+    The grid is checked when the operator is made (``_check_grid``).  Its
+    ``factors`` are assembled once, by ``operator_matrix``, for the first
+    forcing F = f(s, u(s)) with a nonzero entry, under the numpy error
+    state in force when the operator was made.  A is linear in F, and the
+    memory term maps an F with no nonzero entry to +0, so such an F takes
+    the rank-one term's product alone, with the same bits.
+    """
 
     def __init__(self, spec: ProblemSpec, kernel: GreenKernel, grid: QuadratureGrid):
+        _check_grid(kernel, grid)
         self.spec = spec
         self.kernel = kernel
         self.grid = grid
-        self.factors = operator_matrix(kernel, grid)
+        self._errors = np.geterr()
+
+    @cached_property
+    def factors(self) -> OperatorFactors:
+        with np.errstate(**self._errors):
+            return operator_matrix(self.kernel, self.grid)
+
+    @cached_property
+    def _rank_one(self) -> OperatorFactors:
+        with np.errstate(**self._errors):
+            return OperatorFactors(*_rank_one_terms(self.kernel, self.grid), memory=())
 
     def _forcing(self, values: np.ndarray) -> np.ndarray:
-        fv = np.asarray(self.spec.f(self.grid.nodes, values), dtype=float)
-        return fv if fv.shape == values.shape else np.broadcast_to(fv, values.shape)
+        return _broadcast(self.spec.f(self.grid.nodes, values), values.shape, "points of f")
+
+    def _product(self, fv: np.ndarray) -> np.ndarray:
+        return (self.factors if np.count_nonzero(fv) else self._rank_one).product(fv)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """(A u) at the nodes from the nodal values of u, or one image
@@ -314,7 +351,7 @@ class Operator:
         fv = self._forcing(values)
         if not np.all(np.isfinite(fv)):
             raise NumericError("f returned non-finite values")
-        out = self.factors.product(fv)
+        out = self._product(fv)
         if not np.all(np.isfinite(out)):
             raise NumericError("operator produced non-finite values")
         return out
@@ -326,7 +363,7 @@ class Operator:
         on this operator's grid object; never raises on non-finite values."""
         if u.grid is not self.grid:
             raise GridMismatchError("u lives on a different grid than the operator")
-        residual = float(np.max(np.abs(self.factors.product(self._forcing(u.values)) - u.values)))
+        residual = float(np.max(np.abs(self._product(self._forcing(u.values)) - u.values)))
         p = self.kernel.params
         return residual, (abs(u(0.0)), abs(u.deriv(0.0)),
                           abs(u.deriv(1.0) - p.beta * u(p.eta)))
@@ -378,7 +415,7 @@ class Certificate:
 
 def _g_sup(spec: ProblemSpec, grid: QuadratureGrid) -> float:
     ts = np.concatenate([[0.0], grid.nodes, [1.0]])
-    gv = np.broadcast_to(np.asarray(spec.g(ts), dtype=float), ts.shape)
+    gv = _broadcast(spec.g(ts), ts.shape, "points of g")
     if not np.all(np.isfinite(gv)):
         raise NumericError("g returned non-finite values")
     if np.any(gv < 0.0):
@@ -393,8 +430,9 @@ def _lipschitz_sampled(spec: ProblemSpec, seed: int) -> tuple[bool, float]:
     low = 0.0 if spec.f_domain == "nonnegative" else -5.0
     us = rng.uniform(low, 5.0, _SAMPLED_POINTS)
     vs = rng.uniform(low, 5.0, _SAMPLED_POINTS)
-    lhs = np.abs(np.asarray(spec.f(ts, us), dtype=float) - np.asarray(spec.f(ts, vs), dtype=float))
-    rhs = np.asarray(spec.g(ts), dtype=float) * np.abs(us - vs)
+    lhs = np.abs(_broadcast(spec.f(ts, us), ts.shape, "points of f")
+                 - _broadcast(spec.f(ts, vs), ts.shape, "points of f"))
+    rhs = _broadcast(spec.g(ts), ts.shape, "points of g") * np.abs(us - vs)
     slack = 1e-9 * (1.0 + rhs)
     excess = float(np.max(lhs - rhs - slack))
     return bool(excess <= 0.0), excess
@@ -428,7 +466,7 @@ def _f_nonneg_sampled(spec: ProblemSpec, seed: int) -> bool:
     rng = np.random.default_rng(seed ^ 0x3A9D2B)
     ts = rng.uniform(0.0, 1.0, _SAMPLED_POINTS)
     us = rng.uniform(0.0, 5.0, _SAMPLED_POINTS)
-    fv = np.asarray(spec.f(ts, us), dtype=float)
+    fv = _broadcast(spec.f(ts, us), ts.shape, "points of f")
     return bool(np.all(np.isfinite(fv)) and np.min(fv) >= 0.0)
 
 
@@ -561,7 +599,9 @@ def picard_solve(spec: ProblemSpec, kernel: GreenKernel, u0: GridFunction,
     ends at the last finite image, reported as not converged.  Runs without
     a passing certificate are labeled best-effort; a certificate built for
     another spec, kernel or grid object raises ConfigurationError.  The solve
-    assembles its own operator.
+    makes its own ``Operator``, which assembles nothing while every forcing
+    f(s, x(s)) is zero, as for example41 from u0 = 0, and runs its assembly
+    under the numpy error state of the call.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigurationError(f"tol must be finite and positive, got {tol!r}")

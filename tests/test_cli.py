@@ -53,7 +53,15 @@ def test_check_assembles_no_operator_and_solve_one(tmp_path, monkeypatch, capsys
                         lambda kernel, grid: builds.append(grid.panels) or assemble(kernel, grid))
     assert main(["check", E41, "--grid", "64"]) == 0
     assert builds == []
+    # example41's forcing c * u is 0 at every iterate from u0 = 0
     assert main(["solve", E41, "--grid", "64", "-o", str(tmp_path / "u.csv")]) == 0
+    assert builds == []
+    assert main(["solve", E42, "--grid", "64", "-o", str(tmp_path / "v.csv")]) == 0
+    assert builds == [64]
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("alpha = 2.5\nbeta = 0.5\neta = 0.5\nphi = identity\nf = zero\n"
+                   "mode = positive-existence\n")
+    assert main(["solve", str(cfg), "--grid", "64", "-o", str(tmp_path / "w.csv")]) == 0
     assert builds == [64]
     capsys.readouterr()
 

@@ -271,6 +271,27 @@ def test_split_fill_keeps_the_callers_numpy_error_state(kernel42, monkeypatch):
     assert splits == [2]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_first_use_assembly_keeps_the_callers_numpy_error_state(kernel42, monkeypatch, cpus):
+    # picard_solve assembles on its first nonzero forcing, inside its own
+    # errstate(over="ignore"), yet the call's errstate(over="raise") holds
+    splits = _split_fill(monkeypatch, cpus)
+    grid = fb.build_grid(kernel42.params.phi, 300)
+    memory = solver._memory
+
+    def overflowing(kernel, y_t, y_s, out):
+        memory(kernel, y_t, y_s, out=out)
+        out *= 1e300
+        out *= 1e300
+        return out
+
+    monkeypatch.setattr(solver, "_memory", overflowing)
+    spec = fb.ProblemSpec(f=lambda t, u: np.ones_like(np.asarray(u, dtype=float)))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        fb.picard_solve(spec, kernel42, fb.GridFunction.constant(grid, 0.0))
+    assert splits == ([2] if cpus > 1 else [])
+
+
 def test_operator_matrix_on_descending_nodes(kernel42):
     # a grid listed backwards is refused where it is made, so no consumer
     # (interpolation, fractional integral, operator) ever sees one
@@ -372,6 +393,77 @@ def test_apply_operator_nonfinite_f(kernel42, grid256_42):
         op.apply(np.zeros(grid256_42.size))
     with pytest.raises(NumericError):
         op.apply(np.zeros((3, grid256_42.size)))
+
+
+def _count_builds(monkeypatch):
+    """The panel count of every grid solver.operator_matrix assembles on."""
+    builds = []
+    assemble = solver.operator_matrix
+    monkeypatch.setattr(solver, "operator_matrix",
+                        lambda kernel, grid: builds.append(grid.panels) or assemble(kernel, grid))
+    return builds
+
+
+@pytest.mark.parametrize("name", ["example41", "example42"])
+def test_zero_forcing_takes_the_rank_one_product_bit_for_bit(name, monkeypatch):
+    # images and residuals equal the assembled product's, signed zeros
+    # included, for +0, -0, mixed signs, and -0 wherever tail > 0, which
+    # makes every tail * F a -0
+    kernel = _kernel_case(name)
+    grid = fb.build_grid(kernel.params.phi, 64)
+    eager = solver.operator_matrix(kernel, grid)
+    n = grid.size
+    negative = np.where(eager.tail > 0.0, -0.0, 0.0)
+    zeros = [np.zeros(n), np.full(n, -0.0), np.where(np.arange(n) % 3, 0.0, -0.0), negative]
+    u = fb.GridFunction.sample(grid, lambda s: np.sin(5.0 * s))
+    builds = _count_builds(monkeypatch)
+    for forcing in [*zeros, np.vstack(zeros), np.vstack([zeros[1], u.values, zeros[3]])]:
+        op = fb.Operator(fb.ProblemSpec(f=lambda t, v, F=forcing: F), kernel, grid)
+        expected = eager.product(forcing)
+        image = op.apply(np.zeros(forcing.shape))
+        assert np.array_equal(image, expected)
+        assert np.array_equal(np.signbit(image), np.signbit(expected))
+        if forcing.ndim == 1:
+            assert op.residuals(u)[0] == float(np.max(np.abs(expected - u.values)))
+    # only the stack with a nonzero row is assembled
+    assert builds == [64]
+
+
+def test_solve_assembles_on_the_first_nonzero_forcing(problem41, monkeypatch):
+    # the CLI tests solve from u0 = 0; f = 0 gives a zero forcing from any u0
+    builds = _count_builds(monkeypatch)
+    zero = build_problem(parse_config(
+        "alpha = 2.5\nbeta = 0.5\neta = 0.5\nphi = identity\nf = zero\n"))
+    report = fb.picard_solve(zero.spec, zero.kernel, fb.GridFunction.constant(zero.grid(64), 1.0))
+    assert report.converged and not np.any(report.solution.values)
+    assert builds == []
+    # example41's forcing c * u is nonzero from u0 = 1, and one build serves the solve
+    report = fb.picard_solve(problem41.spec, problem41.kernel,
+                             fb.GridFunction.constant(problem41.grid(64), 1.0))
+    assert report.converged and report.iterations > 1
+    assert builds == [64]
+
+
+def test_callables_whose_result_does_not_broadcast_are_refused(problem41, problem42):
+    # a result of another shape used to die in a bare numpy ValueError, and
+    # the sampled f >= 0 row checked 3 of its 400 points
+    three = lambda *args: np.ones(3)  # noqa: E731
+    grid41, grid42 = problem41.grid(64), problem42.grid(64)
+    with pytest.raises(GridMismatchError, match=r"shape \(3,\).*\(128,\) points of f"):
+        fb.picard_solve(fb.ProblemSpec(f=three), problem42.kernel,
+                        fb.GridFunction.constant(grid42, 0.0))
+    for spec, mode, problem, grid, points in [
+        (fb.ProblemSpec(f=three, g=lambda t: 0.1), "uniqueness", problem42, grid42,
+         r"\(400,\) points of f"),
+        (fb.ProblemSpec(f=three, g=lambda t: 0.1, f_domain="nonnegative"), "positive-existence",
+         problem41, grid41, r"\(400,\) points of f"),
+        (fb.ProblemSpec(f=problem42.spec.f, g=three), "uniqueness", problem42, grid42,
+         r"\(130,\) points of g"),
+    ]:
+        with pytest.raises(GridMismatchError, match=r"shape \(3,\).*" + points):
+            fb.build_certificate(spec, problem.kernel, mode, grid=grid)
+    with pytest.raises(GridMismatchError, match=r"\(400,\) points of f"):
+        solver._f_nonneg_sampled(fb.ProblemSpec(f=three, f_domain="nonnegative"), 1)
 
 
 def test_certificate_unique_solution(problem42, grid256_42):
