@@ -3,7 +3,7 @@
 Commands:
 
 * ``check <cfg>``: evaluate the certificate requested by the config's
-  mode and print the certificate table.
+  mode and print it with the kernel's property checks.
 * ``solve <cfg> -o <csv>``: run the Picard iteration and write the
   solution as CSV plus a sidecar text report.
 * ``green <cfg> -o <csv> --resolution N``: tabulate the kernel on a
@@ -11,6 +11,10 @@ Commands:
 * ``verify-paper [--json]``: recompute the six reference constants of
   the two bundled example problems and compare them with their
   published approximations.
+
+A text report (``check``'s output, ``solve``'s sidecar) is the
+provenance as comments, then the rows of the command's ``--json``
+payload.
 
 Exit codes: 0 success, 1 configuration error, 2 certificate failure,
 3 non-convergence.  ``--json`` output is strict JSON: a non-finite
@@ -30,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calculus import GridFunction
+from .calculus import GridFunction, QuadratureGrid
 from .config import Config, Problem, build_problem, load_config
 from .errors import ConfigurationError, FracBvpError
 from .green import check_kernel_properties, green_values
@@ -85,13 +89,38 @@ def bundled_config_path(name: str) -> Path:
     return Path(resources.files("fracbvp").joinpath("configs", f"{name}.cfg"))
 
 
-def _apply_overrides(config: Config, args) -> Config:
-    """The config with the command's --grid (check, solve) and --tol and
+def _config(args) -> Config:
+    """The command's config with its --grid (check, solve) and --tol and
     --max-iter (solve) applied; Config validates them."""
+    config = load_config(args.config)
     updates = {key: getattr(args, flag) for key, flag in
                (("grid_size", "grid"), ("tol", "tol"), ("max_iter", "max_iter"))
                if getattr(args, flag, None) is not None}
     return dataclasses.replace(config, **updates) if updates else config
+
+
+def _built(config: Config) -> tuple[Problem, int]:
+    """The problem of config and the seed of the run."""
+    return build_problem(config), resolve_seed()
+
+
+def _certified(config: Config) -> tuple[Problem, int, QuadratureGrid, Certificate | None]:
+    """The problem of config, the seed, the config's grid and the
+    certificate of its mode on that grid, None for solve-only."""
+    problem, seed = _built(config)
+    grid = problem.grid()
+    cert = None
+    if config.mode != "solve-only":
+        cert = build_certificate(problem.spec, problem.kernel, config.mode, grid=grid, seed=seed)
+    return problem, seed, grid, cert
+
+
+def _output_path(text: str) -> Path:
+    """The -o path, refused when it names no file ('', '.', '/')."""
+    path = Path(text)
+    if not path.name:
+        raise argparse.ArgumentTypeError(f"{text!r} names no file")
+    return path
 
 
 def _print_json(payload: dict) -> None:
@@ -132,16 +161,28 @@ def _certificate_json(cert: Certificate) -> dict:
     }
 
 
-def _certificate_lines(cert: Certificate) -> list[str]:
-    """The rows of _certificate_json in its order, keys padded to 22
-    columns; a null value has no row."""
+def _rows(payload: dict) -> list[str]:
+    """The text rows of a --json payload in its order: one row per key,
+    padded to 22 columns, with floats in _fmt's shortest round trip and a
+    list's items joined by spaces; a nested object gives its own rows, a
+    certificate's hypotheses one row each, and a null value no row."""
     lines = []
-    for key, value in _certificate_json(cert).items():
+    for key, value in payload.items():
         if key == "hypotheses":
             lines.extend(f"  [{_STATUS[h['ok']]:8s}] {h['name']}: {h['note']}" for h in value)
+        elif isinstance(value, dict):
+            lines.extend(_rows(value))
         elif value is not None:
-            lines.append(f"{key:22s}{value if isinstance(value, str) else _fmt(value)}")
+            items = value if isinstance(value, (list, tuple)) else (value,)
+            lines.append(f"{key:22s}" + " ".join(
+                _fmt(v) if isinstance(v, float) else str(v) for v in items))
     return lines
+
+
+def _text_report(problem: Problem, command: str, seed: int, payload: dict) -> str:
+    """The provenance as comments, then the rows of payload."""
+    lines = [f"# {line}" for line in _provenance_lines(problem, command, seed)]
+    return "\n".join(lines + _rows(payload)) + "\n"
 
 
 def _atomic_write(*files: tuple[Path, str]) -> None:
@@ -164,33 +205,19 @@ def _atomic_write(*files: tuple[Path, str]) -> None:
 
 
 def _cmd_check(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    problem = build_problem(config)
-    if config.mode == "solve-only":
+    problem, seed, _, cert = _certified(_config(args))
+    if cert is None:
         raise FracBvpError("key 'mode': must be uniqueness or positive-existence for check")
-    seed = resolve_seed()
-    grid = problem.grid()
-    cert = build_certificate(problem.spec, problem.kernel, config.mode,
-                             grid=grid, seed=seed)
     kernel_report = check_kernel_properties(problem.kernel)
+    payload = {
+        "certificate": _certificate_json(cert),
+        "kernel": dict(dataclasses.asdict(kernel_report), mu=problem.kernel.mu,
+                       beta_bound=problem.kernel.beta_bound),
+    }
     if args.json:
-        payload = {
-            "certificate": _certificate_json(cert),
-            "kernel": dict(dataclasses.asdict(kernel_report), mu=problem.kernel.mu,
-                           beta_bound=problem.kernel.beta_bound),
-            "provenance": _provenance_lines(problem, "check", seed),
-        }
-        _print_json(payload)
+        _print_json(dict(payload, provenance=_provenance_lines(problem, "check", seed)))
     else:
-        for line in _provenance_lines(problem, "check", seed):
-            print(f"# {line}")
-        for line in _certificate_lines(cert):
-            print(line)
-        print(f"kernel checks         "
-              f"hypothesis={'ok' if kernel_report.hypothesis_ok else 'VIOLATED'} "
-              f"positivity={'ok' if kernel_report.positivity_ok else 'FAIL'} "
-              f"seams={'ok' if kernel_report.seam_ok else 'FAIL'} "
-              f"bound={'ok' if kernel_report.bound_ok else 'FAIL'}")
+        print(_text_report(problem, "check", seed, payload), end="")
     return EXIT_OK if cert.passed else EXIT_CERTIFICATE
 
 
@@ -205,51 +232,23 @@ def _solve_csv(problem: Problem, report: SolveReport, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solve_report_text(problem: Problem, report: SolveReport,
-                       cert: Certificate | None, seed: int) -> str:
-    lines = [f"# {line}" for line in _provenance_lines(problem, "solve", seed)]
-    if cert is not None:
-        lines.extend(_certificate_lines(cert))
-    lines.append(f"label                 {report.label}")
-    lines.append(f"converged             {report.converged}")
-    lines.append(f"iterations            {report.iterations}")
-    lines.append(f"final_step_distance   {_fmt(report.final_step_distance)} (squared scale, tol {_fmt(report.tol)})")
-    lines.append(f"fixed_point_residual  {_fmt(report.fixed_point_residual)}")
-    b0, b1, b2 = report.boundary_residuals
-    lines.append(f"boundary_residuals    |u(0)| = {_fmt(b0)} | |u'(0)| = {_fmt(b1)} | "
-                 f"|u'(1) - beta*u(eta)| = {_fmt(b2)}")
-    lines.append(f"solution_min          {_fmt(report.solution_min)} "
-                 f"(strictly positive: {report.solution_min > 0.0})")
-    ratios = " ".join(_fmt(r) for r in report.observed_ratios)
-    lines.append(f"observed_ratios       {ratios}")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_solve(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    problem = build_problem(config)
-    seed = resolve_seed()
-    grid = problem.grid()
-    cert = None
-    if config.mode != "solve-only":
-        cert = build_certificate(problem.spec, problem.kernel, config.mode,
-                                 grid=grid, seed=seed)
-    u0 = GridFunction.constant(grid, 0.0)
-    report = picard_solve(problem.spec, problem.kernel, u0,
-                          tol=config.tol, max_iter=config.max_iter, certificate=cert)
-    out = Path(args.output)
+    problem, seed, grid, cert = _certified(_config(args))
+    report = picard_solve(problem.spec, problem.kernel, GridFunction.constant(grid, 0.0),
+                          tol=problem.config.tol, max_iter=problem.config.max_iter,
+                          certificate=cert)
+    out = args.output
     sidecar = out.with_name(out.stem + ".report.txt")
+    # the sidecar is the rows of this payload; --json adds the csv and report paths
+    payload = {} if cert is None else {"certificate": _certificate_json(cert)}
+    payload.update((key, getattr(report, key)) for key in (
+        "converged", "iterations", "label", "tol", "final_step_distance", "step_distances",
+        "observed_ratios", "fixed_point_residual", "boundary_residuals", "solution_min",
+        "accelerated_steps"))
     _atomic_write((out, _solve_csv(problem, report, seed)),
-                  (sidecar, _solve_report_text(problem, report, cert, seed)))
+                  (sidecar, _text_report(problem, "solve", seed, payload)))
     if args.json:
-        payload = {key: getattr(report, key) for key in (
-            "converged", "iterations", "label", "tol", "final_step_distance", "step_distances",
-            "observed_ratios", "fixed_point_residual", "boundary_residuals", "solution_min",
-            "accelerated_steps")}
-        payload.update(csv=str(out), report=str(sidecar))
-        if cert is not None:
-            payload["certificate"] = _certificate_json(cert)
-        _print_json(payload)
+        _print_json(dict(payload, csv=str(out), report=str(sidecar)))
     else:
         print(f"wrote {out} and {sidecar} "
               f"(converged={report.converged}, iterations={report.iterations}, label={report.label})")
@@ -260,8 +259,7 @@ def _cmd_green(args) -> int:
     if not 2 <= args.resolution <= _MAX_GREEN_RESOLUTION:
         raise FracBvpError(f"--resolution must lie in [2, {_MAX_GREEN_RESOLUTION}], "
                            f"got {args.resolution}")
-    problem = build_problem(load_config(args.config))
-    seed = resolve_seed()
+    problem, seed = _built(_config(args))
     kernel = problem.kernel
     pts = np.linspace(0.0, 1.0, args.resolution)
     gmat = green_values(kernel, pts[:, None], pts[None, :])
@@ -273,15 +271,10 @@ def _cmd_green(args) -> int:
     axis = [_fmt(p) for p in pts]
     for t, row in zip(axis, gmat.tolist()):
         lines.extend(f"{t},{s},{g!r}" for s, g in zip(axis, row))
-    _atomic_write((Path(args.output), "\n".join(lines) + "\n"))
+    _atomic_write((args.output, "\n".join(lines) + "\n"))
     if args.json:
-        payload = {
-            "csv": str(args.output),
-            "resolution": args.resolution,
-            "mu": kernel.mu,
-            "beta_bound": kernel.beta_bound,
-        }
-        _print_json(payload)
+        _print_json({"csv": str(args.output), "resolution": args.resolution,
+                     "mu": kernel.mu, "beta_bound": kernel.beta_bound})
     else:
         print(f"wrote {args.output} ({args.resolution}x{args.resolution} points)")
     return EXIT_OK
@@ -289,20 +282,14 @@ def _cmd_green(args) -> int:
 
 def reference_table() -> list[dict]:
     """Computed-versus-published rows for the bundled examples."""
-    problems = {name: build_problem(load_config(bundled_config_path(name)))
-                for name in ("example41", "example42")}
-    p42 = problems["example42"]
-    g_sup = build_certificate(p42.spec, p42.kernel, "uniqueness", grid=p42.grid()).g_sup
+    p41 = build_problem(load_config(bundled_config_path("example41")))
+    p42, _, _, cert42 = _certified(load_config(bundled_config_path("example42")))
+    kernels = {"example41": p41.kernel, "example42": p42.kernel}
     rows = []
     for name, constant, reference in REFERENCE_CONSTANTS:
-        computed = float(g_sup if constant == "g_sup" else getattr(problems[name].kernel, constant))
-        rows.append({
-            "problem": name,
-            "constant": constant,
-            "computed": computed,
-            "reference": reference,
-            "abs_diff": abs(computed - reference),
-        })
+        computed = float(cert42.g_sup if constant == "g_sup" else getattr(kernels[name], constant))
+        rows.append(dict(problem=name, constant=constant, computed=computed,
+                         reference=reference, abs_diff=abs(computed - reference)))
     return rows
 
 
@@ -310,12 +297,7 @@ def _cmd_verify_paper(args) -> int:
     rows = reference_table()
     ok = all(row["abs_diff"] <= REFERENCE_TOLERANCE for row in rows)
     if args.json:
-        payload = {
-            "tolerance": REFERENCE_TOLERANCE,
-            "all_within_tolerance": ok,
-            "rows": rows,
-        }
-        _print_json(payload)
+        _print_json({"tolerance": REFERENCE_TOLERANCE, "all_within_tolerance": ok, "rows": rows})
     else:
         header = f"{'problem':<10} {'constant':<22} {'computed':<22} {'reference':<12} {'abs diff':<12}"
         print(header)
@@ -342,7 +324,8 @@ def _build_parser() -> _Parser:
     for p in (check, solve, green_p):
         p.add_argument("config", help="path to a key = value configuration file")
     for p in (solve, green_p):
-        p.add_argument("-o", "--output", required=True, help="output CSV path")
+        p.add_argument("-o", "--output", required=True, type=_output_path,
+                       help="output CSV path")
     for p in (check, solve):
         p.add_argument("--grid", type=int, default=None, help="override grid_size")
     solve.add_argument("--tol", type=float, default=None, help="override tol")

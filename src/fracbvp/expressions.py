@@ -60,7 +60,8 @@ def _literal(node: ast.Constant, source: str) -> float:
 def _build(node: ast.AST, source: str) -> Callable:
     """Return the callable of one node of the grammar; refuse any other node."""
     if isinstance(node, ast.Constant):
-        const = _literal(node, source)
+        # the checked tree keeps the literal's float, which enclose reads
+        const = node.value = _literal(node, source)
         return lambda t, u: const
     if isinstance(node, ast.Name) and node.id in _NAMES:
         return _NAMES[node.id]
@@ -87,10 +88,10 @@ class Expression:
     """A compiled expression: a numpy-vectorized callable of (t, u) that
     keeps its checked syntax tree for ``enclosure``."""
 
-    __slots__ = ("_fn", "_tree", "_source")
+    __slots__ = ("_fn", "_tree")
 
-    def __init__(self, fn: Callable, tree: ast.expr, source: str):
-        self._fn, self._tree, self._source = fn, tree, source
+    def __init__(self, fn: Callable, tree: ast.expr):
+        self._fn, self._tree = fn, tree
 
     def __call__(self, t, u):
         return self._fn(t, u)
@@ -102,7 +103,7 @@ class Expression:
         # importing fractions (with decimal) take about 3 ms each, which a
         # process that only builds or solves a problem would pay for nothing
         from .intervals import enclose
-        return enclose(self._tree, self._source)
+        return enclose(self._tree)
 
 
 def compile_expression(text: str) -> Expression:
@@ -114,6 +115,6 @@ def compile_expression(text: str) -> Expression:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a SyntaxWarning ('1if') refuses the text
             tree = ast.parse(source, mode="eval").body
-            return Expression(_build(tree, source), tree, source)
+            return Expression(_build(tree, source), tree)
     except (SyntaxError, RecursionError) as exc:
         raise ConfigurationError(f"expression {text[:80]!r}: {getattr(exc, 'msg', exc)}") from None

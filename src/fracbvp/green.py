@@ -126,6 +126,14 @@ def build_kernel(params: BvpParams) -> GreenKernel:
     deriv_one = p.phi.deriv(1.0)
     s1 = phi_one - phi_zero
     se = phi_eta - phi_zero
+    # S1**alpha is the largest float power of the kernel and of the
+    # operator's weights, whose spans all lie within S1
+    try:
+        s1 ** p.alpha
+    except OverflowError:
+        raise ConfigurationError(
+            f"(phi(1) - phi(0))**alpha overflows for phi(1) - phi(0) = {s1:.3g}; "
+            "rescale phi") from None
     lead = (p.alpha - 1.0) * deriv_one * s1 ** (p.alpha - 2.0)
     # Se**(alpha-1) underflows to 0 for eta within about 1e-200 of 0
     se_pow = se ** (p.alpha - 1.0)

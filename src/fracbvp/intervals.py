@@ -21,8 +21,6 @@ import operator
 from fractions import Fraction
 from typing import Callable
 
-from .expressions import _literal
-
 __all__ = ["enclose"]
 
 _LINE = (-math.inf, math.inf)
@@ -173,18 +171,17 @@ _CALL_RULES = {
 }
 
 
-def enclose(node: ast.expr, source: str):
+def enclose(node: ast.expr):
     """(value, slope) of one node of a tree that ``compile_expression``
-    checked, over the box t in [0, 1], u in [0, inf]."""
+    checked, and whose literals it set to their floats, over the box t in
+    [0, 1], u in [0, inf]."""
     if isinstance(node, ast.Constant):
-        const = _literal(node, source)
-        return (const, const), _ZERO
+        return (node.value, node.value), _ZERO
     if isinstance(node, ast.Name):
         return _BOX[node.id]
     if isinstance(node, ast.UnaryOp):
-        value, slope = enclose(node.operand, source)
+        value, slope = enclose(node.operand)
         return (value, slope) if isinstance(node.op, ast.UAdd) else (_neg(value), _neg(slope))
     if isinstance(node, ast.BinOp):
-        return _BINARY_RULES[type(node.op)](enclose(node.left, source),
-                                            enclose(node.right, source))
-    return _CALL_RULES[node.func.id](*(enclose(arg, source) for arg in node.args))
+        return _BINARY_RULES[type(node.op)](enclose(node.left), enclose(node.right))
+    return _CALL_RULES[node.func.id](*(enclose(arg) for arg in node.args))

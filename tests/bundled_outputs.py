@@ -2,7 +2,9 @@
 
 Usage: ``PYTHONPATH=<checkout>/src python tests/bundled_outputs.py <out-dir>``,
 then ``python tests/bundled_outputs.py --compare <base-dir> <head-dir>``
-to print how far the numbers of each differing CSV moved.
+to print how far the numbers of each differing CSV moved and a unified
+diff, cut at 40 lines, of each differing ``.txt`` output, so that the
+report rows that moved show and not only the files.
 ``PYTHONPATH`` picks the fracbvp that runs, so one script renders both
 sides; the diff of the two out-dirs shows every moved byte.  Into
 <out-dir> it writes, for each bundled config, the ``solve`` CSV, sidecar
@@ -28,6 +30,7 @@ public names that the base has too.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
 import math
 import os
@@ -153,6 +156,24 @@ def compare_csvs(base: Path, head: Path) -> None:
               + ", ".join(f"{name} {d:.3g}" for name, d in zip(names, deltas)))
 
 
+def compare_texts(base: Path, head: Path, limit: int = 40) -> None:
+    """For each .txt output that differs between two out-dirs, print the
+    first ``limit`` lines of its unified diff, each cut at 200 columns."""
+    for path in sorted(base.glob("*.txt")):
+        other = head / path.name
+        if not other.is_file():
+            print(f"{path.name}: missing from {head}")
+            continue
+        diff = list(difflib.unified_diff(path.read_text().splitlines(),
+                                         other.read_text().splitlines(),
+                                         f"base/{path.name}", f"head/{path.name}", lineterm=""))
+        if not diff:
+            continue
+        print("\n".join(line[:200] for line in diff[:limit]))
+        if len(diff) > limit:
+            print(f"... {len(diff) - limit} more lines of {path.name}'s diff")
+
+
 def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     """The header and the rows of a CSV whose comment lines start with #."""
     lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
@@ -163,6 +184,7 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--compare":
         compare_csvs(Path(sys.argv[2]), Path(sys.argv[3]))
+        compare_texts(Path(sys.argv[2]), Path(sys.argv[3]))
     elif len(sys.argv) == 2:
         write_outputs(Path(sys.argv[1]).resolve())
     else:

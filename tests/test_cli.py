@@ -111,6 +111,8 @@ def test_check_solve_only_mode_rejected(tmp_path, capsys):
     cfg = tmp_path / "so.cfg"
     cfg.write_text("alpha = 2.5\nbeta = 1\neta = 0.5\nphi = identity\nf = zero\nmode = solve-only\n")
     assert main(["check", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: key 'mode': must be uniqueness or positive-existence for check\n")
 
 
 def test_malformed_config_exits_1(tmp_path, capsys):
@@ -371,9 +373,60 @@ def test_solve_json_payload(tmp_path, capsys):
     assert len(steps) == payload["iterations"] and len(ratios) == len(steps) - 1
     assert steps[-1] == payload["final_step_distance"]
     assert ratios == [b / a for a, b in zip(steps, steps[1:])]
-    # reported in --json only: the sidecar stays as it was
+    # the sidecar carries the payload's rows, accelerated_steps among them
     assert payload["accelerated_steps"] == 0
-    assert "accelerated" not in (tmp_path / "s.report.txt").read_text()
+    assert "accelerated_steps     0\n" in (tmp_path / "s.report.txt").read_text()
+
+
+def _row_keys(text):
+    """The key of each text row that is no comment and no hypothesis."""
+    return [line.split()[0] for line in text.splitlines() if not line.startswith(("#", "  ["))]
+
+
+def _certificate_keys(cert):
+    return [key for key, value in cert.items() if key != "hypotheses" and value is not None]
+
+
+@pytest.mark.parametrize("config", [E41, E42])
+def test_solve_sidecar_is_one_row_per_json_key(config, tmp_path, monkeypatch, capsys):
+    payloads = []
+    monkeypatch.setattr(cli, "_print_json", payloads.append)
+    out = tmp_path / "s.csv"
+    assert main(["solve", config, "-o", str(out), "--grid", "128", "--json"]) == 0
+    (payload,) = payloads
+    assert payload.pop("csv") == str(out)
+    assert payload.pop("report") == str(tmp_path / "s.report.txt")
+    cert = payload.pop("certificate")
+    text = (tmp_path / "s.report.txt").read_text()
+    # the certificate's rows, then one row per key in the payload's order
+    assert _row_keys(text) == _certificate_keys(cert) + list(payload)
+    assert text.count("\n  [") == len(cert["hypotheses"])
+    steps = " ".join(repr(s) for s in payload["step_distances"])
+    assert f"\nstep_distances        {steps}\n" in text
+    assert "\nconverged             True\n" in text
+
+
+def test_check_text_is_one_row_per_json_key(monkeypatch, capsys):
+    payloads = []
+    monkeypatch.setattr(cli, "_print_json", payloads.append)
+    assert main(["check", E42, "--grid", "128", "--json"]) == 0
+    (payload,) = payloads
+    assert main(["check", E42, "--grid", "128"]) == 0
+    text = capsys.readouterr().out
+    assert [line[2:] for line in text.splitlines() if line.startswith("# ")] == payload["provenance"]
+    assert _row_keys(text) == _certificate_keys(payload["certificate"]) + list(payload["kernel"])
+    assert "\nseam_ok               True\n" in text
+
+
+@pytest.mark.parametrize("argv", [["solve", "-o", ""], ["solve", "-o", "."],
+                                  ["green", "-o", ""]], ids=["solve-empty", "solve-dot", "green-empty"])
+def test_output_path_without_file_name_exits_1(argv, tmp_path, capsys):
+    # refused while the arguments are parsed, before the config is read
+    code = main(argv[:1] + [str(tmp_path / "missing.cfg")] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: argument -o/--output: {argv[2]!r} names no file\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_verify_paper_passes_and_is_deterministic(capsys):

@@ -88,6 +88,16 @@ def test_rounded_enclosures_are_tight(text, exact_lo, exact_hi):
     assert ulps(lo, exact_lo) <= 2 and ulps(exact_hi, hi) <= 2
 
 
+@pytest.mark.parametrize("text", ["2", "007", ".5", "1e-3", "12345678901234567891",
+                                  "1" * 400, "1e400", "4.9e-325"])
+def test_literal_enclosure_is_the_callable_float(text):
+    # a literal encloses as the float the callable uses, an integer too
+    # large for a float as inf, not an OverflowError
+    f = compile_expression(text)
+    const = f(0.0, 0.0)
+    assert f.enclosure() == ((const, const), (0.0, 0.0))
+
+
 def test_rational_enclosures_hold_the_exact_value():
     (lo, hi), _ = enclosure("pi")
     assert (lo, hi) == (math.pi, math.nextafter(math.pi, INF))

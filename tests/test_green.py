@@ -124,6 +124,25 @@ def test_green_mu_zero_raises(phi_identity):
         fb.build_kernel(fb.BvpParams(alpha=3.0, beta=2.0, eta=1.0, phi=phi_identity))
 
 
+def _linear_map(width: float) -> fb.PhiMap:
+    return fb.PhiMap("linear", lambda t: width * t, lambda t: width + 0.0 * t,
+                     lambda y: y / width)
+
+
+@pytest.mark.parametrize("width", [1e125, 1e200, 1e300])
+@pytest.mark.parametrize("alpha", [2.5, 3.0])
+def test_wide_phi_image_is_a_configuration_error(width, alpha):
+    # (phi(1) - phi(0))**alpha overflows a float; the kernel and the
+    # operator's weights used to raise a bare OverflowError on it
+    with pytest.raises(ConfigurationError, match="rescale phi"):
+        fb.build_kernel(fb.BvpParams(alpha=alpha, beta=1.0, eta=0.5, phi=_linear_map(width)))
+
+
+def test_wide_phi_image_below_overflow_builds():
+    kernel = fb.build_kernel(fb.BvpParams(alpha=3.0, beta=1.0, eta=0.5, phi=_linear_map(1e100)))
+    assert kernel.mu == pytest.approx(1.75e200, rel=1e-12)
+
+
 def test_green_negative_mu_still_evaluates(kernel_mu_negative):
     assert kernel_mu_negative.mu < 0.0
     value = float(fb.green_values(kernel_mu_negative, 0.5, 0.5))
